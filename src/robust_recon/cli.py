@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -332,38 +333,20 @@ def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> dict:
     }
 
 
-def _sweep_task(payload):
-    """Score one regularization weight; runs in a worker when jobs > 1."""
-    (a, y, method, alpha, epsilon, scfg_kwargs, max_sweeps, stack, shape,
-     peak, dynamic_range) = payload
-    reduced = preprocess.ReducedSystem(a, y)
-    if method == "l2-K":
-        scfg = solvers.SolverConfig(sweeps=max_sweeps, record_snapshots=True,
-                                    **scfg_kwargs)
-        result = solvers.kaczmarz_reg(reduced, alpha, scfg)
-        images = [snap.reshape(shape) for snap in result.snapshots]
-    else:
-        scfg = solvers.SolverConfig(**scfg_kwargs)
-        kind = "l1s" if method == "l1-L" else "l2"
-        result = solvers.lbfgsb(solvers.Objective(kind, reduced, alpha, epsilon), scfg)
-        images = [result.x.reshape(shape)]
-    psnr_row = np.empty(len(images))
-    ssim_row = np.empty(len(images))
-    for k, image in enumerate(images):
-        values = metrics._metric_values(image, stack, "psnr", peak, dynamic_range)
-        psnr_row[k] = values[metrics._argmax_first(values)]
-        values = metrics._metric_values(image, stack, "ssim", peak, dynamic_range)
-        ssim_row[k] = values[metrics._argmax_first(values)]
-    return psnr_row, ssim_row
+def _sweep_task(reduced: preprocess.ReducedSystem, stack: np.ndarray,
+                cfg: PipelineConfig, alpha: float):
+    """Score one regularization weight; runs in a worker when jobs > 1.
 
-
-def _lex_argmax_2d(table: np.ndarray):
-    best = (0, 0)
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            if table[i, j] > table[best]:
-                best = (i, j)
-    return best
+    Solves through _solve, as reconstruct does, and returns the (psnr, ssim)
+    maxima over shifts of every l2-K sweep snapshot or of the final image.
+    A NaN score survives the maximum, so cmd_sweep's first_argmax rejects it.
+    """
+    sol = cfg.solver
+    scfg = _solver_config(cfg, sweeps=cfg.sweep.max_sweeps, record_snapshots=True)
+    result = _solve(reduced, sol.method, alpha, sol.epsilon, scfg)
+    images = np.stack(result.snapshots or [result.x]).reshape((-1,) + stack.shape[1:])
+    return (metrics.psnr_table(images, stack, cfg.metrics.psnr_peak).max(axis=1),
+            metrics.ssim_table(images, stack, cfg.metrics.dynamic_range).max(axis=1))
 
 
 def _sweep_csv_lines(alphas, col_labels, table):
@@ -390,22 +373,16 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
     sol = cfg.solver
     exps = list(range(sw.alpha_max_exp, sw.alpha_min_exp - 1, -1))
     alphas = [2.0 ** e for e in exps]
-    scfg_kwargs = dict(memory=sol.memory, pgtol=sol.pgtol,
-                       max_iterations=sol.max_iterations, row_order=sol.row_order,
-                       seed=sol.seed, projection=sol.projection)
-    payloads = [
-        (reduced.A, reduced.y, sol.method, alpha, sol.epsilon, scfg_kwargs,
-         sw.max_sweeps, stack, grid.shape, cfg.metrics.psnr_peak,
-         cfg.metrics.dynamic_range)
-        for alpha in alphas
-    ]
+    task = functools.partial(_sweep_task, reduced, stack, cfg)
     if sw.jobs > 1:
         with ProcessPoolExecutor(max_workers=sw.jobs) as pool:
-            results = list(pool.map(_sweep_task, payloads))
+            results = list(pool.map(task, alphas))
     else:
-        results = [_sweep_task(p) for p in payloads]
+        results = list(map(task, alphas))
     psnr_table = np.stack([r[0] for r in results])
     ssim_table = np.stack([r[1] for r in results])
+    best_p = metrics.first_argmax(psnr_table)
+    best_s = metrics.first_argmax(ssim_table)
     if sol.method == "l2-K":
         col_labels = [str(n) for n in range(1, sw.max_sweeps + 1)]
         col_name = "sweeps"
@@ -430,8 +407,6 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
         lines += [f"{c},{float(v)!r}" for c, v in zip(col_labels, col_max)]
         artifacts.atomic_write_text(run_dir / name, "\n".join(lines) + "\n")
         written.append(name)
-    best_p = _lex_argmax_2d(psnr_table)
-    best_s = _lex_argmax_2d(ssim_table)
 
     def _best(table, at):
         col = at[1] + 1 if sol.method == "l2-K" else col_labels[at[1]]

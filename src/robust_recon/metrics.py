@@ -4,7 +4,10 @@ A reconstruction may be displaced by a fraction of the grid against the
 ground-truth geometry without being any worse, so both quality numbers are
 taken as the maximum over a grid of reference shifts: the analytic support
 is re-rasterized at every shift and the metric evaluated against each
-candidate. Ties resolve to the first shift in lexicographic order.
+candidate. Scores are tabulated (images x shifts) by psnr_table and
+ssim_table; the best cell is the first maximum in row-major order (ties
+resolve to the first shift in lexicographic order), and a table holding a
+NaN raises NumericalError instead of naming a best cell.
 
 PSNR uses a fixed peak value (not the per-image maximum) so scores are
 comparable across reconstructions; identical images return +inf. SSIM uses
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
+from .errors import NumericalError
 from .model import VoxelGrid, rasterize_support
 
 __all__ = [
@@ -30,12 +34,18 @@ __all__ = [
     "reference_stack",
     "psnr",
     "ssim",
+    "psnr_table",
+    "ssim_table",
+    "first_argmax",
     "shift_max_metric",
     "quality_report",
 ]
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
+# ssim_table filters at most this many reference voxels at a time, so its
+# half-dozen stack-sized temporaries stay near 8 MB each for 3D shift grids.
+_CHUNK_VOXELS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -107,19 +117,32 @@ def reference_stack(support, grid: VoxelGrid, shift_grid: ShiftGrid,
     return out
 
 
-def psnr(image: np.ndarray, reference: np.ndarray, peak: float) -> float:
-    """10*log10(peak^2 / MSE); +inf when the images are identical."""
-    image = np.asarray(image, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if image.shape != reference.shape:
+def _batch(images, stack) -> tuple[np.ndarray, np.ndarray]:
+    images = np.asarray(images, dtype=np.float64)
+    stack = np.asarray(stack, dtype=np.float64)
+    if images.shape[1:] != stack.shape[1:]:
         raise ValueError("image shapes differ")
+    return images, stack
+
+
+def psnr_table(images, stack, peak: float) -> np.ndarray:
+    """PSNR of each image in ``images`` (n, ...) against each reference in
+    ``stack`` (k, ...): an (n, k) table, +inf where a pair is identical."""
+    images, stack = _batch(images, stack)
     if peak <= 0:
         raise ValueError("peak must be positive")
-    diff = image - reference
-    mse = float(np.mean(diff * diff))
-    if mse == 0.0:
-        return np.inf
-    return 10.0 * np.log10(peak * peak / mse)
+    mse = np.empty((images.shape[0], stack.shape[0]))
+    for i, image in enumerate(images):
+        diff = image - stack  # the one stack-sized temporary
+        diff *= diff
+        mse[i] = diff.reshape(stack.shape[0], -1).mean(axis=1)
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(peak * peak / mse)
+
+
+def psnr(image: np.ndarray, reference: np.ndarray, peak: float) -> float:
+    """10*log10(peak^2 / MSE); +inf when the images are identical."""
+    return float(psnr_table([image], [reference], peak)[0, 0])
 
 
 def _gaussian_window(taps: int, sigma: float) -> np.ndarray:
@@ -129,10 +152,44 @@ def _gaussian_window(taps: int, sigma: float) -> np.ndarray:
 
 
 def _filter3(volume: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Separable window over the last three axes (one volume or a stack)."""
     out = volume
-    for axis in range(3):
+    for axis in (-3, -2, -1):
         out = correlate1d(out, window, axis=axis, mode="reflect")
     return out
+
+
+def ssim_table(images, stack, dynamic_range: float,
+               taps: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+    """SSIM (see ssim) of each (nx, ny, nz) image against each reference
+    volume: an (n, k) table. Reference moments are filtered once per stack
+    chunk, image moments once per image and chunk; only the cross moment is
+    per pair."""
+    images, stack = _batch(images, stack)
+    if stack.ndim != 4:
+        raise ValueError("ssim expects (nx, ny, nz) volumes")
+    if dynamic_range <= 0:
+        raise ValueError("dynamic range must be positive")
+    c1 = (0.01 * dynamic_range) ** 2
+    c2 = (0.03 * dynamic_range) ** 2
+    w = _gaussian_window(taps, sigma)
+    table = np.empty((images.shape[0], stack.shape[0]))
+    step = max(1, _CHUNK_VOXELS // max(1, int(np.prod(stack.shape[1:]))))
+    for lo in range(0, stack.shape[0], step):
+        part = slice(lo, lo + step)
+        refs = stack[part]
+        mu_r = _filter3(refs, w)
+        mu_r2 = mu_r * mu_r
+        var_r = _filter3(refs * refs, w) - mu_r2
+        for i, x in enumerate(images):
+            mu_x = _filter3(x, w)
+            mu_x2 = mu_x * mu_x
+            var_x = _filter3(x * x, w) - mu_x2
+            cov = _filter3(x * refs, w) - mu_x * mu_r
+            num = (2.0 * mu_x * mu_r + c1) * (2.0 * cov + c2)
+            den = (mu_x2 + mu_r2 + c1) * (var_x + var_r + c2)
+            table[i, part] = (num / den).reshape(refs.shape[0], -1).mean(axis=1)
+    return table
 
 
 def ssim(image: np.ndarray, reference: np.ndarray, dynamic_range: float,
@@ -145,25 +202,16 @@ def ssim(image: np.ndarray, reference: np.ndarray, dynamic_range: float,
     (biased) moments, symmetric boundary handling. Length-1 axes pass
     through the window unchanged.
     """
-    x = np.asarray(image, dtype=np.float64)
-    r = np.asarray(reference, dtype=np.float64)
-    if x.shape != r.shape:
-        raise ValueError("image shapes differ")
-    if x.ndim != 3:
-        raise ValueError("ssim expects (nx, ny, nz) volumes")
-    if dynamic_range <= 0:
-        raise ValueError("dynamic range must be positive")
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
-    w = _gaussian_window(taps, sigma)
-    mu_x = _filter3(x, w)
-    mu_r = _filter3(r, w)
-    var_x = _filter3(x * x, w) - mu_x * mu_x
-    var_r = _filter3(r * r, w) - mu_r * mu_r
-    cov = _filter3(x * r, w) - mu_x * mu_r
-    num = (2.0 * mu_x * mu_r + c1) * (2.0 * cov + c2)
-    den = (mu_x * mu_x + mu_r * mu_r + c1) * (var_x + var_r + c2)
-    return float(np.mean(num / den))
+    return float(ssim_table([image], [reference], dynamic_range, taps, sigma)[0, 0])
+
+
+def first_argmax(table: np.ndarray) -> tuple[int, ...]:
+    """Index of the best cell of a score table: the first maximum in
+    row-major order. +inf is a legal score; a NaN raises NumericalError."""
+    table = np.asarray(table)
+    if np.isnan(table).any():
+        raise NumericalError("quality table holds NaN scores")
+    return tuple(int(i) for i in np.unravel_index(np.argmax(table), table.shape))
 
 
 @dataclass
@@ -190,22 +238,20 @@ class QualityReport:
     ssim_values: np.ndarray
 
 
-def _metric_values(image, stack, metric, peak, dynamic_range):
-    values = np.empty(stack.shape[0])
-    for k in range(stack.shape[0]):
-        if metric == "psnr":
-            values[k] = psnr(image, stack[k], peak)
-        else:
-            values[k] = ssim(image, stack[k], dynamic_range)
-    return values
+def _checked_stack(image, support, grid, shift_grid, concentration,
+                   subsamples, stack) -> np.ndarray:
+    if np.shape(image) != grid.shape:
+        raise ValueError("image does not match the grid shape")
+    if stack is None:
+        return reference_stack(support, grid, shift_grid, concentration, subsamples)
+    if stack.shape != (shift_grid.count,) + grid.shape:
+        raise ValueError("precomputed stack does not match the shift grid")
+    return stack
 
 
-def _argmax_first(values: np.ndarray) -> int:
-    best = 0
-    for k in range(1, values.shape[0]):
-        if values[k] > values[best]:
-            best = k
-    return best
+def _best(values: np.ndarray, shifts: np.ndarray):
+    (k,) = first_argmax(values)
+    return float(values[k]), tuple(float(v) for v in shifts[k])
 
 
 def shift_max_metric(image: np.ndarray, support, grid: VoxelGrid,
@@ -220,24 +266,20 @@ def shift_max_metric(image: np.ndarray, support, grid: VoxelGrid,
     A precomputed reference_stack can be passed to amortize rasterization
     over many evaluations; it must match the shift grid.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.shape != grid.shape:
-        raise ValueError("image does not match the grid shape")
     if metric not in ("psnr", "ssim"):
         raise ValueError("metric must be 'psnr' or 'ssim'")
     if metric == "psnr" and peak is None:
         raise ValueError("psnr requires a peak value")
     if metric == "ssim" and dynamic_range is None:
         raise ValueError("ssim requires a dynamic range")
-    if stack is None:
-        stack = reference_stack(support, grid, shift_grid, concentration, subsamples)
-    elif stack.shape != (shift_grid.count,) + grid.shape:
-        raise ValueError("precomputed stack does not match the shift grid")
-    values = _metric_values(image, stack, metric, peak, dynamic_range)
-    best = _argmax_first(values)
+    stack = _checked_stack(image, support, grid, shift_grid, concentration,
+                           subsamples, stack)
+    if metric == "psnr":
+        values = psnr_table([image], stack, peak)[0]
+    else:
+        values = ssim_table([image], stack, dynamic_range)[0]
     shifts = shift_grid.shifts()
-    argmax = tuple(float(v) for v in shifts[best])
-    return ShiftMetricResult(metric, float(values[best]), argmax, shifts, values)
+    return ShiftMetricResult(metric, *_best(values, shifts), shifts, values)
 
 
 def quality_report(image: np.ndarray, support, grid: VoxelGrid,
@@ -246,14 +288,12 @@ def quality_report(image: np.ndarray, support, grid: VoxelGrid,
                    dynamic_range: float = 100.0,
                    stack: np.ndarray | None = None) -> QualityReport:
     """Evaluate both metrics over one shared reference stack."""
-    if stack is None:
-        stack = reference_stack(support, grid, shift_grid, concentration, subsamples)
-    res_p = shift_max_metric(image, support, grid, shift_grid, "psnr",
-                             concentration=concentration, subsamples=subsamples,
-                             peak=peak, stack=stack)
-    res_s = shift_max_metric(image, support, grid, shift_grid, "ssim",
-                             concentration=concentration, subsamples=subsamples,
-                             dynamic_range=dynamic_range, stack=stack)
-    return QualityReport(res_p.value, res_s.value, res_p.argmax_shift,
-                         res_s.argmax_shift, res_p.shifts, res_p.per_shift,
-                         res_s.per_shift)
+    stack = _checked_stack(image, support, grid, shift_grid, concentration,
+                           subsamples, stack)
+    psnr_values = psnr_table([image], stack, peak)[0]
+    ssim_values = ssim_table([image], stack, dynamic_range)[0]
+    shifts = shift_grid.shifts()
+    eps_psnr, argmax_psnr = _best(psnr_values, shifts)
+    eps_ssim, argmax_ssim = _best(ssim_values, shifts)
+    return QualityReport(eps_psnr, eps_ssim, argmax_psnr, argmax_ssim, shifts,
+                         psnr_values, ssim_values)

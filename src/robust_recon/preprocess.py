@@ -272,7 +272,8 @@ class ReducedSystem:
 
     ``row_index`` maps each row to (coil, frequency index, part) with part
     0 = real, 1 = imaginary; ``scale`` is the operator norm divided out of
-    (A, y); ``whitened`` records whether rows were weighted first.
+    (A, y); ``whitened`` records whether rows were weighted first. A NaN or
+    infinite entry in A or y raises NumericalError.
     """
 
     A: np.ndarray
@@ -287,6 +288,8 @@ class ReducedSystem:
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.A.ndim != 2 or self.y.shape != (self.A.shape[0],):
             raise ValueError("A must be (n, m) with matching y")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.y).all()):
+            raise NumericalError("reduced system holds non-finite values")
         if self.row_index is not None:
             self.row_index = np.asarray(self.row_index, dtype=np.int64)
             if self.row_index.shape != (self.A.shape[0], 3):

@@ -195,6 +195,36 @@ def test_evaluate_truth_against_itself_is_perfect(pipeline, tmp_path):
     assert summary["argmax_shift_ssim_mm"] == [0.0, 0.0, 0.0]
 
 
+def replace_artifact(run, name, kind, array):
+    """Overwrite an artifact and re-hash it into the manifest."""
+    artifacts.write_artifact(run / name, kind, array)
+    entries = artifacts.load_manifest(run)
+    entries[name] = artifacts.sha256_file(run / name)
+    artifacts.write_manifest(run, entries)
+
+
+def test_evaluate_nan_reconstruction_exits_4(pipeline, tmp_path, capsys):
+    cfg, run = clone(pipeline, tmp_path)
+    _, image = artifacts.read_artifact(run / "reconstruction.rrc")
+    image[2, 3, 0] = np.nan
+    replace_artifact(run, "reconstruction.rrc", artifacts.KIND_IMAGE, image)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 4
+    assert "NaN" in capsys.readouterr().err
+    assert not (run / "quality_summary.json").exists()
+
+
+def test_reconstruct_non_finite_reduced_system_exits_4(pipeline, tmp_path, capsys):
+    cfg, run = clone(pipeline, tmp_path)
+    _, y = artifacts.read_artifact(run / "reduced_y.rrc")
+    y[5] = np.nan
+    replace_artifact(run, "reduced_y.rrc", artifacts.KIND_VECTOR, y)
+    before = (run / "reconstruction.rrc").read_bytes()
+    assert main(["reconstruct", "--config", str(cfg), "--method", "l2-K",
+                 "--out", str(run)]) == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert (run / "reconstruction.rrc").read_bytes() == before
+
+
 def test_evaluate_csv_agrees_with_summary(pipeline, tmp_path):
     cfg, run = clone(pipeline, tmp_path)
     assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 0
@@ -271,6 +301,31 @@ def test_sweep_tables_and_summary(pipeline, tmp_path):
         ShiftGrid((1.0, 1.0, 0.0), 0.5), "psnr",
         concentration=50.0, peak=100.0)
     assert table[1, 3] == res.value
+
+
+def test_sweep_quasi_newton_cell_matches_reconstruct(pipeline, tmp_path):
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    cfg = write_config(cfg_dir, SWEEP_EXTRA)
+    _, run = clone(pipeline, tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--method", "l2-L",
+                 "--out", str(run)]) == 0
+    tables = {}
+    for metric in ("psnr", "ssim"):
+        head, alphas, tables[metric] = parse_sweep_csv(run / f"sweep_{metric}.csv")
+        assert head == ["alpha", "value"]
+        assert tables[metric].shape == (4, 1)
+    assert alphas[1] == 0.5
+    assert main(["reconstruct", "--config", str(cfg), "--method", "l2-L",
+                 "--alpha", "0.5", "--out", str(run)]) == 0
+    _, image = artifacts.read_artifact(run / "reconstruction.rrc")
+    grid = VoxelGrid((6, 6, 1), (1.0, 1.0, 1.0))
+    phantom = make_phantom("shape-cone", grid, 50.0)
+    for metric, kwargs in (("psnr", {"peak": 100.0}), ("ssim", {"dynamic_range": 100.0})):
+        res = metrics.shift_max_metric(image, phantom.support, grid,
+                                       ShiftGrid((1.0, 1.0, 0.0), 0.5), metric,
+                                       concentration=50.0, **kwargs)
+        assert tables[metric][1, 0] == res.value
 
 
 def test_sweep_parallel_workers_match_serial(pipeline, tmp_path):

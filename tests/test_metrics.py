@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from robust_recon import BoxSupport, VoxelGrid, make_phantom
+from robust_recon import BoxSupport, NumericalError, VoxelGrid, make_phantom, metrics
 from robust_recon.metrics import (
     QualityReport,
     ShiftGrid,
+    first_argmax,
     psnr,
+    psnr_table,
     quality_report,
     rasterize_reference,
     reference_stack,
     shift_max_metric,
     ssim,
+    ssim_table,
 )
 
 
@@ -207,7 +210,7 @@ def test_shift_max_recovers_constructed_displacement():
     assert res.argmax_shift == target
 
 
-def test_shift_max_matches_brute_force_bitwise():
+def test_shift_max_matches_brute_force_bitwise(monkeypatch):
     grid, phantom = cone_setup()
     rng = np.random.default_rng(9)
     image = np.clip(phantom.values + rng.normal(0, 8, grid.shape), 0, None)
@@ -224,6 +227,41 @@ def test_shift_max_matches_brute_force_bitwise():
         assert res.value == best_value
         assert res.argmax_shift == best_shift
         assert res.per_shift.shape == (sg.count,)
+
+    # batched tables: every cell equals the scalar metric of its pair, for
+    # noisy images, an exact reference (+inf PSNR) and a (7, 6, 2) volume
+    stack = reference_stack(phantom.support, grid, sg, 50.0)
+    noisy = np.clip(stack[5] + rng.normal(0, 3, grid.shape), 0, None)
+    volumes = rng.uniform(0, 100, (4, 7, 6, 2))
+    for images, refs, identical in ((np.stack([image, stack[3], noisy]), stack, (1, 3)),
+                                    (volumes[:2], volumes[1:], (1, 0))):
+        psnr_cells = psnr_table(images, refs, 100.0)
+        ssim_cells = ssim_table(images, refs, 100.0)
+        assert psnr_cells.shape == ssim_cells.shape == (len(images), len(refs))
+        for i, x in enumerate(images):
+            for k, r in enumerate(refs):
+                assert psnr_cells[i, k] == psnr(x, r, 100.0)
+                assert ssim_cells[i, k] == ssim(x, r, 100.0)
+        assert np.isposinf(psnr_cells[identical])
+        with monkeypatch.context() as patch:  # two references per SSIM chunk
+            patch.setattr(metrics, "_CHUNK_VOXELS", 2 * images[0].size)
+            assert np.array_equal(ssim_table(images, refs, 100.0), ssim_cells)
+
+
+def test_shift_max_nan_voxel_raises():
+    grid, phantom = cone_setup()
+    image = phantom.values.copy()
+    image[4, 4, 0] = np.nan
+    sg = ShiftGrid((0.5, 0.5, 0.0), 0.5)
+    for metric, kwargs in (("psnr", {"peak": 100.0}), ("ssim", {"dynamic_range": 100.0})):
+        with pytest.raises(NumericalError):
+            shift_max_metric(image, phantom.support, grid, sg, metric,
+                             concentration=50.0, **kwargs)
+    with pytest.raises(NumericalError):
+        quality_report(image, phantom.support, grid, sg, concentration=50.0)
+    # first maximum in row-major order; +inf is a legal score
+    assert first_argmax(np.array([[1.0, 3.0], [3.0, 2.0]])) == (0, 1)
+    assert first_argmax(np.array([np.inf, 2.0, np.inf])) == (0,)
 
 
 def test_shift_max_nested_grid_monotonicity():

@@ -451,3 +451,16 @@ def test_reduced_system_validation():
         ReducedSystem(np.ones((3, 2)), np.ones(3), row_index=np.zeros((2, 3)))
     rs = ReducedSystem(np.ones((4, 2)), np.ones(4))
     assert rs.rows == 4 and rs.voxels == 2 and rs.scale == 1.0
+
+
+def test_reduced_system_rejects_non_finite_values():
+    a = np.ones((3, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        y = np.ones(3)
+        y[1] = bad
+        with pytest.raises(NumericalError):
+            ReducedSystem(a, y)
+        a_bad = a.copy()
+        a_bad[2, 0] = bad
+        with pytest.raises(NumericalError):
+            ReducedSystem(a_bad, np.ones(3))
