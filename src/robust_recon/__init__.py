@@ -44,6 +44,7 @@ from .model import (
     VoxelGrid,
     langevin,
     make_phantom,
+    rasterize_shifted,
     rasterize_support,
     simulate_system_matrix,
 )
@@ -124,6 +125,7 @@ __all__ = [
     "psnr",
     "quality_report",
     "rasterize_reference",
+    "rasterize_shifted",
     "rasterize_support",
     "reference_stack",
     "select_frequencies",

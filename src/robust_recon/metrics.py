@@ -3,11 +3,14 @@
 A reconstruction may be displaced by a fraction of the grid against the
 ground-truth geometry without being any worse, so both quality numbers are
 taken as the maximum over a grid of reference shifts: the analytic support
-is re-rasterized at every shift and the metric evaluated against each
-candidate. Scores are tabulated (images x shifts) by psnr_table and
-ssim_table; the best cell is the first maximum in row-major order (ties
-resolve to the first shift in lexicographic order), and a table holding a
-NaN raises NumericalError instead of naming a best cell.
+is rasterized at every shift and the metric evaluated against each
+candidate. The shifts share one membership test on a lattice of sample
+coordinates (model.rasterize_shifted); each reference is bitwise equal to
+rasterizing its shift on its own and, at zero shift, to the phantom.
+Scores are tabulated (images x shifts) by psnr_table and ssim_table; the
+best cell is the first maximum in row-major order (ties resolve to the
+first shift in lexicographic order), and a table holding a NaN raises
+NumericalError instead of naming a best cell.
 
 PSNR uses a fixed peak value (not the per-image maximum) so scores are
 comparable across reconstructions; identical images return +inf. SSIM uses
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.ndimage import correlate1d
 
 from .errors import NumericalError
-from .model import VoxelGrid, rasterize_support
+from .model import VoxelGrid, rasterize_shifted, rasterize_support
 
 __all__ = [
     "ShiftGrid",
@@ -110,11 +113,9 @@ def rasterize_reference(support, shift_mm, grid: VoxelGrid, concentration: float
 def reference_stack(support, grid: VoxelGrid, shift_grid: ShiftGrid,
                     concentration: float, subsamples: int = 4) -> np.ndarray:
     """Reference images for every shift: (count, nx, ny, nz), enumeration
-    order. Precompute once when scoring many reconstructions."""
-    out = np.empty((shift_grid.count,) + grid.shape)
-    for k, shift in enumerate(shift_grid.shifts()):
-        out[k] = rasterize_reference(support, shift, grid, concentration, subsamples).values
-    return out
+    order, each bitwise equal to rasterize_reference at that shift.
+    Precompute once when scoring many reconstructions."""
+    return rasterize_shifted(support, grid, concentration, shift_grid.shifts(), subsamples)
 
 
 def _batch(images, stack) -> tuple[np.ndarray, np.ndarray]:
@@ -199,8 +200,10 @@ def ssim(image: np.ndarray, reference: np.ndarray, dynamic_range: float,
     Per window: (2 mu_x mu_r + C1)(2 cov + C2) /
                 ((mu_x^2 + mu_r^2 + C1)(var_x + var_r + C2))
     with C1 = (0.01 L)^2, C2 = (0.03 L)^2, L the dynamic range. Weighted
-    (biased) moments, symmetric boundary handling. Length-1 axes pass
-    through the window unchanged.
+    (biased) moments, symmetric boundary handling. A length-1 axis passes
+    through the window unchanged only up to rounding: every tap reflects
+    onto the one value, and summing the weighted copies moves it by up to
+    about 1e-14 for values in [0, 100].
     """
     return float(ssim_table([image], [reference], dynamic_range, taps, sigma)[0, 0])
 

@@ -16,6 +16,7 @@ drive-frequency scale; an overall receiver gain is configurable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "BoxSupport",
     "langevin",
     "rasterize_support",
+    "rasterize_shifted",
     "make_phantom",
     "simulate_system_matrix",
 ]
@@ -38,6 +40,10 @@ MU0 = 4.0e-7 * np.pi
 BOLTZMANN = 1.380649e-23
 # Saturation induction of the particle core material (magnetite-like), tesla.
 CORE_SATURATION_T = 0.6
+# rasterize_shifted tests consecutive shifts on one sample lattice of at most
+# this many points, handing support.contains _CONTAINS_POINTS per call.
+_LATTICE_POINTS = 1 << 22
+_CONTAINS_POINTS = 1 << 14
 
 
 def langevin(xi):
@@ -96,12 +102,14 @@ class VoxelGrid:
         nx, ny, nz = self.shape
         return nx * ny * nz
 
+    def axis_centers_mm(self, axis: int) -> np.ndarray:
+        """Voxel center coordinates along one axis, in mm."""
+        n, s, o = self.shape[axis], self.spacing_mm[axis], self.origin_mm[axis]
+        return o + np.arange(n, dtype=np.float64) * s
+
     def centers_mm(self) -> np.ndarray:
         """Voxel centers as an (m, 3) array in mm, C-order flat indexing."""
-        axes = [
-            o + np.arange(n, dtype=np.float64) * s
-            for n, s, o in zip(self.shape, self.spacing_mm, self.origin_mm)
-        ]
+        axes = [self.axis_centers_mm(a) for a in range(3)]
         gx, gy, gz = np.meshgrid(*axes, indexing="ij")
         return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
@@ -249,36 +257,113 @@ class BoxSupport:
         return np.all(np.abs(p - self.center) <= self.size / 2.0, axis=1)
 
 
-def _subvoxel_offsets(grid: VoxelGrid, subsamples: int) -> np.ndarray:
-    """Stratified midpoint offsets, (subsamples**3, 3) in mm."""
-    per_axis = [
-        ((np.arange(subsamples) + 0.5) / subsamples - 0.5) * s
-        for s in grid.spacing_mm
-    ]
-    ox, oy, oz = np.meshgrid(*per_axis, indexing="ij")
-    return np.stack([ox.ravel(), oy.ravel(), oz.ravel()], axis=1)
+def _sample_axes(grid: VoxelGrid, subsamples: int) -> list[np.ndarray]:
+    """Per axis, voxel center plus stratified midpoint offset for every
+    voxel and subsample: (n * subsamples,) coordinates in mm, voxel-major."""
+    out = []
+    for a, s in enumerate(grid.spacing_mm):
+        offsets = ((np.arange(subsamples) + 0.5) / subsamples - 0.5) * s
+        out.append((grid.axis_centers_mm(a)[:, None] + offsets[None, :]).ravel())
+    return out
 
 
-def rasterize_support(support, grid: VoxelGrid, concentration: float,
-                      subsamples: int = 4, shift_mm=None) -> np.ndarray:
-    """Rasterize a geometric support onto the grid.
+def _shift_groups(samples, shifts):
+    """Split the shifts into consecutive runs (lo, hi) whose joint sample
+    lattice holds at most _LATTICE_POINTS points; a run has >= 1 shift."""
+    lo, seen = 0, None
+    for k, shift in enumerate(shifts):
+        coords = [set((x - d).tolist()) for x, d in zip(samples, shift)]
+        if seen is not None:
+            fresh = [c - s for c, s in zip(coords, seen)]
+            size = int(np.prod([len(s) + len(f) for s, f in zip(seen, fresh)]))
+            if size <= _LATTICE_POINTS:
+                for s, f in zip(seen, fresh):
+                    s |= f
+                continue
+            yield lo, k
+            lo = k
+        seen = coords
+    if seen is not None:
+        yield lo, len(shifts)
 
-    Each voxel gets concentration times the fraction of its subsamples**3
-    stratified sample points lying inside the support (shifted by
-    ``shift_mm`` when given). Phantom generation and reference-image
-    rasterization share this routine so the two always agree.
+
+def _contains_product(support, axes) -> np.ndarray:
+    """support.contains on the Cartesian product of three coordinate
+    arrays, in blocks of at most _CONTAINS_POINTS points: a boolean
+    (len x, len y, len z) lattice."""
+    shape = tuple(len(x) for x in axes)
+    bz = min(shape[2], _CONTAINS_POINTS)
+    by = min(shape[1], max(1, _CONTAINS_POINTS // bz))
+    bx = max(1, _CONTAINS_POINTS // (by * bz))
+    inside = np.empty(shape, dtype=bool)
+    for x0, y0, z0 in itertools.product(*(range(0, n, b) for n, b in
+                                          zip(shape, (bx, by, bz)))):
+        block = (slice(x0, x0 + bx), slice(y0, y0 + by), slice(z0, z0 + bz))
+        x, y, z = (c[b] for c, b in zip(axes, block))
+        points = np.empty((len(x), len(y), len(z), 3))
+        points[..., 0] = x[:, None, None]
+        points[..., 1] = y[None, :, None]
+        points[..., 2] = z[None, None, :]
+        inside[block] = support.contains(points.reshape(-1, 3)).reshape(points.shape[:3])
+    return inside
+
+
+def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
+                      shifts_mm, subsamples: int = 4) -> np.ndarray:
+    """Rasterize a geometric support onto the grid once per shift.
+
+    Image k, voxel v gets concentration times the fraction of the voxel's
+    subsamples**3 stratified sample points p for which p - shifts_mm[k]
+    lies inside the support. Returns (k, nx, ny, nz).
+
+    Sample coordinates are separable per axis: center + offset - shift,
+    computed in that order. So consecutive shifts share one lattice, the
+    Cartesian product of the distinct per-axis coordinates, and one
+    membership test on it. Each image is then gathered from the lattice,
+    and every value is bitwise what testing that shift's sample points one
+    by one gives. A lattice holds at most _LATTICE_POINTS points unless one
+    shift alone needs more. A ShiftGrid that fits one lattice costs at most
+    as many points as testing its shifts one by one, and far fewer where
+    the step is a multiple of the subsample pitch; an unstructured shift
+    list, or a grid split across lattices, may cost more.
     """
     if support is None or not hasattr(support, "contains"):
         raise TypeError("support has no point-membership test")
     if subsamples < 1:
         raise ValueError("subsamples must be >= 1")
-    points = grid.centers_mm()[:, None, :] + _subvoxel_offsets(grid, subsamples)[None, :, :]
-    points = points.reshape(-1, 3)
-    if shift_mm is not None:
-        points = points - np.asarray(shift_mm, dtype=np.float64)
-    inside = support.contains(points).reshape(grid.voxel_count, subsamples**3)
-    frac = inside.mean(axis=1)
-    return (concentration * frac).reshape(grid.shape)
+    shifts = np.asarray(shifts_mm, dtype=np.float64)
+    if shifts.ndim != 2 or shifts.shape[1] != 3:
+        raise ValueError("shifts must be a (k, 3) array in mm")
+    samples = _sample_axes(grid, subsamples)
+    split = tuple(x for n in grid.shape for x in (n, subsamples))
+    out = np.empty((len(shifts),) + grid.shape)
+    for lo, hi in _shift_groups(samples, shifts):
+        axes = [np.unique(x[None, :] - shifts[lo:hi, a, None], return_inverse=True)
+                for a, x in enumerate(samples)]
+        lattice = _contains_product(support, [values for values, _ in axes])
+        rows = [inverse.reshape(hi - lo, -1) for _, inverse in axes]
+        # gather along the axis that shrinks the lattice most first
+        order = np.argsort([r.shape[1] / n for r, n in zip(rows, lattice.shape)])
+        for k in range(lo, hi):
+            inside = lattice
+            for a in order:
+                inside = inside.take(rows[a][k - lo], axis=a)
+            inside = inside.reshape(split).transpose(0, 2, 4, 1, 3, 5)
+            frac = inside.reshape(grid.voxel_count, subsamples**3).mean(axis=1)
+            out[k] = (concentration * frac).reshape(grid.shape)
+    return out
+
+
+def rasterize_support(support, grid: VoxelGrid, concentration: float,
+                      subsamples: int = 4, shift_mm=None) -> np.ndarray:
+    """Rasterize a geometric support onto the grid: the one-shift case of
+    rasterize_shifted (no shift when ``shift_mm`` is None).
+
+    Phantom generation and reference rasterization share rasterize_shifted,
+    so a zero-shift reference equals the phantom bit for bit.
+    """
+    shift = (0.0, 0.0, 0.0) if shift_mm is None else shift_mm
+    return rasterize_shifted(support, grid, concentration, [shift], subsamples)[0]
 
 
 @dataclass

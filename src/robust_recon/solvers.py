@@ -412,7 +412,8 @@ def kaczmarz_reg(system: ReducedSystem, alpha: float,
     projection is applied to x after every sweep (cfg.projection switches
     to per-row or none). Without projection the iteration converges to the
     l2 Tikhonov minimizer. Zero rows are skipped. Row order is sequential
-    or re-shuffled per sweep from cfg.seed.
+    or re-shuffled per sweep from cfg.seed. A non-finite x, snapshot,
+    objective or gradient raises NumericalError.
     """
     cfg = cfg or SolverConfig()
     if alpha < 0:
@@ -448,8 +449,9 @@ def kaczmarz_reg(system: ReducedSystem, alpha: float,
             np.maximum(x, 0.0, out=x)
         if snapshots is not None:
             snapshots.append(x.copy())
-    objective = Objective("l2", system, alpha)
-    value, grad = objective.evaluate(x)
+    if not all(np.isfinite(z).all() for z in [x] + (snapshots or [])):
+        raise NumericalError("Kaczmarz sweeps produced non-finite values")
+    value, grad = _checked_eval(Objective("l2", system, alpha).evaluate, x)
     pg = _projected_gradient(x, grad, np.zeros(m), np.full(m, np.inf))
     return SolverResult(
         x=x,

@@ -225,6 +225,28 @@ def test_reconstruct_non_finite_reduced_system_exits_4(pipeline, tmp_path, capsy
     assert (run / "reconstruction.rrc").read_bytes() == before
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reconstruct_kaczmarz_overflow_exits_4(tmp_path, capsys):
+    # finite data whose l2 objective overflows to inf after the sweeps
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("grid.shape = 2,1,1\n")
+    run = tmp_path / "run"
+    run.mkdir()
+    artifacts.write_artifact(run / "reduced_A.rrc", artifacts.KIND_MATRIX,
+                             np.array([[1e200, 1.0]]))
+    artifacts.write_artifact(run / "reduced_y.rrc", artifacts.KIND_VECTOR,
+                             np.array([1e200]))
+    artifacts.write_manifest(run, {
+        name: artifacts.sha256_file(run / name)
+        for name in ("reduced_A.rrc", "reduced_y.rrc")
+    })
+    assert main(["reconstruct", "--config", str(cfg), "--method", "l2-K",
+                 "--alpha", "1.0", "--out", str(run)]) == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not (run / "reconstruction_summary.json").exists()
+    assert not (run / "reconstruction.rrc").exists()
+
+
 def test_evaluate_csv_agrees_with_summary(pipeline, tmp_path):
     cfg, run = clone(pipeline, tmp_path)
     assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robust_recon import BoxSupport, NumericalError, VoxelGrid, make_phantom, metrics
+from robust_recon import BoxSupport, NumericalError, VoxelGrid, make_phantom, metrics, model
 from robust_recon.metrics import (
     QualityReport,
     ShiftGrid,
@@ -93,6 +93,69 @@ def test_reference_stack_matches_loop():
     for k, shift in enumerate(sg.shifts()):
         expected = rasterize_reference(support, shift, grid, 50.0).values
         assert np.array_equal(stack[k], expected)
+
+
+class CountingSupport:
+    """Wraps a support and records how many points each contains call saw."""
+
+    def __init__(self, support):
+        self.support = support
+        self.calls = []
+
+    def contains(self, points):
+        self.calls.append(len(points))
+        return self.support.contains(points)
+
+
+def per_shift_oracle(support, grid, shift_grid, concentration, subsamples):
+    """Every voxel's stratified sample points minus the shift, tested
+    point by point, one shift at a time."""
+    s = subsamples
+    per_axis = [((np.arange(s) + 0.5) / s - 0.5) * h for h in grid.spacing_mm]
+    offsets = np.stack([o.ravel() for o in np.meshgrid(*per_axis, indexing="ij")], axis=1)
+    points = (grid.centers_mm()[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
+    out = []
+    for shift in shift_grid.shifts():
+        inside = support.contains(points - shift).reshape(grid.voxel_count, s**3)
+        out.append((concentration * inside.mean(axis=1)).reshape(grid.shape))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("shape,spacing,extent,step,subsamples", [
+    ((11, 9, 1), (0.3, 0.7, 1.0), (0.5, 0.5, 0.0), 0.25, 4),   # non-dyadic
+    ((7, 5, 1), (1.0, 1.0, 1.0), (1.0, 1.0, 0.0), 0.5, 3),     # centers at 0.0
+    ((6, 5, 4), (0.9, 1.1, 0.8), (0.5, 0.5, 0.5), 0.25, 3),    # 3-D, z shifts
+    ((6, 5, 4), (0.9, 1.1, 0.8), (0.5, 0.5, 0.5), 0.25, 1),
+])
+@pytest.mark.parametrize("kind", ["shape-cone", "resolution-tubes", "delta"])
+def test_reference_stack_matches_per_shift_oracle(shape, spacing, extent, step,
+                                                  subsamples, kind):
+    grid = VoxelGrid(shape, spacing)
+    phantom = make_phantom(kind, grid, 50.0, subsamples=subsamples)
+    sg = ShiftGrid(extent, step)
+    stack = reference_stack(phantom.support, grid, sg, 50.0, subsamples)
+    oracle = per_shift_oracle(phantom.support, grid, sg, 50.0, subsamples)
+    assert stack.tobytes() == oracle.tobytes()
+    zero = int(np.flatnonzero((sg.shifts() == 0.0).all(axis=1))[0])
+    assert stack[zero].tobytes() == phantom.values.tobytes()
+
+
+def test_reference_stack_split_into_groups_matches_oracle(monkeypatch):
+    grid = VoxelGrid((8, 8, 1), (0.5, 0.5, 1.0))
+    phantom = make_phantom("resolution-tubes", grid, 50.0)
+    sg = ShiftGrid((1.0, 1.0, 0.0), 0.25)
+    oracle = per_shift_oracle(phantom.support, grid, sg, 50.0, 4)
+    whole = CountingSupport(phantom.support)
+    assert reference_stack(whole, grid, sg, 50.0).tobytes() == oracle.tobytes()
+    # a lattice budget below two shifts' points and small contains blocks
+    monkeypatch.setattr(model, "_LATTICE_POINTS", 1500)
+    monkeypatch.setattr(model, "_CONTAINS_POINTS", 700)
+    split = CountingSupport(phantom.support)
+    assert reference_stack(split, grid, sg, 50.0).tobytes() == oracle.tobytes()
+    assert max(split.calls) <= 700
+    # one shift's lattice is 32 * 32 * 4 = 4096 points, so each of the 81
+    # shifts gets its own lattice
+    assert sum(split.calls) == sg.count * 4096 > sum(whole.calls)
 
 
 def test_psnr_identical_images_is_inf():

@@ -13,6 +13,7 @@ from robust_recon import (
     VoxelGrid,
     langevin,
     make_phantom,
+    rasterize_shifted,
     rasterize_support,
     simulate_system_matrix,
 )
@@ -183,6 +184,28 @@ def test_rasterize_support_requires_membership_test():
         rasterize_support(object(), grid, 50.0)
     with pytest.raises(ValueError):
         rasterize_support(BoxSupport((0, 0, 0), (1, 1, 1)), grid, 50.0, subsamples=0)
+
+
+def test_rasterize_shifted_shapes_and_validation():
+    grid = VoxelGrid((3, 2, 1), (1.0, 1.0, 1.0))
+    box = BoxSupport((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    stack = rasterize_shifted(box, grid, 50.0, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+    assert stack.shape == (2, 3, 2, 1)
+    assert np.array_equal(stack[0], rasterize_support(box, grid, 50.0))
+    assert np.array_equal(stack[1], rasterize_support(box, grid, 50.0, shift_mm=(1.0, 0.0, 0.0)))
+    assert rasterize_shifted(box, grid, 50.0, np.zeros((0, 3))).shape == (0, 3, 2, 1)
+    with pytest.raises(ValueError):
+        rasterize_shifted(box, grid, 50.0, (0.0, 0.0, 0.0))
+    with pytest.raises(TypeError):
+        rasterize_shifted(None, grid, 50.0, [(0.0, 0.0, 0.0)])
+
+
+def test_axis_centers_match_centers():
+    grid = VoxelGrid((4, 3, 2), (0.3, 0.7, 1.1), origin_mm=(0.1, -2.0, 5.0))
+    centers = grid.centers_mm().reshape(grid.shape + (3,))
+    assert np.array_equal(centers[:, 0, 0, 0], grid.axis_centers_mm(0))
+    assert np.array_equal(centers[0, :, 0, 1], grid.axis_centers_mm(1))
+    assert np.array_equal(centers[0, 0, :, 2], grid.axis_centers_mm(2))
 
 
 def test_support_geometry_validation():

@@ -351,6 +351,17 @@ def test_kaczmarz_objective_value_is_l2_value():
     assert result.objective_value == value
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kaczmarz_rejects_non_finite_result():
+    # finite data whose objective overflows: x stays 0, 0.5 * (1e200)^2 = inf
+    with pytest.raises(NumericalError):
+        kaczmarz_reg(ReducedSystem([[1e200, 1.0]], [1e200]), 0.0)
+    # finite data whose first row update overflows x itself
+    with pytest.raises(NumericalError):
+        kaczmarz_reg(scalar_system(1e-160, 1e160), 0.0,
+                     SolverConfig(sweeps=2, record_snapshots=True))
+
+
 def test_solver_result_shape():
     result = SolverResult(np.zeros(2), 0.0, 0.0, 0, True)
     assert result.snapshots is None and result.objective_trace is None
