@@ -17,7 +17,6 @@ rerunning a stage must reproduce every hashed byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -38,8 +37,6 @@ __all__ = [
     "cmd_reconstruct",
     "cmd_evaluate",
     "cmd_sweep",
-    "scanner_from_config",
-    "grid_from_config",
     "phantom_from_config",
     "background_from_config",
 ]
@@ -57,20 +54,6 @@ RECON_SUMMARY = "reconstruction_summary.json"
 QUALITY_CSV = "quality.csv"
 QUALITY_SUMMARY = "quality_summary.json"
 SWEEP_SUMMARY = "sweep_summary.json"
-
-
-def scanner_from_config(cfg: PipelineConfig) -> model.ScannerConfig:
-    try:
-        return model.ScannerConfig(**dataclasses.asdict(cfg.scanner))
-    except ValueError as exc:
-        raise ConfigError(f"scanner: {exc}") from exc
-
-
-def grid_from_config(cfg: PipelineConfig) -> model.VoxelGrid:
-    try:
-        return model.VoxelGrid(tuple(cfg.grid.shape), tuple(cfg.grid.spacing_mm))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
 
 
 def phantom_from_config(cfg: PipelineConfig, grid: model.VoxelGrid) -> model.Phantom:
@@ -120,8 +103,8 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
     whenever needed, so it is not persisted.
     """
     run_dir.mkdir(parents=True, exist_ok=True)
-    scanner = scanner_from_config(cfg)
-    grid = grid_from_config(cfg)
+    scanner = cfg.scanner_config()
+    grid = cfg.voxel_grid()
     try:
         system = model.simulate_system_matrix(scanner, grid)
     except ValueError as exc:
@@ -164,8 +147,8 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     calib = _read_artifact(run_dir, SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET)
     empty_spectra = _read_artifact(run_dir, EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET)
     meas = _read_artifact(run_dir, MEASUREMENT, artifacts.KIND_SPECTRUM_SET)
-    scanner = scanner_from_config(cfg)
-    grid = grid_from_config(cfg)
+    scanner = cfg.scanner_config()
+    grid = cfg.voxel_grid()
     m = grid.voxel_count
     if calib.shape != (m, scanner.coils, scanner.freq_count):
         raise IntegrityError(
@@ -223,15 +206,6 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     }
 
 
-def _solver_config(cfg: PipelineConfig, **overrides) -> solvers.SolverConfig:
-    sol = cfg.solver
-    kwargs = dict(memory=sol.memory, pgtol=sol.pgtol,
-                  max_iterations=sol.max_iterations, sweeps=sol.sweeps,
-                  row_order=sol.row_order, seed=sol.seed, projection=sol.projection)
-    kwargs.update(overrides)
-    return solvers.SolverConfig(**kwargs)
-
-
 def _solve(reduced: preprocess.ReducedSystem, method: str, alpha: float,
            epsilon: float, scfg: solvers.SolverConfig) -> solvers.SolverResult:
     if method == "l2-K":
@@ -252,10 +226,10 @@ def _load_reduced(run_dir: Path, voxel_count: int) -> preprocess.ReducedSystem:
 
 
 def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> dict:
-    grid = grid_from_config(cfg)
+    grid = cfg.voxel_grid()
     reduced = _load_reduced(run_dir, grid.voxel_count)
     sol = cfg.solver
-    result = _solve(reduced, sol.method, sol.alpha, sol.epsilon, _solver_config(cfg))
+    result = _solve(reduced, sol.method, sol.alpha, sol.epsilon, cfg.solver_config())
     image = result.x.reshape(grid.shape)
     artifacts.write_artifact(run_dir / RECONSTRUCTION, artifacts.KIND_IMAGE, image)
     summary = {
@@ -286,25 +260,19 @@ def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> dict:
 
 
 def _reference_setup(cfg: PipelineConfig):
-    grid = grid_from_config(cfg)
-    phantom = phantom_from_config(cfg, grid)
-    if phantom.support is None:
-        raise ConfigError(
-            "phantom.kind: no analytic support geometry to rasterize references from")
-    shift_grid = metrics.ShiftGrid(tuple(cfg.metrics.shift_extent_mm),
-                                   cfg.metrics.shift_step_mm)
-    return grid, phantom, shift_grid
+    grid = cfg.voxel_grid()
+    return grid, model.phantom_support(cfg.phantom.kind, grid), cfg.shift_grid()
 
 
 def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> dict:
     artifacts.verify_manifest(run_dir, [RECONSTRUCTION])
     image = _read_artifact(run_dir, RECONSTRUCTION, artifacts.KIND_IMAGE)
-    grid, phantom, shift_grid = _reference_setup(cfg)
+    grid, support, shift_grid = _reference_setup(cfg)
     if image.shape != grid.shape:
         raise IntegrityError(
             f"{RECONSTRUCTION}: shape {image.shape} does not match the config grid")
     report = metrics.quality_report(
-        image, phantom.support, grid, shift_grid,
+        image, support, grid, shift_grid,
         concentration=cfg.phantom.concentration,
         subsamples=cfg.metrics.subsamples,
         peak=cfg.metrics.psnr_peak,
@@ -342,7 +310,7 @@ def _sweep_task(reduced: preprocess.ReducedSystem, stack: np.ndarray,
     A NaN score survives the maximum, so cmd_sweep's first_argmax rejects it.
     """
     sol = cfg.solver
-    scfg = _solver_config(cfg, sweeps=cfg.sweep.max_sweeps, record_snapshots=True)
+    scfg = cfg.solver_config(sweeps=cfg.sweep.max_sweeps, record_snapshots=True)
     result = _solve(reduced, sol.method, alpha, sol.epsilon, scfg)
     images = np.stack(result.snapshots or [result.x]).reshape((-1,) + stack.shape[1:])
     return (metrics.psnr_table(images, stack, cfg.metrics.psnr_peak).max(axis=1),
@@ -364,9 +332,9 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
     files give the best stopping point per weight, column-maximum files the
     best weight per stopping point.
     """
-    grid, phantom, shift_grid = _reference_setup(cfg)
+    grid, support, shift_grid = _reference_setup(cfg)
     reduced = _load_reduced(run_dir, grid.voxel_count)
-    stack = metrics.reference_stack(phantom.support, grid, shift_grid,
+    stack = metrics.reference_stack(support, grid, shift_grid,
                                     cfg.phantom.concentration,
                                     cfg.metrics.subsamples)
     sw = cfg.sweep

@@ -3,8 +3,15 @@
 Plain-text config files, one `section.key = value` per line, `#` comments.
 Every key has a default, so an empty file is a valid config. Unknown keys
 are rejected rather than ignored; a typo should fail loudly, not silently
-run with defaults. All validation failures raise ConfigError with the
-offending key and the violated precondition in the message.
+run with defaults.
+
+A setting is validated by the object it configures: the scanner, grid,
+metrics and solver sections build model.ScannerConfig, model.VoxelGrid,
+metrics.ShiftGrid and solvers.SolverConfig, whose ValueError becomes
+ConfigError("<section>: <message>"), e.g. "scanner: drive amplitudes must
+be nonnegative". validate_config checks the rest (solver method, alpha,
+epsilon, sweeps and seed; the phantom, background, preprocess, metrics
+scoring and sweep keys) as ConfigError("<section>.<key>: <precondition>").
 """
 
 from __future__ import annotations
@@ -14,13 +21,14 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .metrics import ShiftGrid
+from .model import ScannerConfig, VoxelGrid
+from .solvers import SolverConfig
 
 __all__ = ["PipelineConfig", "load_config", "parse_config", "apply_overrides"]
 
 METHODS = ("l1-L", "l2-L", "l2-K")
 PHANTOM_KINDS = ("delta", "shape-cone", "resolution-tubes", "custom")
-ROW_ORDERS = ("sequential", "shuffled")
-PROJECTIONS = ("sweep", "row", "none")
 
 
 @dataclass
@@ -128,6 +136,21 @@ class PipelineConfig:
             return math.ceil(voxel_count / 19) + 1
         return k
 
+    def scanner_config(self) -> ScannerConfig:
+        return ScannerConfig(**vars(self.scanner))
+
+    def voxel_grid(self) -> VoxelGrid:
+        return VoxelGrid(self.grid.shape, self.grid.spacing_mm)
+
+    def shift_grid(self) -> ShiftGrid:
+        return ShiftGrid(self.metrics.shift_extent_mm, self.metrics.shift_step_mm)
+
+    def solver_config(self, **overrides) -> SolverConfig:
+        """The solver section's SolverConfig fields, with keyword overrides."""
+        shared = {f.name: getattr(self.solver, f.name) for f in fields(SolverConfig)
+                  if hasattr(self.solver, f.name)}
+        return SolverConfig(**{**shared, **overrides})
+
 
 def _coerce(key: str, raw: str, default):
     raw = raw.strip()
@@ -210,26 +233,12 @@ def _require(cond: bool, message: str) -> None:
 
 
 def validate_config(cfg: PipelineConfig) -> None:
-    s = cfg.scanner
-    _require(s.dims in (1, 2), "scanner.dims: must be 1 or 2")
-    for name in ("drive_frequencies_khz", "drive_amplitudes_mt", "gradient_t_per_m"):
-        _require(len(getattr(s, name)) == s.dims,
-                 f"scanner.{name}: needs one entry per driven axis")
-    _require(s.period_ms > 0, "scanner.period_ms: must be positive")
-    _require(
-        s.samples_per_period >= 4
-        and s.samples_per_period & (s.samples_per_period - 1) == 0,
-        "scanner.samples_per_period: must be a power of two, at least 4",
-    )
-    _require(s.particle_diameter_nm > 0, "scanner.particle_diameter_nm: must be positive")
-    _require(s.temperature_k > 0, "scanner.temperature_k: must be positive")
-    _require(s.receiver_gain > 0, "scanner.receiver_gain: must be positive")
-
-    g = cfg.grid
-    _require(len(g.shape) == 3 and all(n >= 1 for n in g.shape),
-             "grid.shape: three axis sizes of at least 1")
-    _require(len(g.spacing_mm) == 3 and all(h > 0 for h in g.spacing_mm),
-             "grid.spacing_mm: three positive spacings")
+    for section, build in (("scanner", cfg.scanner_config), ("grid", cfg.voxel_grid),
+                           ("metrics", cfg.shift_grid), ("solver", cfg.solver_config)):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
 
     p = cfg.phantom
     _require(p.kind in PHANTOM_KINDS,
@@ -271,26 +280,11 @@ def validate_config(cfg: PipelineConfig) -> None:
     _require(sol.alpha > 0, "solver.alpha: must be positive")
     _require(sol.epsilon > 0, "solver.epsilon: must be positive")
     _require(sol.sweeps >= 1, "solver.sweeps: must be at least 1")
-    _require(sol.memory >= 1, "solver.memory: must be at least 1")
-    _require(sol.pgtol > 0, "solver.pgtol: must be positive")
-    _require(sol.max_iterations >= 1, "solver.max_iterations: must be at least 1")
-    _require(sol.row_order in ROW_ORDERS,
-             f"solver.row_order: must be one of {', '.join(ROW_ORDERS)}")
     _require(sol.seed >= 0, "solver.seed: must be nonnegative")
-    _require(sol.projection in PROJECTIONS,
-             f"solver.projection: must be one of {', '.join(PROJECTIONS)}")
 
     m = cfg.metrics
     _require(m.psnr_peak > 0, "metrics.psnr_peak: must be positive")
     _require(m.dynamic_range > 0, "metrics.dynamic_range: must be positive")
-    _require(m.shift_step_mm > 0, "metrics.shift_step_mm: must be positive")
-    _require(len(m.shift_extent_mm) == 3 and all(e >= 0 for e in m.shift_extent_mm),
-             "metrics.shift_extent_mm: three nonnegative extents")
-    for e in m.shift_extent_mm:
-        k = e / m.shift_step_mm
-        _require(abs(k - round(k)) <= 1e-9 * max(1.0, k),
-                 "metrics.shift_extent_mm: extents must be integer multiples "
-                 "of shift_step_mm")
     _require(m.subsamples >= 1, "metrics.subsamples: must be at least 1")
 
     sw = cfg.sweep

@@ -63,10 +63,10 @@ class ShiftGrid:
     step_mm: float
 
     def __post_init__(self):
-        if self.step_mm <= 0:
-            raise ValueError("shift step must be positive")
-        if len(self.extent_mm) != 3 or any(e < 0 for e in self.extent_mm):
-            raise ValueError("shift extents must be three nonnegative lengths")
+        if not 0 < self.step_mm < np.inf:
+            raise ValueError("shift step must be positive and finite")
+        if len(self.extent_mm) != 3 or any(not 0 <= e < np.inf for e in self.extent_mm):
+            raise ValueError("shift extents must be three nonnegative finite lengths")
         for e in self.extent_mm:
             k = e / self.step_mm
             if abs(k - round(k)) > 1e-9 * max(1.0, k):

@@ -32,6 +32,7 @@ __all__ = [
     "langevin",
     "rasterize_support",
     "rasterize_shifted",
+    "phantom_support",
     "make_phantom",
     "simulate_system_matrix",
 ]
@@ -83,8 +84,8 @@ class VoxelGrid:
     def __post_init__(self):
         if len(self.shape) != 3 or any(int(n) != n or n < 1 for n in self.shape):
             raise ValueError("grid shape must be three positive integers")
-        if len(self.spacing_mm) != 3 or any(s <= 0 for s in self.spacing_mm):
-            raise ValueError("grid spacing must be three positive lengths")
+        if len(self.spacing_mm) != 3 or any(not 0 < s < np.inf for s in self.spacing_mm):
+            raise ValueError("grid spacing must be three positive finite lengths")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
         if self.origin_mm is None:
@@ -146,8 +147,8 @@ class ScannerConfig:
             if len(vals) != self.dims:
                 raise ValueError(f"{name} must have one entry per driven axis")
             object.__setattr__(self, name, tuple(float(v) for v in vals))
-        if self.period_ms <= 0:
-            raise ValueError("period_ms must be positive")
+        if not 0 < self.period_ms < np.inf:
+            raise ValueError("period_ms must be positive and finite")
         n = self.samples_per_period
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError("samples_per_period must be a power of two >= 4")
@@ -387,30 +388,23 @@ class Phantom:
         return self.values.ravel()
 
 
-def make_phantom(kind: str, grid: VoxelGrid, concentration: float,
-                 subsamples: int = 4, **params) -> Phantom:
-    """Build one of the stock phantoms.
+def phantom_support(kind: str, grid: VoxelGrid, **params):
+    """Analytic support geometry of a stock phantom on ``grid``.
 
-    kind = "delta":            one interior voxel at full concentration.
+    kind = "delta":            the box of one interior voxel.
     kind = "shape-cone":       truncated cone along +x, sized to the grid
                                (override with apex_mm/axis/tip_radius_mm/
                                half_angle_deg/height_mm).
     kind = "resolution-tubes": five thin tubes fanning out from a common
                                origin in the x-y plane (override with
                                angles_deg/radius_mm/length_mm/origin_mm).
-    kind = "custom":           caller-provided ``values`` array, no geometry.
     """
-    if concentration <= 0:
-        raise ValueError("concentration must be positive")
-    ex, ey, ez = grid.extent_mm()
+    ex = grid.extent_mm()[0]
     sx = grid.spacing_mm[0]
     if kind == "delta":
         idx = tuple(n // 2 for n in grid.shape)
-        values = np.zeros(grid.shape)
-        values[idx] = concentration
         center = grid.centers_mm().reshape(grid.shape + (3,))[idx]
-        support = BoxSupport(center, grid.spacing_mm)
-        return Phantom(grid, values, kind, concentration, support)
+        return BoxSupport(center, grid.spacing_mm)
     if kind == "shape-cone":
         height = params.pop("height_mm", 0.55 * ex)
         apex = params.pop("apex_mm", (-height / 2.0, 0.0, 0.0))
@@ -418,11 +412,7 @@ def make_phantom(kind: str, grid: VoxelGrid, concentration: float,
         tip_radius = params.pop("tip_radius_mm", 0.8 * sx)
         half_angle = params.pop("half_angle_deg", 10.0)
         _reject_extra(kind, params)
-        support = ConeSupport(apex, axis, tip_radius, half_angle, height)
-        values = rasterize_support(support, grid, concentration, subsamples)
-        if not np.any(values > 0):
-            raise ValueError("phantom support does not intersect the grid")
-        return Phantom(grid, values, kind, concentration, support)
+        return ConeSupport(apex, axis, tip_radius, half_angle, height)
     if kind == "resolution-tubes":
         angles = params.pop("angles_deg", (-24.0, -12.0, 0.0, 12.0, 24.0))
         radius = params.pop("radius_mm", 0.8 * sx)
@@ -434,18 +424,35 @@ def make_phantom(kind: str, grid: VoxelGrid, concentration: float,
             rad = np.deg2rad(a)
             direction = np.array([np.cos(rad), np.sin(rad), 0.0])
             segments.append((origin, origin + length * direction, radius))
-        support = TubeSupport(segments)
-        values = rasterize_support(support, grid, concentration, subsamples)
-        if not np.any(values > 0):
-            raise ValueError("phantom support does not intersect the grid")
-        return Phantom(grid, values, kind, concentration, support)
+        return TubeSupport(segments)
+    raise ValueError(f"unknown phantom kind: {kind!r}")
+
+
+def make_phantom(kind: str, grid: VoxelGrid, concentration: float,
+                 subsamples: int = 4, **params) -> Phantom:
+    """Build one of the stock phantoms of phantom_support, or
+    kind = "custom": caller-provided ``values`` array, no geometry.
+
+    The delta phantom is its voxel at full concentration; the others are
+    their support rasterized with ``subsamples`` per axis.
+    """
+    if concentration <= 0:
+        raise ValueError("concentration must be positive")
     if kind == "custom":
         values = params.pop("values", None)
         _reject_extra(kind, params)
         if values is None:
             raise ValueError("custom phantom requires a values array")
         return Phantom(grid, values, kind, concentration, None)
-    raise ValueError(f"unknown phantom kind: {kind!r}")
+    support = phantom_support(kind, grid, **params)
+    if kind == "delta":
+        values = np.zeros(grid.shape)
+        values[tuple(n // 2 for n in grid.shape)] = concentration
+        return Phantom(grid, values, kind, concentration, support)
+    values = rasterize_support(support, grid, concentration, subsamples)
+    if not np.any(values > 0):
+        raise ValueError("phantom support does not intersect the grid")
+    return Phantom(grid, values, kind, concentration, support)
 
 
 def _reject_extra(kind, params):

@@ -219,7 +219,9 @@ def _max_feasible_step(x, d, lower, upper):
 
 
 def _checked_eval(fun, x):
-    f, g = fun(x)
+    # overflow is reported as NumericalError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g = fun(x)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise NumericalError("non-finite objective or gradient encountered")
     return f, g
@@ -433,22 +435,23 @@ def kaczmarz_reg(system: ReducedSystem, alpha: float,
     rng = np.random.default_rng(cfg.seed)
     snapshots = [] if cfg.record_snapshots else None
     denom = row_norm2 + alpha
-    for _ in range(cfg.sweeps):
-        if cfg.row_order == "shuffled":
-            order = usable[rng.permutation(usable.size)]
-        else:
-            order = usable
-        for i in order:
-            ai = a_mat[i]
-            beta = (y[i] - np.dot(ai, x) - sqa * v[i]) / denom[i]
-            x += beta * ai
-            v[i] += beta * sqa
-            if cfg.projection == "row":
+    with np.errstate(over="ignore", invalid="ignore"):  # checked after the sweeps
+        for _ in range(cfg.sweeps):
+            if cfg.row_order == "shuffled":
+                order = usable[rng.permutation(usable.size)]
+            else:
+                order = usable
+            for i in order:
+                ai = a_mat[i]
+                beta = (y[i] - np.dot(ai, x) - sqa * v[i]) / denom[i]
+                x += beta * ai
+                v[i] += beta * sqa
+                if cfg.projection == "row":
+                    np.maximum(x, 0.0, out=x)
+            if cfg.projection == "sweep":
                 np.maximum(x, 0.0, out=x)
-        if cfg.projection == "sweep":
-            np.maximum(x, 0.0, out=x)
-        if snapshots is not None:
-            snapshots.append(x.copy())
+            if snapshots is not None:
+                snapshots.append(x.copy())
     if not all(np.isfinite(z).all() for z in [x] + (snapshots or [])):
         raise NumericalError("Kaczmarz sweeps produced non-finite values")
     value, grad = _checked_eval(Objective("l2", system, alpha).evaluate, x)

@@ -225,7 +225,6 @@ def test_reconstruct_non_finite_reduced_system_exits_4(pipeline, tmp_path, capsy
     assert (run / "reconstruction.rrc").read_bytes() == before
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_reconstruct_kaczmarz_overflow_exits_4(tmp_path, capsys):
     # finite data whose l2 objective overflows to inf after the sweeps
     cfg = tmp_path / "toy.cfg"
@@ -245,6 +244,16 @@ def test_reconstruct_kaczmarz_overflow_exits_4(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
     assert not (run / "reconstruction_summary.json").exists()
     assert not (run / "reconstruction.rrc").exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "evaluate", "sweep"])
+def test_scanner_rejected_config_exits_2_in_every_stage(command, pipeline, tmp_path, capsys):
+    _, run = clone(pipeline, tmp_path)
+    cfg = write_config(tmp_path, {"scanner.drive_amplitudes_mt": "-12, 12"})
+    before = sorted(p.name for p in run.iterdir())
+    assert main([command, "--config", str(cfg), "--out", str(run)]) == 2
+    assert "error: scanner: drive amplitudes must be nonnegative" in capsys.readouterr().err
+    assert sorted(p.name for p in run.iterdir()) == before
 
 
 def test_evaluate_csv_agrees_with_summary(pipeline, tmp_path):

@@ -1,15 +1,21 @@
 import math
+from dataclasses import fields
 
 import pytest
 
 from robust_recon.config import (
     ConfigError,
     PipelineConfig,
+    ScannerSection,
+    SolverSection,
     apply_overrides,
     load_config,
     parse_config,
     validate_config,
 )
+from robust_recon.metrics import ShiftGrid
+from robust_recon.model import ScannerConfig, VoxelGrid
+from robust_recon.solvers import SolverConfig
 
 
 def test_empty_text_gives_documented_defaults():
@@ -126,6 +132,44 @@ def test_validation_rejects_bad_values(dotted, value):
     cfg = parse_config("")
     with pytest.raises(ConfigError):
         apply_overrides(cfg, {dotted: value})
+
+
+@pytest.mark.parametrize(
+    "line,section",
+    [
+        ("scanner.drive_frequencies_khz = 15.7, 16.6015625", "scanner"),
+        ("scanner.drive_amplitudes_mt = -12, 12", "scanner"),
+        ("scanner.gradient_t_per_m = 1, 0", "scanner"),
+        ("scanner.period_ms = inf", "scanner"),
+        ("grid.spacing_mm = 1, inf, 1", "grid"),
+        ("metrics.shift_extent_mm = inf, 0, 0", "metrics"),
+    ],
+)
+def test_constructor_preconditions_fail_at_load(line, section):
+    with pytest.raises(ConfigError, match=f"^{section}: "):
+        parse_config(line)
+
+
+def test_builders_return_the_configured_objects():
+    cfg = parse_config("grid.shape = 8, 6, 1\nsolver.row_order = shuffled\n"
+                       "metrics.shift_step_mm = 0.25")
+    assert cfg.scanner_config() == ScannerConfig()
+    assert cfg.voxel_grid() == VoxelGrid((8, 6, 1), (1.0, 1.0, 1.0))
+    assert cfg.shift_grid() == ShiftGrid((3.0, 3.0, 0.0), 0.25)
+    scfg = cfg.solver_config(sweeps=7, record_snapshots=True)
+    assert scfg == SolverConfig(sweeps=7, row_order="shuffled", record_snapshots=True)
+
+
+def test_section_defaults_match_the_objects_they_configure():
+    scanner, section = ScannerConfig(), ScannerSection()
+    assert [f.name for f in fields(ScannerSection)] == [f.name for f in fields(ScannerConfig)]
+    for f in fields(ScannerConfig):
+        assert getattr(section, f.name) == getattr(scanner, f.name), f.name
+    solver, section = SolverConfig(), SolverSection()
+    shared = [f.name for f in fields(SolverConfig) if hasattr(section, f.name)]
+    assert len(shared) == 7
+    for name in shared:
+        assert getattr(section, name) == getattr(solver, name), name
 
 
 def test_custom_phantom_kind_rejected_in_files():

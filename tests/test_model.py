@@ -13,6 +13,7 @@ from robust_recon import (
     VoxelGrid,
     langevin,
     make_phantom,
+    phantom_support,
     rasterize_shifted,
     rasterize_support,
     simulate_system_matrix,
@@ -139,6 +140,27 @@ def test_make_phantom_errors():
         make_phantom("shape-cone", grid, 50.0, apex_mm=(100.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         make_phantom("shape-cone", grid, 50.0, banana=1)
+
+
+@pytest.mark.parametrize("kind", ["shape-cone", "resolution-tubes"])
+@pytest.mark.parametrize("grid", [
+    VoxelGrid((20, 20, 1), (1.0, 1.0, 1.0)),
+    VoxelGrid((11, 9, 1), (0.3, 0.7, 1.0)),
+])
+def test_phantom_support_rasterizes_to_make_phantom(kind, grid):
+    values = rasterize_support(phantom_support(kind, grid), grid, 50.0, 3)
+    assert np.array_equal(values, make_phantom(kind, grid, 50.0, subsamples=3).values)
+
+
+def test_phantom_support_delta_box_is_the_nonzero_voxel():
+    grid = VoxelGrid((6, 5, 3), (0.5, 1.0, 2.0))
+    support = phantom_support("delta", grid)
+    ph = make_phantom("delta", grid, 50.0)
+    (flat,) = np.flatnonzero(ph.values)
+    assert np.array_equal(support.center, grid.centers_mm()[flat])
+    assert np.array_equal(support.size, grid.spacing_mm)
+    with pytest.raises(ValueError):
+        phantom_support("custom", grid)
 
 
 def test_phantom_custom_values_and_validation():

@@ -351,7 +351,6 @@ def test_kaczmarz_objective_value_is_l2_value():
     assert result.objective_value == value
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_kaczmarz_rejects_non_finite_result():
     # finite data whose objective overflows: x stays 0, 0.5 * (1e200)^2 = inf
     with pytest.raises(NumericalError):
