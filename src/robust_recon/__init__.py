@@ -57,7 +57,6 @@ from .preprocess import (
     band_pass,
     calibration_system_matrix,
     complex_rows,
-    interp_background,
     interp_backgrounds,
     power_iteration_norm,
     select_frequencies,
@@ -112,7 +111,6 @@ __all__ = [
     "draw_calibration_scans",
     "draw_empty_scans",
     "draw_phantom_measurement",
-    "interp_background",
     "interp_backgrounds",
     "kaczmarz_reg",
     "langevin",

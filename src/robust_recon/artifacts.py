@@ -59,8 +59,9 @@ _MAX_NDIM = 8
 MANIFEST_NAME = "manifest.json"
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename over."""
+def atomic_write_bytes(path, data: bytes) -> str:
+    """Write via a temp file in the same directory, then rename over.
+    Returns the sha256 hex digest of the bytes written."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
@@ -71,14 +72,16 @@ def atomic_write_bytes(path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def atomic_write_text(path, text: str) -> str:
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_artifact(path, kind: int, array: np.ndarray) -> None:
-    """Serialize one array. The kind fixes both rank and realness."""
+def write_artifact(path, kind: int, array: np.ndarray) -> str:
+    """Serialize one array; returns the sha256 hex digest of the file.
+    The kind fixes both rank and realness."""
     if kind not in _KIND_NDIM:
         raise ValueError(f"unknown artifact kind {kind}")
     array = np.asarray(array)
@@ -93,7 +96,7 @@ def write_artifact(path, kind: int, array: np.ndarray) -> None:
         payload = np.ascontiguousarray(array, dtype="<f8")
     header = MAGIC + struct.pack("<B", kind) + struct.pack("<Q", array.ndim)
     header += struct.pack(f"<{array.ndim}Q", *array.shape)
-    atomic_write_bytes(path, header + payload.tobytes())
+    return atomic_write_bytes(path, header + payload.tobytes())
 
 
 def read_artifact(path):

@@ -75,15 +75,15 @@ def background_from_config(cfg: PipelineConfig,
         seed=b.structure_seed)
 
 
-def _write_json(path, payload) -> None:
-    artifacts.atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path, payload) -> str:
+    return artifacts.atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _update_manifest(run_dir: Path, names) -> None:
+def _update_manifest(run_dir: Path, digests: dict) -> None:
+    """Record {name: sha256} of the files a stage has just written."""
     manifest = run_dir / artifacts.MANIFEST_NAME
     entries = artifacts.load_manifest(run_dir) if manifest.exists() else {}
-    for name in names:
-        entries[name] = artifacts.sha256_file(run_dir / name)
+    entries.update(digests)
     artifacts.write_manifest(run_dir, entries)
 
 
@@ -123,13 +123,13 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
     meas_index = int(empty_idx[-1]) + 1
     meas = acquisition.draw_phantom_measurement(system, phantom, bg, b.noise_seed + 3,
                                                 meas_index, b.measurement_repetitions)
-    artifacts.write_artifact(run_dir / SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET, calib)
-    artifacts.write_artifact(run_dir / EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET,
-                             empties.spectra)
-    artifacts.write_artifact(run_dir / MEASUREMENT, artifacts.KIND_SPECTRUM_SET,
-                             meas.spectrum[None])
-    artifacts.write_artifact(run_dir / PHANTOM, artifacts.KIND_IMAGE, phantom.values)
-    _update_manifest(run_dir, [SYSTEM_MATRIX, EMPTY_SCANS, MEASUREMENT, PHANTOM])
+    _update_manifest(run_dir, {
+        name: artifacts.write_artifact(run_dir / name, kind, array)
+        for name, kind, array in (
+            (SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET, calib),
+            (EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET, empties.spectra),
+            (MEASUREMENT, artifacts.KIND_SPECTRUM_SET, meas.spectrum[None]),
+            (PHANTOM, artifacts.KIND_IMAGE, phantom.values))})
     return {
         "voxels": m,
         "calibration_scans": int(calib_idx.size),
@@ -178,10 +178,12 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     y_spec = preprocess.subtract_background(meas[0], acquisition.background_mean(empties))
     weights = preprocess.whitening_weights(empties, selection) if pre.whiten else None
     reduced = preprocess.assemble_reduced_system(measured, y_spec, selection, weights)
-    artifacts.write_artifact(run_dir / REDUCED_A, artifacts.KIND_MATRIX, reduced.A)
-    artifacts.write_artifact(run_dir / REDUCED_Y, artifacts.KIND_VECTOR, reduced.y)
-    artifacts.write_artifact(run_dir / REDUCED_ROWS, artifacts.KIND_MATRIX,
-                             reduced.row_index.astype(np.float64))
+    digests = {
+        name: artifacts.write_artifact(run_dir / name, kind, array)
+        for name, kind, array in (
+            (REDUCED_A, artifacts.KIND_MATRIX, reduced.A),
+            (REDUCED_Y, artifacts.KIND_VECTOR, reduced.y),
+            (REDUCED_ROWS, artifacts.KIND_MATRIX, reduced.row_index.astype(np.float64)))}
     report = {
         "tau": pre.tau,
         "whitened": reduced.whitened,
@@ -195,8 +197,8 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
         "empty_scans": int(empty_idx.size),
         "calibration_concentration": cfg.background.calibration_concentration,
     }
-    _write_json(run_dir / SELECTION_REPORT, report)
-    _update_manifest(run_dir, [REDUCED_A, REDUCED_Y, REDUCED_ROWS, SELECTION_REPORT])
+    digests[SELECTION_REPORT] = _write_json(run_dir / SELECTION_REPORT, report)
+    _update_manifest(run_dir, digests)
     return {
         "rows": reduced.rows,
         "voxels": reduced.voxels,
@@ -231,7 +233,8 @@ def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> dict:
     sol = cfg.solver
     result = _solve(reduced, sol.method, sol.alpha, sol.epsilon, cfg.solver_config())
     image = result.x.reshape(grid.shape)
-    artifacts.write_artifact(run_dir / RECONSTRUCTION, artifacts.KIND_IMAGE, image)
+    image_digest = artifacts.write_artifact(
+        run_dir / RECONSTRUCTION, artifacts.KIND_IMAGE, image)
     summary = {
         "method": sol.method,
         "alpha": sol.alpha,
@@ -248,8 +251,10 @@ def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> dict:
         summary["row_order"] = sol.row_order
     else:
         summary["epsilon"] = sol.epsilon
-    _write_json(run_dir / RECON_SUMMARY, summary)
-    _update_manifest(run_dir, [RECONSTRUCTION, RECON_SUMMARY])
+    _update_manifest(run_dir, {
+        RECONSTRUCTION: image_digest,
+        RECON_SUMMARY: _write_json(run_dir / RECON_SUMMARY, summary),
+    })
     return {
         "method": sol.method,
         "alpha": sol.alpha,
@@ -281,7 +286,7 @@ def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> dict:
     for shift, p, s in zip(report.shifts, report.psnr_values, report.ssim_values):
         cells = [float(shift[0]), float(shift[1]), float(shift[2]), float(p), float(s)]
         lines.append(",".join(repr(c) for c in cells))
-    artifacts.atomic_write_text(run_dir / QUALITY_CSV, "\n".join(lines) + "\n")
+    csv_digest = artifacts.atomic_write_text(run_dir / QUALITY_CSV, "\n".join(lines) + "\n")
     summary = {
         "eps_psnr_db": report.eps_psnr,
         "eps_ssim": report.eps_ssim,
@@ -291,8 +296,10 @@ def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> dict:
         "dynamic_range": cfg.metrics.dynamic_range,
         "shifts": int(report.shifts.shape[0]),
     }
-    _write_json(run_dir / QUALITY_SUMMARY, summary)
-    _update_manifest(run_dir, [QUALITY_CSV, QUALITY_SUMMARY])
+    _update_manifest(run_dir, {
+        QUALITY_CSV: csv_digest,
+        QUALITY_SUMMARY: _write_json(run_dir / QUALITY_SUMMARY, summary),
+    })
     return {
         "eps_psnr_db": report.eps_psnr,
         "eps_ssim": report.eps_ssim,
@@ -357,24 +364,21 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
     else:
         col_labels = ["value"]
         col_name = "column"
-    written = []
+    written = {}
     for metric_name, table in (("psnr", psnr_table), ("ssim", ssim_table)):
         name = f"sweep_{metric_name}.csv"
-        artifacts.atomic_write_text(
+        written[name] = artifacts.atomic_write_text(
             run_dir / name, "\n".join(_sweep_csv_lines(alphas, col_labels, table)) + "\n")
-        written.append(name)
         row_max = table.max(axis=1)
         name = f"sweep_{metric_name}_row_max.csv"
         lines = [f"alpha,max_{metric_name}"]
         lines += [f"{a!r},{float(v)!r}" for a, v in zip(alphas, row_max)]
-        artifacts.atomic_write_text(run_dir / name, "\n".join(lines) + "\n")
-        written.append(name)
+        written[name] = artifacts.atomic_write_text(run_dir / name, "\n".join(lines) + "\n")
         col_max = table.max(axis=0)
         name = f"sweep_{metric_name}_col_max.csv"
         lines = [f"{col_name},max_{metric_name}"]
         lines += [f"{c},{float(v)!r}" for c, v in zip(col_labels, col_max)]
-        artifacts.atomic_write_text(run_dir / name, "\n".join(lines) + "\n")
-        written.append(name)
+        written[name] = artifacts.atomic_write_text(run_dir / name, "\n".join(lines) + "\n")
 
     def _best(table, at):
         col = at[1] + 1 if sol.method == "l2-K" else col_labels[at[1]]
@@ -387,8 +391,7 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
         "best_psnr": _best(psnr_table, best_p),
         "best_ssim": _best(ssim_table, best_s),
     }
-    _write_json(run_dir / SWEEP_SUMMARY, summary)
-    written.append(SWEEP_SUMMARY)
+    written[SWEEP_SUMMARY] = _write_json(run_dir / SWEEP_SUMMARY, summary)
     _update_manifest(run_dir, written)
     return {
         "cells": int(psnr_table.size),

@@ -402,6 +402,7 @@ def phantom_support(kind: str, grid: VoxelGrid, **params):
     ex = grid.extent_mm()[0]
     sx = grid.spacing_mm[0]
     if kind == "delta":
+        _reject_extra(kind, params)
         idx = tuple(n // 2 for n in grid.shape)
         center = grid.centers_mm().reshape(grid.shape + (3,))[idx]
         return BoxSupport(center, grid.spacing_mm)

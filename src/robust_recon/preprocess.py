@@ -27,7 +27,6 @@ __all__ = [
     "WhiteningWeights",
     "ReducedSystem",
     "band_pass",
-    "interp_background",
     "interp_backgrounds",
     "snr_scores",
     "select_frequencies",
@@ -50,9 +49,10 @@ def band_pass(freq_count: int, period_ms: float, b1_khz: float, b2_khz: float) -
     return np.nonzero((f >= b1_khz) & (f <= b2_khz))[0]
 
 
-def interp_background(scans: EmptyScanSet, calibration_index: int,
-                      scans_per_bracket: int) -> np.ndarray:
-    """Background estimate for one calibration scan.
+def interp_backgrounds(scans: EmptyScanSet, calibration_count: int,
+                       scans_per_bracket: int) -> np.ndarray:
+    """Background estimates for calibration scans 0..calibration_count-1,
+    stacked to (count, coils, freqs).
 
     Calibration scan i lives in bracket b = i // Q between empty scans b and
     b+1 and gets mu = kappa * spectra[b] + (1 - kappa) * spectra[b+1] with
@@ -62,23 +62,8 @@ def interp_background(scans: EmptyScanSet, calibration_index: int,
     q = int(scans_per_bracket)
     if q < 2:
         raise ValueError("scans_per_bracket must be >= 2")
-    i = int(calibration_index)
-    if i < 0:
-        raise ValueError("calibration_index must be nonnegative")
-    b = i // q
-    if b + 1 >= scans.count:
-        raise ValueError("calibration_index beyond the empty-scan schedule")
-    kappa = (i % q) / (q - 1)
-    return kappa * scans.spectra[b] + (1.0 - kappa) * scans.spectra[b + 1]
-
-
-def interp_backgrounds(scans: EmptyScanSet, calibration_count: int,
-                       scans_per_bracket: int) -> np.ndarray:
-    """Stacked interp_background for scans 0..calibration_count-1:
-    (count, coils, freqs)."""
-    q = int(scans_per_bracket)
-    if q < 2:
-        raise ValueError("scans_per_bracket must be >= 2")
+    if calibration_count < 0:
+        raise ValueError("calibration_count must be nonnegative")
     i = np.arange(calibration_count)
     b = i // q
     if calibration_count > 0 and b[-1] + 1 >= scans.count:
@@ -103,7 +88,7 @@ def _as_scan_array(calib_scans) -> np.ndarray:
 
 
 def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: EmptyScanSet,
-               band_indices: np.ndarray, scan_subset=None) -> np.ndarray:
+               band_indices: np.ndarray) -> np.ndarray:
     """Signal-to-background score per (coil, in-band component).
 
     Numerator: mean over calibration scans of the magnitude of the
@@ -118,12 +103,6 @@ def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: EmptyScanSet,
     if interp_bg.shape != calib.shape:
         raise ValueError("interpolated backgrounds must match the calibration scans")
     band_indices = np.asarray(band_indices, dtype=np.int64)
-    if scan_subset is not None:
-        scan_subset = np.asarray(scan_subset, dtype=np.int64)
-        if scan_subset.size == 0:
-            raise ValueError("empty calibration subset")
-        calib = calib[scan_subset]
-        interp_bg = interp_bg[scan_subset]
     num = np.abs(calib[:, :, band_indices] - interp_bg[:, :, band_indices]).mean(axis=0)
     mu = background_mean(empty_scans)
     den = np.abs(empty_scans.spectra[:, :, band_indices] - mu[None, :, band_indices]).mean(axis=0)

@@ -11,11 +11,18 @@ numerically invisible at data scale while the gradient stays defined at
 r_i = 0.
 
 Two solvers: a bound-constrained limited-memory quasi-Newton method
-(gradient-projection Cauchy point for the active set, two-loop recursion on
-the free variables, strong Wolfe line search truncated at the feasible
-box), and a regularized Kaczmarz sweep over the rows of the augmented
-system [A, sqrt(alpha) I] with an optional nonnegativity projection after
-each sweep.
+(Cauchy point for the active set, two-loop recursion on the free variables,
+strong Wolfe line search truncated at the feasible box), and a regularized
+Kaczmarz sweep over the rows of the augmented system [A, sqrt(alpha) I]
+with an optional nonnegativity projection after each sweep.
+
+The quasi-Newton model uses the scaled identity B = I/gamma, with gamma =
+s.y / y.y from the newest accepted curvature pair (1/||g0|| before the
+first). With that B the generalized Cauchy point of Byrd, Lu, Nocedal and
+Zhu (SIAM J. Sci. Comput. 1995), the minimizer of the model along the
+projected path P(x - t g), is the single projected step P(x - gamma g):
+the model separates by coordinate, and each coordinate is convex along the
+path with its minimum at t = gamma or at the bound it reaches before.
 """
 
 from __future__ import annotations
@@ -105,10 +112,9 @@ class SolverConfig:
     """Tunables shared by both solvers.
 
     memory/pgtol/max_iterations drive the quasi-Newton method; sweeps,
-    row_order ("sequential" or "shuffled"), seed and projection ("sweep",
-    "row" or "none") drive Kaczmarz. record_trace keeps per-iterate
-    objective values, record_snapshots keeps a copy of x after every
-    Kaczmarz sweep.
+    row_order ("sequential" or "shuffled"), seed and projection ("sweep"
+    or "none") drive Kaczmarz. record_trace keeps per-iterate objective
+    values, record_snapshots keeps a copy of x after every Kaczmarz sweep.
     """
 
     memory: int = 20
@@ -128,8 +134,8 @@ class SolverConfig:
             raise ValueError("pgtol must be positive")
         if self.row_order not in ("sequential", "shuffled"):
             raise ValueError("row_order must be 'sequential' or 'shuffled'")
-        if self.projection not in ("sweep", "row", "none"):
-            raise ValueError("projection must be 'sweep', 'row' or 'none'")
+        if self.projection not in ("sweep", "none"):
+            raise ValueError("projection must be 'sweep' or 'none'")
 
 
 @dataclass
@@ -152,45 +158,11 @@ def _projected_gradient(x, g, lower, upper):
     return pg
 
 
-def _cauchy_point(x, g, lower, upper, theta):
-    """Minimize the theta-scaled quadratic model along P(x - t g).
-
-    Returns the path minimizer and the active mask (variables at a bound
-    there). The piecewise-linear path is walked segment by segment.
-    """
-    tb = np.full(x.shape, np.inf)
-    pos = g > 0
-    tb[pos] = (x[pos] - lower[pos]) / g[pos]
-    neg = g < 0
-    with np.errstate(invalid="ignore"):
-        tb[neg] = (x[neg] - upper[neg]) / g[neg]
-    tb[np.isnan(tb)] = np.inf  # infinite bound on a moving variable
-    moving = tb > 0
-    if not np.any(moving):
-        return x.copy(), np.ones(x.shape, dtype=bool)
-
-    t_cp = None
-    t_prev = 0.0
-    breakpoints = np.unique(tb[moving & np.isfinite(tb)])
-    for t in np.append(breakpoints, np.inf):
-        z = np.clip(x - t_prev * g, lower, upper) - x
-        d = np.where(tb > t_prev, -g, 0.0)
-        fp = float(g @ d) + theta * float(z @ d)
-        fpp = theta * float(d @ d)
-        if fp >= 0.0:
-            t_cp = t_prev
-            break
-        dt = -fp / fpp if fpp > 0.0 else np.inf
-        if dt < t - t_prev:
-            t_cp = t_prev + dt
-            break
-        if not np.isfinite(t):
-            t_cp = t_prev  # no curvature left along an unbounded segment
-            break
-        t_prev = t
-    x_cp = np.clip(x - t_cp * g, lower, upper)
-    active = (x_cp <= lower) | (x_cp >= upper)
-    return x_cp, active
+def _cauchy_point(x, g, lower, upper, gamma):
+    """Generalized Cauchy point for B = I/gamma, P(x - gamma g), and the
+    mask of variables at a bound there."""
+    x_cp = np.clip(x - gamma * g, lower, upper)
+    return x_cp, (x_cp <= lower) | (x_cp >= upper)
 
 
 def _two_loop(g, pairs, gamma):
@@ -303,14 +275,15 @@ def lbfgsb(objective, cfg: SolverConfig | None = None,
            lower=0.0, upper=np.inf, x0: np.ndarray | None = None) -> SolverResult:
     """Bound-constrained limited-memory quasi-Newton minimization.
 
-    Per iteration: a gradient-projection Cauchy-point search along the
-    projected steepest-descent path fixes the active set, the two-loop
-    recursion on the free variables (at most cfg.memory curvature pairs,
-    pairs with s.y <= 1e-12*|s||y| discarded) proposes their step while
-    active variables head for their Cauchy values, and a strong Wolfe line
-    search (c1 = 1e-4, c2 = 0.9) along that direction stays on the feasible
-    box, so a unit step lands bound variables exactly on their bounds. The
-    first iterate is scaled by 1/||g0||. Terminates when the sup norm of
+    Per iteration: the Cauchy point P(x - gamma g), the minimizer of the
+    model with B = I/gamma along the projected steepest-descent path, fixes
+    the active set; the two-loop recursion on the free variables (at most
+    cfg.memory curvature pairs, pairs with s.y <= 1e-12*|s||y| discarded)
+    proposes their step while active variables head for their Cauchy
+    values, and a strong Wolfe line search (c1 = 1e-4, c2 = 0.9) along that
+    direction stays on the feasible box, so a unit step lands bound
+    variables exactly on their bounds. The first iterate is scaled by
+    1/||g0||. Terminates when the sup norm of
     the projected gradient reaches cfg.pgtol, on the iteration budget, or
     when a line search fails after 40 trials (best iterate returned with
     converged=False).
@@ -348,8 +321,7 @@ def lbfgsb(objective, cfg: SolverConfig | None = None,
         if float(np.max(np.abs(pg), initial=0.0)) <= cfg.pgtol:
             converged = True
             break
-        theta = 1.0 / gamma
-        x_cp, active = _cauchy_point(x, g, lower, upper, theta)
+        x_cp, active = _cauchy_point(x, g, lower, upper, gamma)
         g_free = np.where(active, 0.0, g)
         # active variables head for their Cauchy values (exactly on the
         # bound at a unit step), free variables take the quasi-Newton step
@@ -411,10 +383,10 @@ def kaczmarz_reg(system: ReducedSystem, alpha: float,
         x += beta * a_i;  v_i += beta * sqrt(alpha)
 
     One iteration is one full loop over the rows; the nonnegativity
-    projection is applied to x after every sweep (cfg.projection switches
-    to per-row or none). Without projection the iteration converges to the
-    l2 Tikhonov minimizer. Zero rows are skipped. Row order is sequential
-    or re-shuffled per sweep from cfg.seed. A non-finite x, snapshot,
+    projection is applied to x after every sweep unless cfg.projection is
+    "none". Without projection the iteration converges to the l2 Tikhonov
+    minimizer. Zero rows are skipped. Row order is sequential or
+    re-shuffled per sweep from cfg.seed. A non-finite x, snapshot,
     objective or gradient raises NumericalError.
     """
     cfg = cfg or SolverConfig()
@@ -446,8 +418,6 @@ def kaczmarz_reg(system: ReducedSystem, alpha: float,
                 beta = (y[i] - np.dot(ai, x) - sqa * v[i]) / denom[i]
                 x += beta * ai
                 v[i] += beta * sqa
-                if cfg.projection == "row":
-                    np.maximum(x, 0.0, out=x)
             if cfg.projection == "sweep":
                 np.maximum(x, 0.0, out=x)
             if snapshots is not None:

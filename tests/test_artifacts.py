@@ -14,6 +14,7 @@ from robust_recon.artifacts import (
     MANIFEST_NAME,
     IntegrityError,
     atomic_write_bytes,
+    atomic_write_text,
     load_manifest,
     read_artifact,
     sha256_file,
@@ -161,6 +162,17 @@ def test_verify_detects_modification_and_missing_record(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(IntegrityError):
         verify_manifest(tmp_path, names=["a.rrc"])
+
+
+def test_writers_return_sha256_of_the_file(tmp_path):
+    digests = {
+        "a.rrc": write_artifact(tmp_path / "a.rrc", KIND_SPECTRUM_SET,
+                                np.ones((2, 1, 3), dtype=np.complex128)),
+        "b.bin": atomic_write_bytes(tmp_path / "b.bin", b"payload"),
+        "c.txt": atomic_write_text(tmp_path / "c.txt", "caf\u00e9\n"),
+    }
+    for name, digest in digests.items():
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
 
 def test_load_manifest_rejects_garbage(tmp_path):

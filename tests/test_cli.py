@@ -85,6 +85,17 @@ def test_simulate_artifacts_and_manifest(pipeline, capsys, tmp_path):
     artifacts.verify_manifest(run)
 
 
+def test_manifest_digests_match_files_on_disk(pipeline, tmp_path):
+    cfg, _ = pipeline
+    fresh = tmp_path / "fresh"
+    assert main(["simulate", "--config", str(cfg), "--out", str(fresh)]) == 0
+    _, run = clone(pipeline, tmp_path)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 0
+    for directory in (fresh, run):
+        for name, digest in artifacts.load_manifest(directory).items():
+            assert digest == artifacts.sha256_file(directory / name)
+
+
 def test_simulate_deterministic_and_seed_sensitive(pipeline, tmp_path):
     cfg, _ = pipeline
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -317,7 +328,7 @@ def test_sweep_tables_and_summary(pipeline, tmp_path):
                  "sweep_psnr_col_max.csv", "sweep_ssim.csv",
                  "sweep_ssim_row_max.csv", "sweep_ssim_col_max.csv",
                  "sweep_summary.json"):
-        assert name in manifest
+        assert manifest[name] == artifacts.sha256_file(run / name)
 
     # recompute one cell outside the sweep machinery, bit for bit
     _, a = artifacts.read_artifact(run / "reduced_A.rrc")

@@ -93,6 +93,14 @@ def test_make_phantom_delta():
     assert ph.values[2, 2, 0] == 50.0
 
 
+def test_delta_phantom_rejects_unknown_parameters():
+    grid = VoxelGrid((5, 5, 1), (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="banana"):
+        make_phantom("delta", grid, 50.0, banana=1)
+    with pytest.raises(ValueError, match="banana"):
+        phantom_support("delta", grid, banana=1)
+
+
 def test_make_phantom_cone_full_voxel_exact():
     grid = VoxelGrid((5, 5, 1), (1.0, 1.0, 1.0))
     ph = make_phantom("shape-cone", grid, 50.0)

@@ -19,7 +19,6 @@ from robust_recon.preprocess import (
     band_pass,
     calibration_system_matrix,
     complex_rows,
-    interp_background,
     interp_backgrounds,
     power_iteration_norm,
     select_frequencies,
@@ -65,7 +64,7 @@ def test_interp_background_middle_scan_is_average():
     rng = np.random.default_rng(31)
     spectra = rng.standard_normal((2, 2, 4)) + 1j * rng.standard_normal((2, 2, 4))
     scans = EmptyScanSet(spectra, [0, 4], seed=0)
-    mid = interp_background(scans, 1, 3)  # kappa = 1/2
+    mid = interp_backgrounds(scans, 3, 3)[1]  # kappa = 1/2
     assert np.array_equal(mid, (spectra[0] + spectra[1]) / 2.0)
 
 
@@ -74,25 +73,26 @@ def test_interp_background_bracket_endpoints():
     spectra = rng.standard_normal((3, 1, 4)) + 1j * rng.standard_normal((3, 1, 4))
     scans = EmptyScanSet(spectra, [0, 4, 8], seed=0)
     q = 3
-    assert np.array_equal(interp_background(scans, 0, q), spectra[1])
-    assert np.array_equal(interp_background(scans, q - 1, q), spectra[0])
-    assert np.array_equal(interp_background(scans, q, q), spectra[2])
+    stacked = interp_backgrounds(scans, q + 1, q)
+    assert np.array_equal(stacked[0], spectra[1])
+    assert np.array_equal(stacked[q - 1], spectra[0])
+    assert np.array_equal(stacked[q], spectra[2])
 
 
 def test_interp_background_weight_grid():
     scans = scans_from_values([1.0, 0.0])
-    kappas = [complex(interp_background(scans, i, 5)[0, 0]).real for i in range(5)]
+    kappas = [complex(v).real for v in interp_backgrounds(scans, 5, 5)[:, 0, 0]]
     assert kappas == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_interp_background_validation():
     scans = scans_from_values([1.0, 2.0])
     with pytest.raises(ValueError):
-        interp_background(scans, 5, 5)  # bracket 1 needs a third empty scan
+        interp_backgrounds(scans, 6, 5)  # scan 5 needs a third empty scan
     with pytest.raises(ValueError):
-        interp_background(scans, 0, 1)
+        interp_backgrounds(scans, 1, 1)
     with pytest.raises(ValueError):
-        interp_background(scans, -1, 5)
+        interp_backgrounds(scans, -1, 5)
 
 
 def test_interp_backgrounds_matches_scalar_loop():
@@ -101,7 +101,9 @@ def test_interp_backgrounds_matches_scalar_loop():
     scans = EmptyScanSet(spectra, np.arange(4), seed=0)
     stacked = interp_backgrounds(scans, 15, 5)
     for i in range(15):
-        assert np.array_equal(stacked[i], interp_background(scans, i, 5))
+        b, kappa = i // 5, (i % 5) / 4
+        expected = kappa * spectra[b] + (1 - kappa) * spectra[b + 1]
+        assert np.array_equal(stacked[i], expected)
     with pytest.raises(ValueError):
         interp_backgrounds(scans, 16, 5)
 
@@ -151,7 +153,7 @@ def test_snr_scores_scan_subset():
     bg = np.zeros((3, 1, 1), dtype=np.complex128)
     empty = scans_from_values([1.0, -1.0])
     full = snr_scores(calib, bg, empty, np.array([0]))
-    subset = snr_scores(calib, bg, empty, np.array([0]), scan_subset=[0, 1])
+    subset = snr_scores(calib[:2], bg[:2], empty, np.array([0]))
     assert subset[0, 0] == 3.0
     assert full[0, 0] > subset[0, 0]
 
@@ -162,9 +164,6 @@ def test_snr_scores_validation():
         snr_scores(np.zeros((0, 1, 1)), np.zeros((0, 1, 1)), empty, np.array([0]))
     with pytest.raises(ValueError):
         snr_scores(np.zeros((2, 1, 1)), np.zeros((1, 1, 1)), empty, np.array([0]))
-    with pytest.raises(ValueError):
-        snr_scores(np.zeros((2, 1, 1)), np.zeros((2, 1, 1)), empty, np.array([0]),
-                   scan_subset=[])
 
 
 def test_select_frequencies_zero_tau_keeps_band():

@@ -7,6 +7,7 @@ from robust_recon.solvers import (
     Objective,
     SolverConfig,
     SolverResult,
+    _cauchy_point,
     eval_l1s,
     eval_l2,
     kaczmarz_reg,
@@ -255,6 +256,81 @@ def test_lbfgsb_respects_general_boxes():
     assert result.converged
 
 
+def _cauchy_walk(x, g, lower, upper, theta):
+    """Reference: the breakpoint walk along P(x - t g) that minimizes the
+    model with B = theta I segment by segment."""
+    tb = np.full(x.shape, np.inf)
+    pos = g > 0
+    tb[pos] = (x[pos] - lower[pos]) / g[pos]
+    neg = g < 0
+    with np.errstate(invalid="ignore"):
+        tb[neg] = (x[neg] - upper[neg]) / g[neg]
+    tb[np.isnan(tb)] = np.inf  # infinite bound on a moving variable
+    moving = tb > 0
+    if not np.any(moving):
+        return x.copy(), np.ones(x.shape, dtype=bool)
+
+    t_cp = None
+    t_prev = 0.0
+    breakpoints = np.unique(tb[moving & np.isfinite(tb)])
+    for t in np.append(breakpoints, np.inf):
+        z = np.clip(x - t_prev * g, lower, upper) - x
+        d = np.where(tb > t_prev, -g, 0.0)
+        fp = float(g @ d) + theta * float(z @ d)
+        fpp = theta * float(d @ d)
+        if fp >= 0.0:
+            t_cp = t_prev
+            break
+        dt = -fp / fpp if fpp > 0.0 else np.inf
+        if dt < t - t_prev:
+            t_cp = t_prev + dt
+            break
+        if not np.isfinite(t):
+            t_cp = t_prev  # no curvature left along an unbounded segment
+            break
+        t_prev = t
+    x_cp = np.clip(x - t_cp * g, lower, upper)
+    active = (x_cp <= lower) | (x_cp >= upper)
+    return x_cp, active
+
+
+def _random_box(rng):
+    """Bounds with infinite sides, x in the box (some on a bound), a
+    gradient with zero entries and gamma in [1e-4, 1e2]."""
+    n = int(rng.integers(1, 25))
+    lower = np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-5.0, 5.0, n))
+    base = np.where(np.isfinite(lower), lower, rng.uniform(-5.0, 5.0, n))
+    width = rng.exponential(2.0, n)
+    width[rng.random(n) < 0.1] = 0.0
+    upper = np.where(rng.random(n) < 0.3, np.inf, base + width)
+    lo = np.where(np.isfinite(lower), lower, np.minimum(base, upper) - 10.0 * rng.random(n))
+    hi = np.where(np.isfinite(upper), upper, lo + 10.0 * rng.random(n))
+    x = lo + rng.random(n) * (hi - lo)
+    r = rng.random(n)
+    x = np.where((r < 0.2) & np.isfinite(lower), lower, x)
+    x = np.where((r > 0.8) & np.isfinite(upper), upper, x)
+    g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    g[rng.random(n) < 0.15] = 0.0
+    return x, g, lower, upper, 10.0 ** rng.uniform(-4.0, 2.0)
+
+
+def test_cauchy_point_matches_breakpoint_walk():
+    rng = np.random.default_rng(1995)
+    for _ in range(2000):
+        x, g, lower, upper, gamma = _random_box(rng)
+        assert np.all((lower <= x) & (x <= upper))
+        x_walk, active_walk = _cauchy_walk(x, g, lower, upper, 1.0 / gamma)
+        x_cp, active = _cauchy_point(x, g, lower, upper, gamma)
+        # relative to the size of the operands of x - gamma g
+        scale = np.abs(x) + gamma * np.abs(g)
+        assert np.all(np.abs(x_cp - x_walk) <= 1e-14 * scale)
+        # the walk may stop at its last breakpoint, where x - t g rounds
+        # just short of the bound it heads to, and call that variable free
+        heading = np.where(g > 0, lower, upper)
+        near = np.abs(x_walk - heading) <= 1e-14 * np.maximum(1.0, np.abs(heading))
+        assert not np.any((active != active_walk) & ~near)
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(memory=0)
@@ -293,8 +369,8 @@ def test_kaczmarz_projection_modes():
     assert keep.x[0] == -2.0
     clamped = kaczmarz_reg(system, 0.0, SolverConfig(sweeps=1, projection="sweep"))
     assert clamped.x[0] == 0.0
-    per_row = kaczmarz_reg(system, 0.0, SolverConfig(sweeps=1, projection="row"))
-    assert per_row.x[0] == 0.0
+    with pytest.raises(ValueError):
+        SolverConfig(projection="row")
 
 
 def test_kaczmarz_converges_to_tikhonov_minimizer(rng):
