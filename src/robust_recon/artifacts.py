@@ -38,6 +38,7 @@ __all__ = [
     "KIND_IMAGE",
     "write_artifact",
     "read_artifact",
+    "read_verified",
     "atomic_write_bytes",
     "atomic_write_text",
     "sha256_file",
@@ -102,8 +103,29 @@ def write_artifact(path, kind: int, array: np.ndarray) -> str:
 def read_artifact(path):
     """Read one artifact; returns (kind, array). Raises IntegrityError on
     a malformed or truncated file and OSError when the file is missing."""
-    data = Path(path).read_bytes()
-    name = os.fspath(path)
+    return _parse_artifact(Path(path).read_bytes(), os.fspath(path))
+
+
+def read_verified(run_dir, name: str, kind: int) -> np.ndarray:
+    """Read artifact ``name`` of a run directory once: check the sha256 of
+    its bytes against the manifest, then parse those same bytes. Returns
+    the array. Raises IntegrityError on a missing manifest entry, a digest
+    mismatch, a malformed file or another kind, and OSError when the file
+    or the manifest is missing."""
+    run_dir = Path(run_dir)
+    entries = load_manifest(run_dir)
+    if name not in entries:
+        raise IntegrityError(f"{name}: not recorded in manifest")
+    data = (run_dir / name).read_bytes()
+    if hashlib.sha256(data).hexdigest() != entries[name]:
+        raise IntegrityError(f"{name}: sha256 mismatch, file was modified")
+    found, array = _parse_artifact(data, os.fspath(run_dir / name))
+    if found != kind:
+        raise IntegrityError(f"{name}: expected artifact kind {kind}, found {found}")
+    return array
+
+
+def _parse_artifact(data: bytes, name: str):
     if len(data) < 13:
         raise IntegrityError(f"{name}: too short for an artifact header")
     if data[:4] != MAGIC:

@@ -17,7 +17,6 @@ rerunning a stage must reproduce every hashed byte.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -87,13 +86,6 @@ def _update_manifest(run_dir: Path, digests: dict) -> None:
     artifacts.write_manifest(run_dir, entries)
 
 
-def _read_artifact(run_dir: Path, name: str, expected_kind: int) -> np.ndarray:
-    kind, array = artifacts.read_artifact(run_dir / name)
-    if kind != expected_kind:
-        raise IntegrityError(f"{name}: expected artifact kind {expected_kind}, found {kind}")
-    return array
-
-
 def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
     """Simulate the scanner and write the four raw artifacts.
 
@@ -143,10 +135,9 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
 def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     """Score, select, correct, whiten (optionally) and scale: raw scans in,
     reduced real system out."""
-    artifacts.verify_manifest(run_dir, [SYSTEM_MATRIX, EMPTY_SCANS, MEASUREMENT])
-    calib = _read_artifact(run_dir, SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET)
-    empty_spectra = _read_artifact(run_dir, EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET)
-    meas = _read_artifact(run_dir, MEASUREMENT, artifacts.KIND_SPECTRUM_SET)
+    calib = artifacts.read_verified(run_dir, SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET)
+    empty_spectra = artifacts.read_verified(run_dir, EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET)
+    meas = artifacts.read_verified(run_dir, MEASUREMENT, artifacts.KIND_SPECTRUM_SET)
     scanner = cfg.scanner_config()
     grid = cfg.voxel_grid()
     m = grid.voxel_count
@@ -217,9 +208,8 @@ def _solve(reduced: preprocess.ReducedSystem, method: str, alpha: float,
 
 
 def _load_reduced(run_dir: Path, voxel_count: int) -> preprocess.ReducedSystem:
-    artifacts.verify_manifest(run_dir, [REDUCED_A, REDUCED_Y])
-    a = _read_artifact(run_dir, REDUCED_A, artifacts.KIND_MATRIX)
-    y = _read_artifact(run_dir, REDUCED_Y, artifacts.KIND_VECTOR)
+    a = artifacts.read_verified(run_dir, REDUCED_A, artifacts.KIND_MATRIX)
+    y = artifacts.read_verified(run_dir, REDUCED_Y, artifacts.KIND_VECTOR)
     if a.shape[1] != voxel_count:
         raise IntegrityError(
             f"{REDUCED_A}: {a.shape[1]} columns but the config grid has "
@@ -270,8 +260,7 @@ def _reference_setup(cfg: PipelineConfig):
 
 
 def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> dict:
-    artifacts.verify_manifest(run_dir, [RECONSTRUCTION])
-    image = _read_artifact(run_dir, RECONSTRUCTION, artifacts.KIND_IMAGE)
+    image = artifacts.read_verified(run_dir, RECONSTRUCTION, artifacts.KIND_IMAGE)
     grid, support, shift_grid = _reference_setup(cfg)
     if image.shape != grid.shape:
         raise IntegrityError(
@@ -324,6 +313,21 @@ def _sweep_task(reduced: preprocess.ReducedSystem, stack: np.ndarray,
             metrics.ssim_table(images, stack, cfg.metrics.dynamic_range).max(axis=1))
 
 
+# The inputs of _sweep_task in a sweep pool worker, set once per worker by
+# the pool initializer, so a task ships only its weight.
+_worker_inputs: tuple = ()
+
+
+def _sweep_worker_init(reduced: preprocess.ReducedSystem, stack: np.ndarray,
+                       cfg: PipelineConfig) -> None:
+    global _worker_inputs
+    _worker_inputs = (reduced, stack, cfg)
+
+
+def _sweep_worker_task(alpha: float):
+    return _sweep_task(*_worker_inputs, alpha)
+
+
 def _sweep_csv_lines(alphas, col_labels, table):
     lines = ["alpha," + ",".join(col_labels)]
     for alpha, row in zip(alphas, table):
@@ -348,12 +352,14 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
     sol = cfg.solver
     exps = list(range(sw.alpha_max_exp, sw.alpha_min_exp - 1, -1))
     alphas = [2.0 ** e for e in exps]
-    task = functools.partial(_sweep_task, reduced, stack, cfg)
-    if sw.jobs > 1:
-        with ProcessPoolExecutor(max_workers=sw.jobs) as pool:
-            results = list(pool.map(task, alphas))
+    # the pool starts every worker up front, so never more than the weights
+    jobs = min(sw.jobs, len(alphas))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_sweep_worker_init,
+                                 initargs=(reduced, stack, cfg)) as pool:
+            results = list(pool.map(_sweep_worker_task, alphas))
     else:
-        results = list(map(task, alphas))
+        results = [_sweep_task(reduced, stack, cfg, alpha) for alpha in alphas]
     psnr_table = np.stack([r[0] for r in results])
     ssim_table = np.stack([r[1] for r in results])
     best_p = metrics.first_argmax(psnr_table)

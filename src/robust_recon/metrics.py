@@ -153,10 +153,28 @@ def _gaussian_window(taps: int, sigma: float) -> np.ndarray:
 
 
 def _filter3(volume: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Separable window over the last three axes (one volume or a stack)."""
+    """Separable window over the last three axes (one volume or a stack).
+
+    Each axis goes through correlate1d with symmetric padding, except a
+    length-1 axis under an odd, exactly symmetric window (every odd-tap
+    _gaussian_window). There every padded sample is the value itself, and
+    correlate1d's loop for symmetric windows reduces to v*w[c] plus
+    (v + v)*w[j] for the paired taps j = 0..c-1, outermost first. Doing
+    those steps on whole arrays gives the same bits without walking one
+    one-sample line per voxel.
+    """
+    c = window.size // 2
+    symmetric = window.size % 2 == 1 and np.array_equal(window, window[::-1])
     out = volume
     for axis in (-3, -2, -1):
-        out = correlate1d(out, window, axis=axis, mode="reflect")
+        if symmetric and out.shape[axis] == 1:
+            with np.errstate(over="ignore", invalid="ignore"):  # correlate1d is silent
+                twice = out + out
+                out = out * window[c]
+                for j in range(c):
+                    out += twice * window[j]
+        else:
+            out = correlate1d(out, window, axis=axis, mode="reflect")
     return out
 
 

@@ -388,6 +388,13 @@ def kaczmarz_reg(system: ReducedSystem, alpha: float,
     minimizer. Zero rows are skipped. Row order is sequential or
     re-shuffled per sweep from cfg.seed. A non-finite x, snapshot,
     objective or gradient raises NumericalError.
+
+    The row loop is bound by interpreter overhead, not arithmetic, so it
+    keeps y, the denominators and v as Python floats and each row with its
+    bound BLAS dot. Each update still does the IEEE operations of the
+    formula above in its order: one ddot, then beta * a_i into a buffer and
+    one add into x. Fused multiply-adds or blocks of rows would round
+    differently.
     """
     cfg = cfg or SolverConfig()
     if alpha < 0:
@@ -403,20 +410,25 @@ def kaczmarz_reg(system: ReducedSystem, alpha: float,
     if usable.size == 0:
         raise ValueError("all rows of the system are zero")
     x = np.zeros(m)
-    v = np.zeros(n)
+    v = [0.0] * n
+    y_list = y.tolist()
+    denom = (row_norm2 + alpha).tolist()
+    rows = [(i, a_mat[i], a_mat[i].dot) for i in usable.tolist()]
+    step = np.empty(m)
+    beta_0d = np.zeros(())  # numpy multiplies by it faster than by a Python float
     rng = np.random.default_rng(cfg.seed)
     snapshots = [] if cfg.record_snapshots else None
-    denom = row_norm2 + alpha
     with np.errstate(over="ignore", invalid="ignore"):  # checked after the sweeps
         for _ in range(cfg.sweeps):
             if cfg.row_order == "shuffled":
-                order = usable[rng.permutation(usable.size)]
+                order = [rows[k] for k in rng.permutation(usable.size)]
             else:
-                order = usable
-            for i in order:
-                ai = a_mat[i]
-                beta = (y[i] - np.dot(ai, x) - sqa * v[i]) / denom[i]
-                x += beta * ai
+                order = rows
+            for i, ai, dot in order:
+                beta = (y_list[i] - float(dot(x)) - sqa * v[i]) / denom[i]
+                beta_0d[()] = beta
+                np.multiply(beta_0d, ai, step)
+                np.add(x, step, x)
                 v[i] += beta * sqa
             if cfg.projection == "sweep":
                 np.maximum(x, 0.0, out=x)

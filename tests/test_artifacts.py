@@ -1,10 +1,12 @@
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from robust_recon import artifacts
 from robust_recon.artifacts import (
     KIND_IMAGE,
     KIND_MATRIX,
@@ -17,6 +19,7 @@ from robust_recon.artifacts import (
     atomic_write_text,
     load_manifest,
     read_artifact,
+    read_verified,
     sha256_file,
     verify_manifest,
     write_artifact,
@@ -162,6 +165,49 @@ def test_verify_detects_modification_and_missing_record(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(IntegrityError):
         verify_manifest(tmp_path, names=["a.rrc"])
+
+
+def test_read_verified_hashes_and_parses_one_read(tmp_path, monkeypatch):
+    array = np.arange(12.0).reshape(3, 4)
+    path = tmp_path / "a.rrc"
+    write_manifest(tmp_path, {"a.rrc": write_artifact(path, KIND_MATRIX, array)})
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(self):
+        reads.append(self.name)
+        return read_bytes(self)
+
+    def no_second_hash(path):
+        raise AssertionError("the artifact was hashed from disk a second time")
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    monkeypatch.setattr(artifacts, "sha256_file", no_second_hash)
+    got = read_verified(tmp_path, "a.rrc", KIND_MATRIX)
+    assert reads == ["a.rrc"]
+    assert got.dtype == np.float64 and np.array_equal(got, array)
+    monkeypatch.undo()
+    assert np.array_equal(got, read_artifact(path)[1])
+
+
+def test_read_verified_errors(tmp_path):
+    path = tmp_path / "a.rrc"
+    write_manifest(tmp_path, {"a.rrc": write_artifact(path, KIND_VECTOR, np.arange(3.0))})
+    with pytest.raises(IntegrityError, match="expected artifact kind 1, found 2"):
+        read_verified(tmp_path, "a.rrc", KIND_MATRIX)
+    with pytest.raises(IntegrityError, match="not recorded in manifest"):
+        read_verified(tmp_path, "other.rrc", KIND_VECTOR)
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(IntegrityError, match="sha256 mismatch"):
+        read_verified(tmp_path, "a.rrc", KIND_VECTOR)
+    # a recorded file that is gone is an I/O failure, as is a missing manifest
+    path.unlink()
+    with pytest.raises(OSError):
+        read_verified(tmp_path, "a.rrc", KIND_VECTOR)
+    with pytest.raises(OSError):
+        read_verified(tmp_path / "absent", "a.rrc", KIND_VECTOR)
 
 
 def test_writers_return_sha256_of_the_file(tmp_path):

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from robust_recon import artifacts, metrics, preprocess, solvers
+from robust_recon import artifacts, cli, metrics, preprocess, solvers
 from robust_recon.cli import main
 from robust_recon.metrics import ShiftGrid, psnr, ssim
 from robust_recon.model import VoxelGrid, make_phantom
@@ -382,6 +382,83 @@ def test_sweep_parallel_workers_match_serial(pipeline, tmp_path):
                  "--jobs", "2", "--out", str(parallel)]) == 0
     for name in ("sweep_psnr.csv", "sweep_ssim.csv", "sweep_summary.json"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records how it was built and runs
+    the tasks in this process, so no worker is ever started."""
+
+    def __init__(self, calls, max_workers, initializer, initargs):
+        calls.append({"max_workers": max_workers, "initargs": initargs})
+        self.calls = calls
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        self.calls[-1]["tasks"] = (fn, items)
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, max_exp, workers", [
+    ("16", "0", 4),    # four weights: four workers, not sixteen
+    ("3", "-2", 2),    # two weights
+    ("4", "-3", None),  # one weight: serial, no pool
+])
+def test_sweep_starts_at_most_one_worker_per_weight(pipeline, tmp_path, monkeypatch,
+                                                    jobs, max_exp, workers):
+    calls = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda **kw: RecordingPool(calls, **kw))
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    cfg = write_config(cfg_dir, dict(SWEEP_EXTRA, **{"sweep.alpha_max_exp": max_exp}))
+    _, pooled = clone(pipeline, tmp_path / "pooled")
+    _, serial = clone(pipeline, tmp_path / "serial")
+    assert main(["sweep", "--config", str(cfg), "--method", "l2-K",
+                 "--jobs", jobs, "--out", str(pooled)]) == 0
+    if workers is None:
+        assert calls == []
+    else:
+        assert [c["max_workers"] for c in calls] == [workers]
+        # the data goes in once, through the initializer; tasks carry weights only
+        reduced, stack, run_cfg = calls[0]["initargs"]
+        assert isinstance(reduced, preprocess.ReducedSystem) and stack.ndim == 4
+        fn, items = calls[0]["tasks"]
+        assert fn is cli._sweep_worker_task
+        assert items == [2.0 ** e for e in range(int(max_exp), -4, -1)]
+    assert main(["sweep", "--config", str(cfg), "--method", "l2-K",
+                 "--out", str(serial)]) == 0
+    for name in ("sweep_psnr.csv", "sweep_ssim.csv", "sweep_summary.json"):
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("flip", "sha256 mismatch"),
+    ("unrecorded", "not recorded in manifest"),
+])
+def test_damaged_reduced_system_exits_3(pipeline, tmp_path, capsys, damage, message):
+    cfg, run = clone(pipeline, tmp_path)
+    target = run / "reduced_A.rrc"
+    if damage == "flip":
+        blob = bytearray(target.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        target.write_bytes(bytes(blob))
+    else:
+        entries = artifacts.load_manifest(run)
+        del entries["reduced_A.rrc"]
+        artifacts.write_manifest(run, entries)
+    before = (run / "reconstruction.rrc").read_bytes()
+    for command in ("reconstruct", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert "reduced_A.rrc" in err and message in err
+    assert (run / "reconstruction.rrc").read_bytes() == before
 
 
 def test_config_rejects_single_empty_scan(pipeline, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
 
 from robust_recon import BoxSupport, NumericalError, VoxelGrid, make_phantom, metrics, model
 from robust_recon.metrics import (
@@ -242,6 +243,53 @@ def test_ssim_validation():
         ssim(np.zeros((2, 2, 1)), np.zeros((2, 2, 2)), 100.0)
     with pytest.raises(ValueError):
         ssim(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)), 0.0)
+
+
+def _correlate3(volume, window):
+    out = volume
+    for axis in (-3, -2, -1):
+        out = correlate1d(out, window, axis=axis, mode="reflect")
+    return out
+
+
+# non-finite, signed-zero, subnormal and near-overflow values (v + v
+# overflows to inf at 1.7e308)
+SPECIAL_VALUES = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324,
+                           2.2e-308, 1.7e308, -1.7e308])
+FILTER_SHAPES = [(6, 5, 1), (1, 5, 3), (4, 1, 7), (3, 4, 6, 1), (2, 1, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("taps", range(3, 14))
+def test_filter3_matches_correlate1d_bitwise(taps):
+    rng = np.random.default_rng(taps)
+    for sigma in (0.5, 1.0, 1.5, 2.0, 3.0):
+        window = metrics._gaussian_window(taps, sigma)
+        for shape in FILTER_SHAPES:
+            volume = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+            flat = volume.reshape(-1)
+            hits = rng.choice(flat.size, min(flat.size, 4), replace=False)
+            flat[hits] = rng.choice(SPECIAL_VALUES, hits.size)
+            assert metrics._filter3(volume, window).tobytes() == \
+                _correlate3(volume, window).tobytes()
+        for value in SPECIAL_VALUES:
+            for shape in ((3, 4, 1), (1, 1, 1)):
+                volume = np.full(shape, value)
+                assert metrics._filter3(volume, window).tobytes() == \
+                    _correlate3(volume, window).tobytes()
+
+
+@pytest.mark.parametrize("window", [
+    metrics._gaussian_window(4, 1.0),
+    metrics._gaussian_window(10, 2.0),
+    np.array([0.1, 0.5, 0.4]),
+    np.array([0.05, 0.2, 0.3, 0.25, 0.2]),
+], ids=["even4", "even10", "asym3", "asym5"])
+def test_filter3_other_windows_keep_correlate1d_bits(window):
+    rng = np.random.default_rng(7)
+    for shape in FILTER_SHAPES:
+        volume = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        assert metrics._filter3(volume, window).tobytes() == \
+            _correlate3(volume, window).tobytes()
 
 
 def cone_setup():

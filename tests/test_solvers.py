@@ -427,6 +427,52 @@ def test_kaczmarz_objective_value_is_l2_value():
     assert result.objective_value == value
 
 
+def _kaczmarz_loop(system, alpha, cfg):
+    """The straightforward row loop with numpy scalars, kept as an oracle
+    for the bits of kaczmarz_reg: returns x and the per-sweep snapshots."""
+    a_mat, y = system.A, system.y
+    n, m = a_mat.shape
+    sqa = float(np.sqrt(alpha))
+    row_norm2 = np.einsum("ij,ij->i", a_mat, a_mat)
+    usable = np.nonzero(row_norm2 > 0.0)[0]
+    x = np.zeros(m)
+    v = np.zeros(n)
+    rng = np.random.default_rng(cfg.seed)
+    snapshots = []
+    denom = row_norm2 + alpha
+    for _ in range(cfg.sweeps):
+        if cfg.row_order == "shuffled":
+            order = usable[rng.permutation(usable.size)]
+        else:
+            order = usable
+        for i in order:
+            ai = a_mat[i]
+            beta = (y[i] - np.dot(ai, x) - sqa * v[i]) / denom[i]
+            x += beta * ai
+            v[i] += beta * sqa
+        if cfg.projection == "sweep":
+            np.maximum(x, 0.0, out=x)
+        snapshots.append(x.copy())
+    return x, snapshots
+
+
+@pytest.mark.parametrize("row_order", ["sequential", "shuffled"])
+@pytest.mark.parametrize("projection", ["sweep", "none"])
+@pytest.mark.parametrize("alpha", [0.0, 0.37])
+def test_kaczmarz_matches_plain_row_loop_bitwise(rng, row_order, projection, alpha):
+    a = rng.standard_normal((40, 9)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+    a[[3, 17, 31]] = 0.0  # zero rows are skipped, and shift the shuffle indices
+    system = ReducedSystem(a, rng.standard_normal(40) * 5.0)
+    cfg = SolverConfig(sweeps=7, row_order=row_order, projection=projection,
+                       seed=11, record_snapshots=True)
+    result = kaczmarz_reg(system, alpha, cfg)
+    x, snapshots = _kaczmarz_loop(system, alpha, cfg)
+    assert result.x.tobytes() == x.tobytes()
+    assert len(result.snapshots) == len(snapshots) == 7
+    for got, want in zip(result.snapshots, snapshots):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_kaczmarz_rejects_non_finite_result():
     # finite data whose objective overflows: x stays 0, 0.5 * (1e200)^2 = inf
     with pytest.raises(NumericalError):
