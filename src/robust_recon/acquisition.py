@@ -190,8 +190,16 @@ def acquisition_schedule(voxel_count: int, scans_per_bracket: int):
 
 
 def _draw_noise(rng, shape, std, repetitions):
-    scale = std / np.sqrt(repetitions)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    """Complex noise std/sqrt(repetitions) * (re + 1j*im), with re and then
+    im drawn from ``rng``. Built in place: a standard normal draw is never
+    +-0, so setting the parts gives the bits of re + 1j*im."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    noise = np.empty(shape, dtype=np.complex128)
+    noise.real = rng.standard_normal(shape)
+    noise.imag = rng.standard_normal(shape)
+    noise *= std / np.sqrt(repetitions)
+    return noise
 
 
 def draw_empty_scans(bg: BackgroundModel, count: int, seed: int,
@@ -216,7 +224,10 @@ def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
     """Noisy delta-sample spectra, one scan per voxel: (voxels, coils, freqs).
 
     Scan i measures a point sample of the given concentration in voxel i at
-    global scan index scan_indices[i].
+    global scan index scan_indices[i]: concentration * S[:, :, i] + mean +
+    drift * scan_indices[i] + noise, added in that order into one
+    C-contiguous array, so the artifact writer stores it without a copy.
+    Raises ValueError when repetitions < 1.
     """
     if concentration <= 0:
         raise ValueError("calibration concentration must be positive")
@@ -226,14 +237,11 @@ def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
     if bg.shape != (system.coils, system.freq_count):
         raise ValueError("background shape does not match the system matrix")
     rng = np.random.default_rng(seed)
-    signal = concentration * np.transpose(system.data, (2, 0, 1))
-    noise = _draw_noise(rng, signal.shape, bg.noise_std()[None, :, :], repetitions)
-    return (
-        signal
-        + bg.mean_spectrum[None, :, :]
-        + bg.drift[None, :, :] * scan_indices[:, None, None]
-        + noise
-    )
+    out = np.multiply(concentration, system.data.transpose(2, 0, 1), order="C")
+    out += bg.mean_spectrum
+    out += bg.drift * scan_indices[:, None, None]
+    out += _draw_noise(rng, out.shape, bg.noise_std(), repetitions)
+    return out
 
 
 def draw_phantom_measurement(system: SystemMatrix, phantom: Phantom,

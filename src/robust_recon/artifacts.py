@@ -60,20 +60,24 @@ _MAX_NDIM = 8
 MANIFEST_NAME = "manifest.json"
 
 
-def atomic_write_bytes(path, data: bytes) -> str:
-    """Write via a temp file in the same directory, then rename over.
-    Returns the sha256 hex digest of the bytes written."""
+def atomic_write_bytes(path, *chunks) -> str:
+    """Write the concatenated chunks (bytes-like objects, e.g. a header
+    and a memoryview of a payload) via a temp file in the same directory,
+    then rename over. Returns the sha256 hex digest of the bytes written."""
     path = Path(path)
+    digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
 
 
 def atomic_write_text(path, text: str) -> str:
@@ -82,7 +86,9 @@ def atomic_write_text(path, text: str) -> str:
 
 def write_artifact(path, kind: int, array: np.ndarray) -> str:
     """Serialize one array; returns the sha256 hex digest of the file.
-    The kind fixes both rank and realness."""
+    The kind fixes both rank and realness. A C-contiguous array already
+    in the payload dtype is written and hashed straight from its memory;
+    any other array is converted once."""
     if kind not in _KIND_NDIM:
         raise ValueError(f"unknown artifact kind {kind}")
     array = np.asarray(array)
@@ -97,26 +103,28 @@ def write_artifact(path, kind: int, array: np.ndarray) -> str:
         payload = np.ascontiguousarray(array, dtype="<f8")
     header = MAGIC + struct.pack("<B", kind) + struct.pack("<Q", array.ndim)
     header += struct.pack(f"<{array.ndim}Q", *array.shape)
-    return atomic_write_bytes(path, header + payload.tobytes())
+    return atomic_write_bytes(path, header, memoryview(payload))
 
 
 def read_artifact(path):
-    """Read one artifact; returns (kind, array). Raises IntegrityError on
-    a malformed or truncated file and OSError when the file is missing."""
-    return _parse_artifact(Path(path).read_bytes(), os.fspath(path))
+    """Read one artifact; returns (kind, array). The array is writable and
+    lies in the buffer the file was read into, without a copy. Raises
+    IntegrityError on a malformed or truncated file and OSError when the
+    file is missing."""
+    return _parse_artifact(_read_buffer(path), os.fspath(path))
 
 
 def read_verified(run_dir, name: str, kind: int) -> np.ndarray:
     """Read artifact ``name`` of a run directory once: check the sha256 of
     its bytes against the manifest, then parse those same bytes. Returns
-    the array. Raises IntegrityError on a missing manifest entry, a digest
-    mismatch, a malformed file or another kind, and OSError when the file
-    or the manifest is missing."""
+    the writable array. Raises IntegrityError on a missing manifest entry,
+    a digest mismatch, a malformed file or another kind, and OSError when
+    the file or the manifest is missing."""
     run_dir = Path(run_dir)
     entries = load_manifest(run_dir)
     if name not in entries:
         raise IntegrityError(f"{name}: not recorded in manifest")
-    data = (run_dir / name).read_bytes()
+    data = _read_buffer(run_dir / name)
     if hashlib.sha256(data).hexdigest() != entries[name]:
         raise IntegrityError(f"{name}: sha256 mismatch, file was modified")
     found, array = _parse_artifact(data, os.fspath(run_dir / name))
@@ -125,11 +133,25 @@ def read_verified(run_dir, name: str, kind: int) -> np.ndarray:
     return array
 
 
-def _parse_artifact(data: bytes, name: str):
+def _read_buffer(path) -> memoryview:
+    """The whole file, read once into a writable buffer that parsed arrays
+    share instead of copying. A header is 13 + 8*ndim bytes, 5 past a
+    multiple of 8, so the file starts 3 bytes past an 8-byte boundary and
+    the payload lies aligned: numpy takes its fast (and BLAS) loops only on
+    aligned data."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = np.empty(size + 7, dtype=np.uint8)
+        start = (3 - buf.ctypes.data) % 8
+        data = memoryview(buf)[start:start + size]
+        return data[:fh.readinto(data)]
+
+
+def _parse_artifact(data, name: str):
     if len(data) < 13:
         raise IntegrityError(f"{name}: too short for an artifact header")
     if data[:4] != MAGIC:
-        raise IntegrityError(f"{name}: bad magic {data[:4]!r}")
+        raise IntegrityError(f"{name}: bad magic {bytes(data[:4])!r}")
     kind = data[4]
     if kind not in _KIND_NDIM:
         raise IntegrityError(f"{name}: unknown artifact kind {kind}")
@@ -150,7 +172,8 @@ def _parse_artifact(data: bytes, name: str):
             f"{name}: payload is {len(data) - offset} bytes, expected {count * itemsize}")
     dtype = "<c16" if kind == KIND_SPECTRUM_SET else "<f8"
     array = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(dims)
-    return kind, array.astype(np.complex128 if kind == KIND_SPECTRUM_SET else np.float64)
+    return kind, array.astype(np.complex128 if kind == KIND_SPECTRUM_SET else np.float64,
+                              copy=False)
 
 
 def sha256_file(path) -> str:

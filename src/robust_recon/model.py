@@ -45,21 +45,29 @@ CORE_SATURATION_T = 0.6
 # this many points, handing support.contains _CONTAINS_POINTS per call.
 _LATTICE_POINTS = 1 << 22
 _CONTAINS_POINTS = 1 << 14
+# simulate_system_matrix samples this many voxels at a time: at 2048
+# samples per period one chunk's field arrays (about 1 MB each) stay in L2.
+# The chunk size does not change a bit of the result.
+_CHUNK_VOXELS = 64
 
 
 def langevin(xi):
     """Langevin function coth(xi) - 1/xi, elementwise.
 
     Uses the series xi/3 - xi**3/45 for |xi| < 1e-4 where the direct
-    expression loses all significant digits.
+    expression loses all significant digits. The direct expression is
+    evaluated on the whole array (silently: it overflows or divides by
+    zero near 0) and the series then overwrites the small entries, so
+    each entry gets exactly the operations of its branch. A 0-d input
+    returns a float.
     """
     xi = np.asarray(xi, dtype=np.float64)
-    out = np.empty_like(xi)
+    with np.errstate(all="ignore"):
+        out = np.divide(1.0, np.tanh(xi), out=np.empty_like(xi))
+        out -= 1.0 / xi
     small = np.abs(xi) < 1e-4
     xs = xi[small]
     out[small] = xs / 3.0 - xs**3 / 45.0
-    xl = xi[~small]
-    out[~small] = 1.0 / np.tanh(xl) - 1.0 / xl
     if out.ndim == 0:
         return float(out)
     return out
@@ -503,8 +511,7 @@ class SystemMatrix:
         return self.data @ flat
 
 
-def simulate_system_matrix(cfg: ScannerConfig, grid: VoxelGrid,
-                           chunk_voxels: int = 512) -> SystemMatrix:
+def simulate_system_matrix(cfg: ScannerConfig, grid: VoxelGrid) -> SystemMatrix:
     """Simulate the scanner response of every voxel over one drive period.
 
     For voxel position r the total field is B(t) = G*r + drive(t); the mean
@@ -512,6 +519,13 @@ def simulate_system_matrix(cfg: ScannerConfig, grid: VoxelGrid,
     period, differentiated spectrally with respect to the phase t/period, and
     its one-sided Fourier coefficients form the matrix rows. Deterministic:
     no randomness enters here.
+
+    Voxels are processed _CHUNK_VOXELS at a time, one contiguous
+    (voxels, samples) array per field component, with |B| as
+    sqrt(B_x*B_x + B_y*B_y): the sum np.linalg.norm forms over that axis.
+    The returned data is C-contiguous (coils, freqs, voxels): apply's
+    matrix product takes another BLAS kernel, and other bits, on a
+    transposed layout.
     """
     for k in range(cfg.dims, 3):
         if grid.shape[k] != 1:
@@ -530,13 +544,10 @@ def simulate_system_matrix(cfg: ScannerConfig, grid: VoxelGrid,
     n = cfg.samples_per_period
     phase = np.arange(n, dtype=np.float64) / n
     harmonics = [round(f * cfg.period_ms) for f in cfg.drive_frequencies_khz]
-    drive = np.stack(
-        [
-            amp * 1e-3 * np.sin(2.0 * np.pi * h * phase)
-            for amp, h in zip(cfg.drive_amplitudes_mt, harmonics)
-        ],
-        axis=1,
-    )  # (n, dims), tesla
+    drive = [
+        amp * 1e-3 * np.sin(2.0 * np.pi * h * phase)
+        for amp, h in zip(cfg.drive_amplitudes_mt, harmonics)
+    ]  # per driven axis, (n,), tesla
     static_all = centers[:, : cfg.dims] * 1e-3 * np.asarray(cfg.gradient_t_per_m)  # (m, dims)
 
     beta = cfg.langevin_beta()
@@ -544,15 +555,17 @@ def simulate_system_matrix(cfg: ScannerConfig, grid: VoxelGrid,
     freq_count = cfg.freq_count
     deriv = 1j * 2.0 * np.pi * np.arange(freq_count) * cfg.receiver_gain
     data = np.empty((cfg.dims, freq_count, m), dtype=np.complex128)
-    for start in range(0, m, chunk_voxels):
-        stop = min(start + chunk_voxels, m)
-        b = static_all[start:stop, None, :] + drive[None, :, :]  # (chunk, n, dims)
-        norm = np.linalg.norm(b, axis=2)
+    for start in range(0, m, _CHUNK_VOXELS):
+        stop = min(start + _CHUNK_VOXELS, m)
+        b = [static_all[start:stop, a, None] + d for a, d in enumerate(drive)]
+        norm = np.sqrt(sum(b_a * b_a for b_a in b))
         ell = langevin(beta * norm)
         with np.errstate(invalid="ignore", divide="ignore"):
             scale = np.where(norm > 0.0, ell / norm, 0.0)
-        waveform = scale[:, :, None] * b  # mean magnetization direction response
-        coeffs = np.fft.rfft(waveform, axis=1) / n
-        coeffs *= deriv[None, :, None]
-        data[:, :, start:stop] = np.transpose(coeffs, (2, 1, 0))
+        for a, b_a in enumerate(b):
+            # mean magnetization direction response along axis a
+            coeffs = np.fft.rfft(scale * b_a)
+            coeffs /= n
+            coeffs *= deriv
+            data[a, :, start:stop] = coeffs.T
     return SystemMatrix(data, grid, cfg.period_ms)

@@ -274,3 +274,59 @@ def test_empty_scan_set_validation():
         EmptyScanSet(np.zeros((3, 2, 4)), [0, 1], seed=0)
     with pytest.raises(ValueError):
         EmptyScanSet(np.zeros((3, 4)), [0, 1, 2], seed=0)
+
+
+def _noise_reference(rng, shape, std, repetitions):
+    # _draw_noise before the in-place parts, kept as the oracle
+    scale = std / np.sqrt(repetitions)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_draws_match_reference_formulas_bitwise(system_2d):
+    # drift, repetitions and outlier components all on, against the
+    # whole-array expressions the draws were written as
+    bg = make_background(system_2d.coils, system_2d.freq_count, system_2d.period_ms,
+                         (15.625, 16.6015625), base_std=0.5, mean_peak=30.0,
+                         outlier_fraction=0.05, outlier_scale=100.0, drift_scale=0.5,
+                         seed=4)
+    assert bg.outlier_mask.any() and np.all(bg.drift != 0)
+    calib_idx, empty_idx = acquisition_schedule(system_2d.voxel_count, 6)
+    std = bg.noise_std()
+
+    scans = draw_calibration_scans(system_2d, bg, 80.0, seed=7, scan_indices=calib_idx,
+                                   repetitions=4)
+    rng = np.random.default_rng(7)
+    signal = 80.0 * np.transpose(system_2d.data, (2, 0, 1))
+    noise = _noise_reference(rng, signal.shape, std[None, :, :], 4)
+    want = (signal + bg.mean_spectrum[None, :, :]
+            + bg.drift[None, :, :] * calib_idx[:, None, None] + noise)
+    assert scans.flags.c_contiguous
+    assert scans.shape == want.shape and scans.tobytes() == want.tobytes()
+
+    empties = draw_empty_scans(bg, empty_idx.size, seed=8, schedule=empty_idx,
+                               repetitions=4)
+    rng = np.random.default_rng(8)
+    noise = _noise_reference(rng, (empty_idx.size,) + bg.shape, std[None, :, :], 4)
+    want = bg.mean_spectrum[None, :, :] + bg.drift[None, :, :] * empty_idx[:, None, None] + noise
+    assert empties.spectra.tobytes() == want.tobytes()
+
+    phantom = make_phantom("shape-cone", system_2d.grid, 50.0)
+    meas = draw_phantom_measurement(system_2d, phantom, bg, seed=9, scan_index=40,
+                                    repetitions=3)
+    rng = np.random.default_rng(9)
+    noise = _noise_reference(rng, bg.shape, std, 3)
+    want = system_2d.apply(phantom.flat()) + bg.mean_spectrum + bg.drift * 40 + noise
+    assert meas.spectrum.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_draws_reject_repetitions_below_one(system_1d, repetitions):
+    bg = quiet_background((1, system_1d.freq_count))
+    phantom = make_phantom("delta", system_1d.grid, 50.0)
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        draw_empty_scans(bg, 3, seed=0, repetitions=repetitions)
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        draw_calibration_scans(system_1d, bg, 80.0, seed=0, scan_indices=np.arange(5),
+                               repetitions=repetitions)
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        draw_phantom_measurement(system_1d, phantom, bg, seed=0, repetitions=repetitions)

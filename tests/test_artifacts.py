@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import struct
@@ -173,15 +174,21 @@ def test_read_verified_hashes_and_parses_one_read(tmp_path, monkeypatch):
     write_manifest(tmp_path, {"a.rrc": write_artifact(path, KIND_MATRIX, array)})
     reads = []
     read_bytes = Path.read_bytes
+    builtin_open = builtins.open
 
     def counting_read_bytes(self):
         reads.append(self.name)
         return read_bytes(self)
 
+    def counting_open(file, *args, **kwargs):
+        reads.append(Path(file).name)
+        return builtin_open(file, *args, **kwargs)
+
     def no_second_hash(path):
         raise AssertionError("the artifact was hashed from disk a second time")
 
     monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    monkeypatch.setattr(builtins, "open", counting_open)
     monkeypatch.setattr(artifacts, "sha256_file", no_second_hash)
     got = read_verified(tmp_path, "a.rrc", KIND_MATRIX)
     assert reads == ["a.rrc"]
@@ -235,3 +242,51 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_bytes(target, b"payload")
     assert target.read_bytes() == b"payload"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+@pytest.mark.parametrize("kind,array", [
+    (KIND_MATRIX, np.asfortranarray(np.arange(12.0).reshape(3, 4))),
+    (KIND_MATRIX, np.arange(12.0).reshape(3, 4).T),
+    (KIND_VECTOR, np.arange(5.0).astype(">f8")),
+    (KIND_VECTOR, np.zeros(0)),
+    (KIND_SPECTRUM_SET, (np.arange(24.0) - 3.5j).reshape(2, 3, 4).transpose(2, 0, 1)),
+    (KIND_SPECTRUM_SET, np.zeros((0, 2, 3), dtype=np.complex128)),
+    (KIND_IMAGE, np.zeros((2, 0, 3))),
+])
+def test_written_bytes_are_header_and_contiguous_payload(tmp_path, kind, array):
+    path = tmp_path / "a.rrc"
+    digest = write_artifact(path, kind, array)
+    dtype = "<c16" if kind == KIND_SPECTRUM_SET else "<f8"
+    header = (MAGIC + struct.pack("<BQ", kind, array.ndim)
+              + struct.pack(f"<{array.ndim}Q", *array.shape))
+    raw = path.read_bytes()
+    assert raw == header + np.ascontiguousarray(array, dtype).tobytes()
+    assert digest == hashlib.sha256(raw).hexdigest()
+    assert [p.name for p in tmp_path.iterdir()] == ["a.rrc"]
+
+    # both readers hand back writable, aligned arrays with the values
+    write_manifest(tmp_path, {"a.rrc": digest})
+    for back in (read_artifact(path)[1], read_verified(tmp_path, "a.rrc", kind)):
+        assert back.flags.writeable and back.flags.aligned
+        assert back.shape == array.shape and np.array_equal(back, array)
+        back[...] = 7.0
+        assert np.all(back == 7.0)
+    assert path.read_bytes() == raw
+
+
+def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(artifacts.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_artifact(tmp_path / "a.rrc", KIND_SPECTRUM_SET, np.ones((2, 3, 4), complex))
+    with pytest.raises(OSError, match="replace refused"):
+        atomic_write_bytes(tmp_path / "b.bin", b"head", memoryview(b"tail"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_bytes_joins_chunks(tmp_path):
+    digest = atomic_write_bytes(tmp_path / "c.bin", b"ab", memoryview(b"cd"), bytearray(b""))
+    assert (tmp_path / "c.bin").read_bytes() == b"abcd"
+    assert digest == hashlib.sha256(b"abcd").hexdigest()

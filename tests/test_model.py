@@ -364,3 +364,85 @@ def test_system_matrix_validation(grid_2d):
 def test_system_matrix_apply_checks_length(system_1d):
     with pytest.raises(ValueError):
         system_1d.apply(np.zeros(3))
+
+
+def _langevin_reference(xi):
+    # langevin before the whole-array evaluation: masked series and direct
+    # branches, kept as the oracle
+    xi = np.asarray(xi, dtype=np.float64)
+    out = np.empty_like(xi)
+    small = np.abs(xi) < 1e-4
+    xs = xi[small]
+    out[small] = xs / 3.0 - xs**3 / 45.0
+    xl = xi[~small]
+    out[~small] = 1.0 / np.tanh(xl) - 1.0 / xl
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def _simulate_reference(cfg, grid, chunk_voxels=512):
+    # simulate_system_matrix before the per-component field loop, kept as
+    # the oracle
+    centers = grid.centers_mm()
+    n = cfg.samples_per_period
+    phase = np.arange(n, dtype=np.float64) / n
+    harmonics = [round(f * cfg.period_ms) for f in cfg.drive_frequencies_khz]
+    drive = np.stack(
+        [amp * 1e-3 * np.sin(2.0 * np.pi * h * phase)
+         for amp, h in zip(cfg.drive_amplitudes_mt, harmonics)], axis=1)
+    static_all = centers[:, : cfg.dims] * 1e-3 * np.asarray(cfg.gradient_t_per_m)
+    beta = cfg.langevin_beta()
+    m = grid.voxel_count
+    deriv = 1j * 2.0 * np.pi * np.arange(cfg.freq_count) * cfg.receiver_gain
+    data = np.empty((cfg.dims, cfg.freq_count, m), dtype=np.complex128)
+    for start in range(0, m, chunk_voxels):
+        stop = min(start + chunk_voxels, m)
+        b = static_all[start:stop, None, :] + drive[None, :, :]
+        norm = np.linalg.norm(b, axis=2)
+        ell = _langevin_reference(beta * norm)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = np.where(norm > 0.0, ell / norm, 0.0)
+        coeffs = np.fft.rfft(scale[:, :, None] * b, axis=1) / n
+        coeffs *= deriv[None, :, None]
+        data[:, :, start:stop] = np.transpose(coeffs, (2, 1, 0))
+    return data
+
+
+LANGEVIN_POINTS = [0.0, -0.0, 0.99e-4, -0.99e-4, 1e-4, -1e-4, 1.01e-4, -1.01e-4,
+                   3.7e-5, -6.1e-5, 2.3e-7, 1e-300, -1e-300, 5e-324, 1e-310,
+                   1.0, -3.5, 700.0, -700.0,
+                   1e300, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, 3)])
+def test_langevin_matches_masked_branches_bitwise(shape):
+    # every point at every position of the shape; runs with RuntimeWarning
+    # as an error, so the whole-array direct expression must stay silent
+    points = np.array(LANGEVIN_POINTS)
+    size = math.prod(shape)
+    for start in range(len(points)) if size else [0]:
+        xi = np.take(points, np.arange(start, start + size), mode="wrap").reshape(shape)
+        got, want = langevin(xi), _langevin_reference(xi)
+        if shape == ():
+            assert isinstance(got, float)
+        got = np.asarray(got)
+        assert got.shape == shape
+        assert got.tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("case", ["default-2d", "dims-1", "partial-chunk", "gain-2.5"])
+def test_simulate_matches_reference_bitwise(case):
+    scanner, grid = {
+        "default-2d": (ScannerConfig(), VoxelGrid((20, 20, 1), (1.0, 1.0, 1.0))),
+        "dims-1": (ScannerConfig(dims=1, drive_frequencies_khz=(15.625,),
+                                 drive_amplitudes_mt=(12.0,), gradient_t_per_m=(1.0,)),
+                   VoxelGrid((23, 1, 1), (1.0, 1.0, 1.0))),
+        "partial-chunk": (ScannerConfig(samples_per_period=512),
+                          VoxelGrid((13, 11, 1), (1.5, 1.5, 1.0))),
+        "gain-2.5": (ScannerConfig(receiver_gain=2.5, samples_per_period=1024),
+                     VoxelGrid((9, 9, 1), (2.0, 2.0, 1.0))),
+    }[case]
+    system = simulate_system_matrix(scanner, grid)
+    assert system.data.flags.c_contiguous
+    assert system.data.tobytes() == _simulate_reference(scanner, grid).tobytes()
