@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # load at import, not on the first draw
 
 from .model import Phantom, SystemMatrix
 
@@ -33,6 +34,9 @@ __all__ = [
     "background_mean",
     "background_variance",
 ]
+
+# scans per block of the drift term: a 0.5 MB temporary at 2 coils x 1025 bins
+_DRIFT_BLOCK_VOXELS = 16
 
 
 @dataclass
@@ -227,6 +231,8 @@ def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
     global scan index scan_indices[i]: concentration * S[:, :, i] + mean +
     drift * scan_indices[i] + noise, added in that order into one
     C-contiguous array, so the artifact writer stores it without a copy.
+    The drift term is added _DRIFT_BLOCK_VOXELS scans at a time, so its
+    temporary stays small even when the drift is zero.
     Raises ValueError when repetitions < 1.
     """
     if concentration <= 0:
@@ -239,7 +245,9 @@ def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
     rng = np.random.default_rng(seed)
     out = np.multiply(concentration, system.data.transpose(2, 0, 1), order="C")
     out += bg.mean_spectrum
-    out += bg.drift * scan_indices[:, None, None]
+    for lo in range(0, out.shape[0], _DRIFT_BLOCK_VOXELS):
+        out[lo:lo + _DRIFT_BLOCK_VOXELS] += (
+            bg.drift * scan_indices[lo:lo + _DRIFT_BLOCK_VOXELS, None, None])
     out += _draw_noise(rng, out.shape, bg.noise_std(), repetitions)
     return out
 

@@ -15,15 +15,18 @@ NumericalError instead of naming a best cell.
 PSNR uses a fixed peak value (not the per-image maximum) so scores are
 comparable across reconstructions; identical images return +inf. SSIM uses
 the standard Gaussian window (11 taps, sigma 1.5) with symmetric padding
-and a fixed dynamic range.
+and a fixed dynamic range. The window runs through _filter3, a NumPy port
+of scipy.ndimage.correlate1d(mode="reflect") that does its floating-point
+operations in its order, so scores keep correlate1d's bits while the
+package needs numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import NumericalError
 from .model import VoxelGrid, rasterize_shifted, rasterize_support
@@ -46,9 +49,10 @@ __all__ = [
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
-# ssim_table filters at most this many reference voxels at a time, so its
-# half-dozen stack-sized temporaries stay near 8 MB each for 3D shift grids.
-_CHUNK_VOXELS = 1 << 20
+# ssim_table filters at most this many reference voxels at a time, so each
+# of its chunk-sized work arrays (256 kB) stays in cache and is reused for
+# every image.
+_CHUNK_VOXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -152,62 +156,131 @@ def _gaussian_window(taps: int, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _filter3(volume: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Separable window over the last three axes (one volume or a stack).
+def _scratch(work: dict, key, shape: tuple) -> np.ndarray:
+    """A C-ordered view of the work buffer named key, grown as needed."""
+    size = math.prod(shape)
+    buf = work.get(key)
+    if buf is None or buf.size < size:
+        buf = work[key] = np.empty(size)
+    return buf[:size].reshape(shape)
 
-    Each axis goes through correlate1d with symmetric padding, except a
-    length-1 axis under an odd, exactly symmetric window (every odd-tap
-    _gaussian_window). There every padded sample is the value itself, and
-    correlate1d's loop for symmetric windows reduces to v*w[c] plus
-    (v + v)*w[j] for the paired taps j = 0..c-1, outermost first. Doing
-    those steps on whole arrays gives the same bits without walking one
-    one-sample line per voxel.
+
+def _filter3(volume: np.ndarray, window: np.ndarray, work: dict | None = None) -> np.ndarray:
+    """Separable window over the last three axes (one volume or a stack):
+    scipy.ndimage.correlate1d(mode="reflect") on each axis in turn, with
+    its IEEE operations in its order, so the bits are the same.
+
+    Padding is symmetric (d c b a | a b c d | d c b a), periodic with
+    period 2n when the window is longer than the line. With c = taps // 2,
+    a symmetric window (|w[c+i] - w[c-i]| <= DBL_EPSILON) takes
+    v[0]*w[c], then adds (v[-k] + v[+k])*w[c-k] for k = c..1, outermost
+    tap first; an antisymmetric one subtracts instead. Any other window,
+    even-length ones included, takes the last tap's product and then adds
+    the others from the first tap on. Which NaN propagates, and so the sign
+    of a NaN output, is unspecified, as in IEEE 754.
+
+    Each axis is moved to the front and copied into a padded buffer (a
+    length-1 axis is a zero-stride view instead), so every tap reads one
+    contiguous block. The result is a moveaxis view, C-contiguous when the
+    last axis has length 1 (2D grids). Scratch arrays and the result live
+    in ``work``: a caller that filters many same-sized volumes passes one
+    dict and so allocates (and page-faults) once; the next call with that
+    dict overwrites the result, which must not be its input. Without
+    ``work`` all are new.
     """
-    c = window.size // 2
-    symmetric = window.size % 2 == 1 and np.array_equal(window, window[::-1])
+    taps = window.size
+    c = taps // 2
+    right, left = window[c + 1:], window[:c][::-1]
+    eps = np.finfo(np.float64).eps
+    combine = None
+    if taps % 2 and not (np.abs(right - left) > eps).any():
+        combine = np.add
+    elif taps % 2 and not (np.abs(right + left) > eps).any():
+        combine = np.subtract
+    work = {} if work is None else work
     out = volume
-    for axis in (-3, -2, -1):
-        if symmetric and out.shape[axis] == 1:
-            with np.errstate(over="ignore", invalid="ignore"):  # correlate1d is silent
-                twice = out + out
-                out = out * window[c]
-                for j in range(c):
-                    out += twice * window[j]
-        else:
-            out = correlate1d(out, window, axis=axis, mode="reflect")
+    with np.errstate(over="ignore", invalid="ignore"):  # correlate1d is silent
+        for i, axis in enumerate((-3, -2, -1)):
+            moved = np.moveaxis(out, axis, 0)
+            n, rest = moved.shape[0], moved.shape[1:]
+            if n == 1:
+                padded = np.broadcast_to(moved, (taps,) + rest)
+            else:
+                padded = _scratch(work, "padded", (n + taps - 1,) + rest)
+                padded[c:c + n] = moved
+                for j in (*range(c), *range(c + n, n + taps - 1)):
+                    p = (j - c) % (2 * n)
+                    padded[j] = padded[c + min(p, 2 * n - 1 - p)]
+            # ping-pong: a length-1 axis reads the previous result in place
+            out, pair, tmp = (_scratch(work, key, moved.shape) for key in (i % 2, "pair", "tmp"))
+            if combine:
+                np.multiply(padded[c:c + n], window[c], out=out)
+                for t in range(c):
+                    if n > 1 or t == 0:  # a length-1 axis has one pair
+                        combine(padded[t:t + n], padded[taps - 1 - t:taps - 1 - t + n],
+                                out=pair)
+                    np.multiply(pair, window[t], out=tmp)
+                    out += tmp
+            else:
+                np.multiply(padded[taps - 1:], window[taps - 1], out=out)
+                for t in range(taps - 1):
+                    np.multiply(padded[t:t + n], window[t], out=tmp)
+                    out += tmp
+            out = np.moveaxis(out, 0, axis)
     return out
 
 
 def ssim_table(images, stack, dynamic_range: float,
                taps: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
     """SSIM (see ssim) of each (nx, ny, nz) image against each reference
-    volume: an (n, k) table. Reference moments are filtered once per stack
-    chunk, image moments once per image and chunk; only the cross moment is
-    per pair."""
+    volume: an (n, k) table. Image moments are filtered once, all images in
+    one call; reference moments once per chunk of the stack (at most
+    _CHUNK_VOXELS = 2^15 reference voxels, so a chunk's arrays stay in
+    cache and are reused for every image); only the cross moment is per
+    pair. Every line is filtered on its own and every voxel's formula runs
+    in the same order, so neither chunking nor batching changes a bit."""
     images, stack = _batch(images, stack)
     if stack.ndim != 4:
         raise ValueError("ssim expects (nx, ny, nz) volumes")
     if dynamic_range <= 0:
         raise ValueError("dynamic range must be positive")
+    if taps < 1:
+        raise ValueError("the SSIM window needs at least one tap")
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
     w = _gaussian_window(taps, sigma)
+    mu_x = _filter3(images, w)
+    mu_x2 = mu_x * mu_x
+    var_x = _filter3(images * images, w) - mu_x2
+    twice_mu_x = 2.0 * mu_x
     table = np.empty((images.shape[0], stack.shape[0]))
     step = max(1, _CHUNK_VOXELS // max(1, int(np.prod(stack.shape[1:]))))
+    work_mu, work_var, work = {}, {}, {}
     for lo in range(0, stack.shape[0], step):
         part = slice(lo, lo + step)
         refs = stack[part]
-        mu_r = _filter3(refs, w)
+        mu_r = _filter3(refs, w, work_mu)
         mu_r2 = mu_r * mu_r
-        var_r = _filter3(refs * refs, w) - mu_r2
+        var_r = _filter3(refs * refs, w, work_var)
+        var_r -= mu_r2
+        prod, num, den = np.empty_like(refs), np.empty_like(mu_r), np.empty_like(mu_r)
         for i, x in enumerate(images):
-            mu_x = _filter3(x, w)
-            mu_x2 = mu_x * mu_x
-            var_x = _filter3(x * x, w) - mu_x2
-            cov = _filter3(x * refs, w) - mu_x * mu_r
-            num = (2.0 * mu_x * mu_r + c1) * (2.0 * cov + c2)
-            den = (mu_x2 + mu_r2 + c1) * (var_x + var_r + c2)
-            table[i, part] = (num / den).reshape(refs.shape[0], -1).mean(axis=1)
+            # (2 mu_x mu_r + c1)(2 cov + c2) / ((mu_x^2 + mu_r^2 + c1)(var_x + var_r + c2)),
+            # each product and sum in that order, into reused arrays
+            cov = _filter3(np.multiply(x, refs, out=prod), w, work)
+            cov -= np.multiply(mu_x[i], mu_r, out=num)
+            cov *= 2.0
+            cov += c2
+            np.multiply(twice_mu_x[i], mu_r, out=num)
+            num += c1
+            num *= cov
+            np.add(mu_x2[i], mu_r2, out=den)
+            den += c1
+            np.add(var_x[i], var_r, out=cov)
+            cov += c2
+            den *= cov
+            num /= den
+            table[i, part] = num.reshape(refs.shape[0], -1).mean(axis=1)
     return table
 
 

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.fft  # load at import, not on the first transform
 
 __all__ = [
     "VoxelGrid",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robust_recon import make_phantom
+from robust_recon import VoxelGrid, acquisition, make_phantom, simulate_system_matrix
 from robust_recon.acquisition import (
     BackgroundModel,
     EmptyScanSet,
@@ -317,6 +317,29 @@ def test_draws_match_reference_formulas_bitwise(system_2d):
     noise = _noise_reference(rng, bg.shape, std, 3)
     want = system_2d.apply(phantom.flat()) + bg.mean_spectrum + bg.drift * 40 + noise
     assert meas.spectrum.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("drift_scale", [0.0, 0.5])
+@pytest.mark.parametrize("base_std", [0.0, 0.5])
+def test_blocked_drift_matches_whole_array_drift(scanner_2d, drift_scale, base_std):
+    # 35 scans: two full drift blocks and a partial one; with base_std = 0
+    # the noise is +-0, so the signed zeros planted in the signal and the
+    # mean show whether the +0 drift term was added
+    system = simulate_system_matrix(scanner_2d, VoxelGrid((7, 5, 1), (1.0, 1.0, 1.0)))
+    assert system.voxel_count % acquisition._DRIFT_BLOCK_VOXELS != 0
+    bg = make_background(system.coils, system.freq_count, system.period_ms,
+                         (15.625, 16.6015625), base_std=base_std, mean_peak=30.0,
+                         drift_scale=drift_scale, seed=4)
+    system.data[..., ::5] = complex(-0.0, -0.0)
+    bg.mean_spectrum[:, ::3] = complex(-0.0, -0.0)
+    calib_idx, _ = acquisition_schedule(system.voxel_count, 6)
+    scans = draw_calibration_scans(system, bg, 80.0, seed=7, scan_indices=calib_idx)
+    # the whole-array drift term the blocks replace
+    want = np.multiply(80.0, system.data.transpose(2, 0, 1), order="C")
+    want += bg.mean_spectrum
+    want += bg.drift * calib_idx[:, None, None]
+    want += _noise_reference(np.random.default_rng(7), want.shape, bg.noise_std(), 1)
+    assert scans.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("repetitions", [0, -1])

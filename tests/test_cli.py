@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,3 +522,25 @@ def test_unknown_arguments_exit_2_via_parser(pipeline, tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["reconstruct", "--config", str(cfg), "--method", "l0"])
     assert info.value.code == 2
+
+
+SCIPY_FREE_RUN = """
+import sys
+from robust_recon import cli
+cfg, run = sys.argv[1], sys.argv[2]
+for stage in ("simulate", "preprocess", "reconstruct", "evaluate"):
+    assert cli.main([stage, "--config", cfg, "--out", run]) == 0, stage
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    # a fresh interpreter: the suite itself imports scipy for its oracles
+    cfg = write_config(tmp_path)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(cfg), str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run" / "quality_summary.json").is_file()

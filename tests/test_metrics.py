@@ -259,6 +259,16 @@ SPECIAL_VALUES = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324,
 FILTER_SHAPES = [(6, 5, 1), (1, 5, 3), (4, 1, 7), (3, 4, 6, 1), (2, 1, 1), (1, 1, 1)]
 
 
+def assert_same_bits(actual, expected):
+    """Bitwise equal at every non-NaN entry, NaN at exactly the same
+    positions. IEEE 754 leaves open which NaN operand propagates, so the
+    sign of a NaN result is not compared."""
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert actual[~nan].tobytes() == expected[~nan].tobytes()
+
+
 @pytest.mark.parametrize("taps", range(3, 14))
 def test_filter3_matches_correlate1d_bitwise(taps):
     rng = np.random.default_rng(taps)
@@ -269,13 +279,13 @@ def test_filter3_matches_correlate1d_bitwise(taps):
             flat = volume.reshape(-1)
             hits = rng.choice(flat.size, min(flat.size, 4), replace=False)
             flat[hits] = rng.choice(SPECIAL_VALUES, hits.size)
-            assert metrics._filter3(volume, window).tobytes() == \
-                _correlate3(volume, window).tobytes()
+            assert_same_bits(metrics._filter3(volume, window),
+                             _correlate3(volume, window))
         for value in SPECIAL_VALUES:
             for shape in ((3, 4, 1), (1, 1, 1)):
                 volume = np.full(shape, value)
-                assert metrics._filter3(volume, window).tobytes() == \
-                    _correlate3(volume, window).tobytes()
+                assert_same_bits(metrics._filter3(volume, window),
+                                 _correlate3(volume, window))
 
 
 @pytest.mark.parametrize("window", [
@@ -288,8 +298,86 @@ def test_filter3_other_windows_keep_correlate1d_bits(window):
     rng = np.random.default_rng(7)
     for shape in FILTER_SHAPES:
         volume = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
-        assert metrics._filter3(volume, window).tobytes() == \
+        assert_same_bits(metrics._filter3(volume, window), _correlate3(volume, window))
+
+
+def _nudged(window, i, delta):
+    window = window.copy()
+    window[i] += delta
+    return window
+
+
+@pytest.mark.parametrize("window", [
+    np.array([0.25, -0.5, 0.7, 0.5, -0.25]),
+    np.array([-0.4, 0.0, 0.4]),
+    _nudged(metrics._gaussian_window(7, 1.0), -1, 1e-17),
+    _nudged(np.array([0.25, -0.5, 0.7, 0.5, -0.25]), 0, 1e-16),
+    np.array([0.8]),
+], ids=["anti5", "anti3", "near-sym7", "near-anti5", "one-tap"])
+def test_filter3_symmetry_classes_keep_correlate1d_bits(window):
+    # correlate1d pairs taps when |w[c+i] -+ w[c-i]| <= DBL_EPSILON, using
+    # the left tap's weight, so nearly (anti)symmetric windows take the
+    # paired loop too
+    rng = np.random.default_rng(13)
+    for shape in FILTER_SHAPES:
+        volume = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        assert_same_bits(metrics._filter3(volume, window), _correlate3(volume, window))
+
+
+@pytest.mark.parametrize("shape", [(169, 20, 20, 1), (169, 40, 40, 1),
+                                   (169, 1, 20, 20), (169, 20, 1, 20)])
+def test_filter3_matches_correlate1d_on_pipeline_shapes(shape):
+    # reference stacks of the 20x20 and 40x40 grids, and the same with the
+    # length-1 axis moved first and to the middle; one work dict is shared
+    # across calls, as ssim_table does
+    rng = np.random.default_rng(11)
+    window = metrics._gaussian_window(metrics.SSIM_WINDOW, metrics.SSIM_SIGMA)
+    work = {}
+    for _ in range(2):
+        volume = rng.uniform(0.0, 100.0, shape)
+        assert metrics._filter3(volume, window, work).tobytes() == \
             _correlate3(volume, window).tobytes()
+    small = volume[:7]
+    assert metrics._filter3(small, window, work).tobytes() == \
+        _correlate3(small, window).tobytes()
+
+
+def _ssim_table_oracle(images, stack, dynamic_range):
+    # per image and reference stack, each moment through correlate1d
+    c1 = (0.01 * dynamic_range) ** 2
+    c2 = (0.03 * dynamic_range) ** 2
+    w = metrics._gaussian_window(metrics.SSIM_WINDOW, metrics.SSIM_SIGMA)
+    table = np.empty((len(images), len(stack)))
+    mu_r = _correlate3(stack, w)
+    mu_r2 = mu_r * mu_r
+    var_r = _correlate3(stack * stack, w) - mu_r2
+    for i, x in enumerate(images):
+        mu_x = _correlate3(x, w)
+        mu_x2 = mu_x * mu_x
+        var_x = _correlate3(x * x, w) - mu_x2
+        cov = _correlate3(x * stack, w) - mu_x * mu_r
+        num = (2.0 * mu_x * mu_r + c1) * (2.0 * cov + c2)
+        den = (mu_x2 + mu_r2 + c1) * (var_x + var_r + c2)
+        table[i] = (num / den).reshape(len(stack), -1).mean(axis=1)
+    return table
+
+
+@pytest.mark.parametrize("shape,count", [((20, 20, 1), 169), ((9, 7, 5), 30),
+                                         ((3, 2, 1), 60), ((1, 1, 1), 50)])
+def test_ssim_table_independent_of_chunks_and_batching(monkeypatch, shape, count):
+    # a dynamic range whose C1 and C2 are not small integers, and one- and
+    # six-voxel volumes, so that evaluating the formula in another order
+    # changes table bits
+    rng = np.random.default_rng(12)
+    stack = rng.uniform(0.0, 100.0, (count,) + shape)
+    images = np.clip(stack[[3, 17, 29]] + rng.normal(0.0, 8.0, (3,) + shape), 0.0, None)
+    want = _ssim_table_oracle(images, stack, 7.3)
+    for chunk in (1, 401, 4001, metrics._CHUNK_VOXELS):
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_CHUNK_VOXELS", chunk)
+            assert ssim_table(images, stack, 7.3).tobytes() == want.tobytes()
+            rows = np.concatenate([ssim_table(x[None], stack, 7.3) for x in images])
+            assert rows.tobytes() == want.tobytes()
 
 
 def cone_setup():
