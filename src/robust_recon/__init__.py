@@ -14,7 +14,6 @@ from .acquisition import (
     Measurement,
     acquisition_schedule,
     background_mean,
-    background_variance,
     draw_calibration_scans,
     draw_empty_scans,
     draw_phantom_measurement,
@@ -56,7 +55,6 @@ from .preprocess import (
     assemble_reduced_system,
     band_pass,
     calibration_system_matrix,
-    complex_rows,
     interp_backgrounds,
     power_iteration_norm,
     select_frequencies,
@@ -70,7 +68,6 @@ from .solvers import (
     SolverResult,
     kaczmarz_reg,
     lbfgsb,
-    project_nonneg,
     smoothed_l1_norm,
 )
 
@@ -104,10 +101,8 @@ __all__ = [
     "acquisition_schedule",
     "assemble_reduced_system",
     "background_mean",
-    "background_variance",
     "band_pass",
     "calibration_system_matrix",
-    "complex_rows",
     "draw_calibration_scans",
     "draw_empty_scans",
     "draw_phantom_measurement",
@@ -121,7 +116,6 @@ __all__ = [
     "parse_config",
     "phantom_support",
     "power_iteration_norm",
-    "project_nonneg",
     "psnr",
     "quality_report",
     "rasterize_reference",

@@ -32,7 +32,6 @@ __all__ = [
     "draw_calibration_scans",
     "draw_phantom_measurement",
     "background_mean",
-    "background_variance",
 ]
 
 # scans per block of the drift term: a 0.5 MB temporary at 2 coils x 1025 bins
@@ -267,11 +266,3 @@ def draw_phantom_measurement(system: SystemMatrix, phantom: Phantom,
 def background_mean(scans: EmptyScanSet) -> np.ndarray:
     """Componentwise mean spectrum over all empty scans."""
     return scans.spectra.mean(axis=0)
-
-
-def background_variance(scans: EmptyScanSet):
-    """Sample variance (ddof=1) of real and imaginary parts: a pair of
-    (coils, freqs) arrays."""
-    var_re = scans.spectra.real.var(axis=0, ddof=1)
-    var_im = scans.spectra.imag.var(axis=0, ddof=1)
-    return var_re, var_im

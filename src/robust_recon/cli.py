@@ -199,14 +199,6 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     }
 
 
-def _solve(reduced: preprocess.ReducedSystem, method: str, alpha: float,
-           epsilon: float, scfg: solvers.SolverConfig) -> solvers.SolverResult:
-    if method == "l2-K":
-        return solvers.kaczmarz_reg(reduced, alpha, scfg)
-    kind = "l1s" if method == "l1-L" else "l2"
-    return solvers.lbfgsb(solvers.Objective(kind, reduced, alpha, epsilon), scfg)
-
-
 def _load_reduced(run_dir: Path, voxel_count: int) -> preprocess.ReducedSystem:
     a = artifacts.read_verified(run_dir, REDUCED_A, artifacts.KIND_MATRIX)
     y = artifacts.read_verified(run_dir, REDUCED_Y, artifacts.KIND_VECTOR)
@@ -221,7 +213,7 @@ def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> dict:
     grid = cfg.voxel_grid()
     reduced = _load_reduced(run_dir, grid.voxel_count)
     sol = cfg.solver
-    result = _solve(reduced, sol.method, sol.alpha, sol.epsilon, cfg.solver_config())
+    result = solvers.solve(reduced, sol.method, sol.alpha, sol.epsilon, cfg.solver_config())
     image = result.x.reshape(grid.shape)
     image_digest = artifacts.write_artifact(
         run_dir / RECONSTRUCTION, artifacts.KIND_IMAGE, image)
@@ -235,12 +227,8 @@ def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> dict:
         "objective_value": result.objective_value,
         "projected_gradient_norm": result.projected_gradient_norm,
     }
-    if sol.method == "l2-K":
-        summary["sweeps"] = sol.sweeps
-        summary["projection"] = sol.projection
-        summary["row_order"] = sol.row_order
-    else:
-        summary["epsilon"] = sol.epsilon
+    _, settings = solvers.METHODS[sol.method]
+    summary.update((key, getattr(sol, key)) for key in settings)
     _update_manifest(run_dir, {
         RECONSTRUCTION: image_digest,
         RECON_SUMMARY: _write_json(run_dir / RECON_SUMMARY, summary),
@@ -301,13 +289,14 @@ def _sweep_task(reduced: preprocess.ReducedSystem, stack: np.ndarray,
                 cfg: PipelineConfig, alpha: float):
     """Score one regularization weight; runs in a worker when jobs > 1.
 
-    Solves through _solve, as reconstruct does, and returns the (psnr, ssim)
-    maxima over shifts of every l2-K sweep snapshot or of the final image.
-    A NaN score survives the maximum, so cmd_sweep's first_argmax rejects it.
+    Solves through solvers.solve, as reconstruct does, and returns the (psnr,
+    ssim) maxima over shifts of every Kaczmarz sweep snapshot or of the final
+    image. A NaN score survives the maximum, so cmd_sweep's first_argmax
+    rejects it.
     """
     sol = cfg.solver
     scfg = cfg.solver_config(sweeps=cfg.sweep.max_sweeps, record_snapshots=True)
-    result = _solve(reduced, sol.method, alpha, sol.epsilon, scfg)
+    result = solvers.solve(reduced, sol.method, alpha, sol.epsilon, scfg)
     images = np.stack(result.snapshots or [result.x]).reshape((-1,) + stack.shape[1:])
     return (metrics.psnr_table(images, stack, cfg.metrics.psnr_peak).max(axis=1),
             metrics.ssim_table(images, stack, cfg.metrics.dynamic_range).max(axis=1))
@@ -328,8 +317,8 @@ def _sweep_worker_task(alpha: float):
     return _sweep_task(*_worker_inputs, alpha)
 
 
-def _sweep_csv_lines(alphas, col_labels, table):
-    lines = ["alpha," + ",".join(col_labels)]
+def _sweep_csv_lines(alphas, columns, table):
+    lines = ["alpha," + ",".join(str(c) for c in columns)]
     for alpha, row in zip(alphas, table):
         lines.append(f"{alpha!r}," + ",".join(repr(float(v)) for v in row))
     return lines
@@ -338,10 +327,10 @@ def _sweep_csv_lines(alphas, col_labels, table):
 def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
     """Quality over the regularization grid.
 
-    For l2-K the table is (weights x sweep counts) from per-sweep snapshots;
-    for the quasi-Newton methods each weight yields one column. Row-maximum
-    files give the best stopping point per weight, column-maximum files the
-    best weight per stopping point.
+    For Kaczmarz the table is (weights x sweep counts) from per-sweep
+    snapshots; for the quasi-Newton methods each weight yields one column.
+    Row-maximum files give the best stopping point per weight, column-maximum
+    files the best weight per stopping point.
     """
     grid, support, shift_grid = _reference_setup(cfg)
     reduced = _load_reduced(run_dir, grid.voxel_count)
@@ -364,17 +353,16 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
     ssim_table = np.stack([r[1] for r in results])
     best_p = metrics.first_argmax(psnr_table)
     best_s = metrics.first_argmax(ssim_table)
-    if sol.method == "l2-K":
-        col_labels = [str(n) for n in range(1, sw.max_sweeps + 1)]
-        col_name = "sweeps"
+    kind, _ = solvers.METHODS[sol.method]
+    if kind is None:  # Kaczmarz: one column per sweep snapshot
+        col_name, columns = "sweeps", list(range(1, sw.max_sweeps + 1))
     else:
-        col_labels = ["value"]
-        col_name = "column"
+        col_name, columns = "column", ["value"]
     written = {}
     for metric_name, table in (("psnr", psnr_table), ("ssim", ssim_table)):
         name = f"sweep_{metric_name}.csv"
         written[name] = artifacts.atomic_write_text(
-            run_dir / name, "\n".join(_sweep_csv_lines(alphas, col_labels, table)) + "\n")
+            run_dir / name, "\n".join(_sweep_csv_lines(alphas, columns, table)) + "\n")
         row_max = table.max(axis=1)
         name = f"sweep_{metric_name}_row_max.csv"
         lines = [f"alpha,max_{metric_name}"]
@@ -383,17 +371,16 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
         col_max = table.max(axis=0)
         name = f"sweep_{metric_name}_col_max.csv"
         lines = [f"{col_name},max_{metric_name}"]
-        lines += [f"{c},{float(v)!r}" for c, v in zip(col_labels, col_max)]
+        lines += [f"{c},{float(v)!r}" for c, v in zip(columns, col_max)]
         written[name] = artifacts.atomic_write_text(run_dir / name, "\n".join(lines) + "\n")
 
     def _best(table, at):
-        col = at[1] + 1 if sol.method == "l2-K" else col_labels[at[1]]
-        return {"alpha": alphas[at[0]], col_name: col, "value": float(table[at])}
+        return {"alpha": alphas[at[0]], col_name: columns[at[1]], "value": float(table[at])}
 
     summary = {
         "method": sol.method,
         "alpha_exponents": exps,
-        "columns": len(col_labels),
+        "columns": len(columns),
         "best_psnr": _best(psnr_table, best_p),
         "best_ssim": _best(ssim_table, best_s),
     }
@@ -434,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=helps[name])
         sp.add_argument("--config", required=True, help="pipeline config file")
         sp.add_argument("--tau", type=float, help="selection threshold")
-        sp.add_argument("--method", choices=["l1-L", "l2-L", "l2-K"],
+        sp.add_argument("--method", choices=list(solvers.METHODS),
                         help="reconstruction method")
         sp.add_argument("--alpha", type=float, help="regularization weight")
         sp.add_argument("--sweeps", type=int, help="Kaczmarz sweep count")

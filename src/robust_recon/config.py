@@ -23,11 +23,10 @@ from pathlib import Path
 from .errors import ConfigError
 from .metrics import ShiftGrid
 from .model import ScannerConfig, VoxelGrid
-from .solvers import SolverConfig
+from .solvers import METHODS, SolverConfig
 
 __all__ = ["PipelineConfig", "load_config", "parse_config", "apply_overrides"]
 
-METHODS = ("l1-L", "l2-L", "l2-K")
 PHANTOM_KINDS = ("delta", "shape-cone", "resolution-tubes", "custom")
 
 
@@ -129,12 +128,6 @@ class PipelineConfig:
         if k == 0:
             return 19
         return math.ceil(voxel_count / (k - 1))
-
-    def empty_scan_count(self, voxel_count: int) -> int:
-        k = self.preprocess.empty_scans
-        if k == 0:
-            return math.ceil(voxel_count / 19) + 1
-        return k
 
     def scanner_config(self) -> ScannerConfig:
         return ScannerConfig(**vars(self.scanner))
@@ -273,6 +266,9 @@ def validate_config(cfg: PipelineConfig) -> None:
     _require(pre.empty_scans == 0 or pre.empty_scans >= 2,
              "preprocess.empty_scans: at least 2 empty scans are required "
              "(0 selects the default schedule)")
+    voxels = cfg.voxel_grid().voxel_count
+    _require(pre.empty_scans <= voxels,
+             f"preprocess.empty_scans: at most one per voxel ({voxels} voxels)")
 
     sol = cfg.solver
     _require(sol.method in METHODS,

@@ -35,7 +35,6 @@ __all__ = [
     "whitening_weights",
     "power_iteration_norm",
     "assemble_reduced_system",
-    "complex_rows",
 ]
 
 
@@ -74,14 +73,7 @@ def interp_backgrounds(scans: EmptyScanSet, calibration_count: int,
 
 
 def _as_scan_array(calib_scans) -> np.ndarray:
-    if isinstance(calib_scans, np.ndarray):
-        arr = calib_scans
-    else:
-        arr = np.stack([
-            m.spectrum if isinstance(m, Measurement) else np.asarray(m)
-            for m in calib_scans
-        ])
-    arr = np.asarray(arr, dtype=np.complex128)
+    arr = np.asarray(calib_scans, dtype=np.complex128)
     if arr.ndim != 3:
         raise ValueError("calibration scans must have shape (count, coils, freqs)")
     return arr
@@ -333,15 +325,3 @@ def assemble_reduced_system(system, y_spectrum: np.ndarray,
     a /= scale
     y /= scale
     return ReducedSystem(a, y, row_index, scale, weights is not None, selection.tau)
-
-
-def complex_rows(system: ReducedSystem) -> np.ndarray:
-    """Recombine stored real/imag row pairs into complex rows (n/2, m).
-
-    Together with row_index this reconstructs the selected entries of the
-    complex system as stored, i.e. after whitening and operator-norm
-    scaling.
-    """
-    if system.rows % 2 != 0:
-        raise ValueError("reduced system rows do not pair up")
-    return system.A[0::2] + 1j * system.A[1::2]

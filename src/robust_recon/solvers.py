@@ -14,7 +14,8 @@ Two solvers: a bound-constrained limited-memory quasi-Newton method
 (Cauchy point for the active set, two-loop recursion on the free variables,
 strong Wolfe line search truncated at the feasible box), and a regularized
 Kaczmarz sweep over the rows of the augmented system [A, sqrt(alpha) I]
-with an optional nonnegativity projection after each sweep.
+with an optional nonnegativity projection after each sweep. solve runs a
+reconstruction method of the METHODS table by name.
 
 The quasi-Newton model uses the scaled identity B = I/gamma, with gamma =
 s.y / y.y from the newest accepted curvature pair (1/||g0|| before the
@@ -35,15 +36,16 @@ from .errors import NumericalError
 from .preprocess import ReducedSystem
 
 __all__ = [
+    "METHODS",
     "Objective",
     "SolverConfig",
     "SolverResult",
     "smoothed_l1_norm",
     "eval_l2",
     "eval_l1s",
-    "project_nonneg",
     "lbfgsb",
     "kaczmarz_reg",
+    "solve",
 ]
 
 # Strong Wolfe constants and trial budget of the line search.
@@ -100,11 +102,6 @@ def eval_l1s(objective: Objective, x: np.ndarray):
     value = float(np.sum(t)) + 0.5 * objective.alpha * float(x @ x)
     grad = a.T @ (r / t) + objective.alpha * x
     return value, grad
-
-
-def project_nonneg(x: np.ndarray) -> np.ndarray:
-    """Componentwise projection onto the nonnegative orthant."""
-    return np.maximum(x, 0.0)
 
 
 @dataclass
@@ -446,3 +443,23 @@ def kaczmarz_reg(system: ReducedSystem, alpha: float,
         converged=True,
         snapshots=snapshots,
     )
+
+
+# The reconstruction methods. Each row gives the Objective kind lbfgsb
+# minimizes (None: regularized Kaczmarz) and the solver-section settings a
+# run records beside its weight.
+METHODS = {
+    "l1-L": ("l1s", ("epsilon",)),
+    "l2-L": ("l2", ("epsilon",)),
+    "l2-K": (None, ("sweeps", "projection", "row_order")),
+}
+
+
+def solve(system: ReducedSystem, method: str, alpha: float, epsilon: float,
+          cfg: SolverConfig) -> SolverResult:
+    """Solve the reduced system with the named method of METHODS: lbfgsb on
+    the row's Objective kind, or kaczmarz_reg, which ignores epsilon."""
+    kind, _ = METHODS[method]
+    if kind is None:
+        return kaczmarz_reg(system, alpha, cfg)
+    return lbfgsb(Objective(kind, system, alpha, epsilon), cfg)

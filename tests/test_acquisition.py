@@ -8,7 +8,6 @@ from robust_recon.acquisition import (
     Measurement,
     acquisition_schedule,
     background_mean,
-    background_variance,
     draw_calibration_scans,
     draw_empty_scans,
     draw_phantom_measurement,
@@ -73,7 +72,8 @@ def test_outlier_variance_matches_model_monte_carlo():
     mask[0, 3] = True
     bg = BackgroundModel(np.zeros((1, 8)), 1.0, mask, 10.0, 0.0)
     scans = draw_empty_scans(bg, 1000, seed=7)
-    var_re, var_im = background_variance(scans)
+    var_re = scans.spectra.real.var(axis=0, ddof=1)
+    var_im = scans.spectra.imag.var(axis=0, ddof=1)
     target = 100.0  # (outlier_scale * base_std)**2
     assert abs(var_re[0, 3] - target) <= 0.15 * target
     assert abs(var_im[0, 3] - target) <= 0.15 * target
@@ -174,36 +174,12 @@ def test_background_mean_concentrates():
     assert np.max(np.abs(residual.imag)) <= bound
 
 
-def test_background_variance_examples():
-    spec = np.full((1, 4), 5.0 + 2.0j)
-    scans = EmptyScanSet(np.stack([spec, spec]), [0, 1], seed=0)
-    var_re, var_im = background_variance(scans)
-    assert np.all(var_re == 0.0) and np.all(var_im == 0.0)
-    pair = EmptyScanSet(np.stack([spec * 0, spec * 0 + 2.0]), [0, 1], seed=0)
-    var_re, var_im = background_variance(pair)
-    assert np.all(var_re == 2.0)  # ddof=1 sample variance of {0, 2}
-    assert np.all(var_im == 0.0)
-
-
-def test_background_variance_matches_two_pass_oracle():
-    rng = np.random.default_rng(17)
-    spectra = rng.standard_normal((9, 2, 5)) + 1j * rng.standard_normal((9, 2, 5))
-    scans = EmptyScanSet(spectra, np.arange(9), seed=0)
-    var_re, var_im = background_variance(scans)
-    for part, got in ((spectra.real, var_re), (spectra.imag, var_im)):
-        for c in range(2):
-            for f in range(5):
-                vals = part[:, c, f]
-                mean = sum(vals) / 9.0
-                oracle = sum((v - mean) ** 2 for v in vals) / 8.0
-                assert abs(got[c, f] - oracle) <= 1e-12 * max(oracle, 1.0)
-
-
 def test_outlier_components_dominate_median_variance():
     bg = make_background(2, 200, 1.0, (25.0,), base_std=1.0, mean_peak=5.0,
                          outlier_fraction=0.03, outlier_scale=100.0, seed=3)
     scans = draw_empty_scans(bg, 200, seed=5)
-    var_re, var_im = background_variance(scans)
+    var_re = scans.spectra.real.var(axis=0, ddof=1)
+    var_im = scans.spectra.imag.var(axis=0, ddof=1)
     total = var_re + var_im
     median = np.median(total)
     for coil, freq in bg.outlier_indices():
@@ -215,7 +191,8 @@ def test_top_variance_components_recover_injected_outliers():
                          outlier_fraction=0.03, outlier_scale=50.0, seed=3)
     injected = {tuple(ix) for ix in np.argwhere(bg.outlier_mask)}
     scans = draw_empty_scans(bg, 1000, seed=5)
-    var_re, var_im = background_variance(scans)
+    var_re = scans.spectra.real.var(axis=0, ddof=1)
+    var_im = scans.spectra.imag.var(axis=0, ddof=1)
     total = var_re + var_im
     order = np.argsort(total.ravel())[::-1][: len(injected)]
     top = {tuple(ix) for ix in np.array(np.unravel_index(order, total.shape)).T}

@@ -11,6 +11,7 @@ import pytest
 
 from robust_recon import artifacts, cli, metrics, preprocess, solvers
 from robust_recon.cli import main
+from robust_recon.config import load_config
 from robust_recon.metrics import ShiftGrid, psnr, ssim
 from robust_recon.model import VoxelGrid, make_phantom
 
@@ -181,6 +182,59 @@ def test_reconstruct_images_nonnegative(pipeline, tmp_path):
         _, image = artifacts.read_artifact(run / "reconstruction.rrc")
         assert np.all(image >= 0.0)
         assert read_json(run / "reconstruction_summary.json")["method"] == method
+
+
+SUMMARY_FIELDS = {"method", "alpha", "rows", "voxels", "iterations", "converged",
+                  "objective_value", "projected_gradient_norm"}
+
+
+@pytest.mark.parametrize("method", list(solvers.METHODS))
+def test_method_table_row_sets_summary_and_sweep_columns(method, pipeline, tmp_path):
+    kind, settings = solvers.METHODS[method]
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    cfg = write_config(cfg_dir, SWEEP_EXTRA)
+    _, run = clone(pipeline, tmp_path)
+    assert main(["reconstruct", "--config", str(cfg), "--method", method,
+                 "--out", str(run)]) == 0
+    summary = read_json(run / "reconstruction_summary.json")
+    assert set(summary) == SUMMARY_FIELDS | set(settings)
+    section = load_config(cfg).solver
+    assert {key: summary[key] for key in settings} == {
+        key: getattr(section, key) for key in settings}
+    assert summary["method"] == method
+
+    assert main(["sweep", "--config", str(cfg), "--method", method,
+                 "--out", str(run)]) == 0
+    if kind is None:  # Kaczmarz: one column per sweep snapshot
+        col_name, columns = "sweeps", [str(n) for n in range(1, 7)]
+    else:
+        col_name, columns = "column", ["value"]
+    for metric in ("psnr", "ssim"):
+        head, _, table = parse_sweep_csv(run / f"sweep_{metric}.csv")
+        assert head == ["alpha"] + columns and table.shape == (4, len(columns))
+        col_lines = (run / f"sweep_{metric}_col_max.csv").read_text().splitlines()
+        assert col_lines[0] == f"{col_name},max_{metric}"
+        assert [line.split(",")[0] for line in col_lines[1:]] == columns
+    sweep = read_json(run / "sweep_summary.json")
+    assert sweep["method"] == method and sweep["columns"] == len(columns)
+    best = sweep["best_psnr"]
+    assert set(best) == {"alpha", col_name, "value"}
+    assert str(best[col_name]) in columns
+
+
+def test_unknown_method_exits_2(pipeline, tmp_path, capsys):
+    cfg, _ = pipeline
+    for name in ("l3-X", "L1-L"):
+        bad = write_config(tmp_path, {"solver.method": name})
+        assert main(["reconstruct", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "solver.method" in err and all(m in err for m in solvers.METHODS)
+        with pytest.raises(SystemExit) as info:
+            main(["reconstruct", "--config", str(cfg), "--method", name,
+                  "--out", str(tmp_path / "r")])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_reconstruct_summary_objective_matches_reevaluation(pipeline):

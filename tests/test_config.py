@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import pytest
 
+from robust_recon.acquisition import acquisition_schedule
 from robust_recon.config import (
     ConfigError,
     PipelineConfig,
@@ -180,7 +181,8 @@ def test_custom_phantom_kind_rejected_in_files():
 def test_default_schedule_is_every_19_scans():
     cfg = PipelineConfig()
     assert cfg.scans_per_bracket(400) == 19
-    assert cfg.empty_scan_count(400) == math.ceil(400 / 19) + 1
+    _, empty = acquisition_schedule(400, cfg.scans_per_bracket(400))
+    assert empty.size == math.ceil(400 / 19) + 1
 
 
 def test_explicit_empty_scan_count_spreads_brackets():
@@ -188,6 +190,23 @@ def test_explicit_empty_scan_count_spreads_brackets():
     m = 100
     q = cfg.scans_per_bracket(m)
     assert q == math.ceil(m / 4)
-    assert cfg.empty_scan_count(m) == 5
+    _, empty = acquisition_schedule(m, q)
+    assert empty.size == 5
     # the schedule must cover every calibration scan with q per bracket
-    assert (cfg.empty_scan_count(m) - 1) * q >= m
+    assert (empty.size - 1) * q >= m
+
+
+@pytest.mark.parametrize("k, used", [(22, 21), (300, 201), (400, 201)])
+def test_schedule_may_hold_fewer_empty_scans_than_requested(k, used):
+    # brackets of ceil(m / (k - 1)) scans can cover the grid with fewer than k
+    cfg = parse_config(f"preprocess.empty_scans = {k}")
+    _, empty = acquisition_schedule(400, cfg.scans_per_bracket(400))
+    assert empty.size == used
+
+
+def test_empty_scans_above_voxel_count_rejected():
+    parse_config("grid.shape = 4,4,1\npreprocess.empty_scans = 16")
+    with pytest.raises(ConfigError, match=r"^preprocess\.empty_scans: .*16 voxels"):
+        parse_config("grid.shape = 4,4,1\npreprocess.empty_scans = 17")
+    with pytest.raises(ConfigError, match=r"^preprocess\.empty_scans"):
+        parse_config("preprocess.empty_scans = 401")

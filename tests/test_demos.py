@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke test: every script in demos/ and the README library quickstart run
+to completion."""
 
 import os
 import subprocess
@@ -18,11 +19,22 @@ def test_demos_found():
                                        "method_comparison.py", "regularization_sweep.py"]
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(script, tmp_path):
+def run_python(args, cwd):
     src = Path(robust_recon.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable] + args, cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    return done.stdout
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(script, tmp_path):
+    assert run_python([str(script)], tmp_path).strip()
+
+
+def test_readme_library_quickstart_runs(tmp_path):
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    out = run_python(["-c", blocks[0].split("```", 1)[0]], tmp_path)
+    assert out.startswith("eps PSNR ")

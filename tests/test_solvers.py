@@ -12,7 +12,6 @@ from robust_recon.solvers import (
     eval_l2,
     kaczmarz_reg,
     lbfgsb,
-    project_nonneg,
     smoothed_l1_norm,
 )
 
@@ -120,20 +119,6 @@ def test_smoothed_l1_bound_holds_exactly():
 
 def test_smoothed_l1_zero_vector():
     assert smoothed_l1_norm(np.zeros(8), 1e-12) == 8e-12
-
-
-def test_project_nonneg():
-    assert np.array_equal(project_nonneg(np.array([1.0, -2.0, 0.0])), [1.0, 0.0, 0.0])
-    x = np.array([0.5, -1.0])
-    assert np.array_equal(project_nonneg(project_nonneg(x)), project_nonneg(x))
-
-
-def test_project_nonneg_nonexpansive(rng):
-    for _ in range(100):
-        x = 5.0 * rng.standard_normal(6)
-        y = 5.0 * rng.standard_normal(6)
-        lhs = np.linalg.norm(project_nonneg(x) - project_nonneg(y))
-        assert lhs <= np.linalg.norm(x - y) + 1e-15
 
 
 def test_lbfgsb_scalar_interior_minimum():
