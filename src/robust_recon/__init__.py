@@ -10,7 +10,6 @@ objectives under nonnegativity, metrics scores images shift-tolerantly.
 
 from .acquisition import (
     BackgroundModel,
-    EmptyScanSet,
     Measurement,
     acquisition_schedule,
     background_mean,
@@ -51,7 +50,6 @@ from .model import (
 from .preprocess import (
     FrequencySelection,
     ReducedSystem,
-    WhiteningWeights,
     assemble_reduced_system,
     band_pass,
     calibration_system_matrix,
@@ -78,7 +76,6 @@ __all__ = [
     "BoxSupport",
     "ConeSupport",
     "ConfigError",
-    "EmptyScanSet",
     "FrequencySelection",
     "IntegrityError",
     "Measurement",
@@ -97,7 +94,6 @@ __all__ = [
     "SystemMatrix",
     "TubeSupport",
     "VoxelGrid",
-    "WhiteningWeights",
     "acquisition_schedule",
     "assemble_reduced_system",
     "background_mean",

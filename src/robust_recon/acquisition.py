@@ -24,7 +24,6 @@ from .model import Phantom, SystemMatrix
 
 __all__ = [
     "BackgroundModel",
-    "EmptyScanSet",
     "Measurement",
     "make_background",
     "acquisition_schedule",
@@ -133,30 +132,6 @@ def make_background(coils: int, freq_count: int, period_ms: float,
 
 
 @dataclass
-class EmptyScanSet:
-    """Blank scanner spectra: shape (count, coils, freqs), with the global
-    scan index of each scan."""
-
-    spectra: np.ndarray
-    scan_schedule: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        self.spectra = np.asarray(self.spectra, dtype=np.complex128)
-        if self.spectra.ndim != 3:
-            raise ValueError("empty-scan spectra must have shape (count, coils, freqs)")
-        if self.spectra.shape[0] < 2:
-            raise ValueError("at least 2 empty scans are required")
-        self.scan_schedule = np.asarray(self.scan_schedule, dtype=np.int64)
-        if self.scan_schedule.shape != (self.spectra.shape[0],):
-            raise ValueError("scan_schedule must give one index per empty scan")
-
-    @property
-    def count(self) -> int:
-        return self.spectra.shape[0]
-
-
-@dataclass
 class Measurement:
     """One acquired spectrum set (coils, freqs)."""
 
@@ -206,8 +181,9 @@ def _draw_noise(rng, shape, std, repetitions):
 
 
 def draw_empty_scans(bg: BackgroundModel, count: int, seed: int,
-                     schedule=None, repetitions: int = 1) -> EmptyScanSet:
-    """Draw ``count`` blank scans. ``schedule`` defaults to 0..count-1."""
+                     schedule=None, repetitions: int = 1) -> np.ndarray:
+    """Draw ``count`` blank scans at the global scan indices ``schedule``
+    (default 0..count-1): complex spectra of shape (count, coils, freqs)."""
     if count < 2:
         raise ValueError("at least 2 empty scans are required")
     if schedule is None:
@@ -217,8 +193,7 @@ def draw_empty_scans(bg: BackgroundModel, count: int, seed: int,
         raise ValueError("schedule must give one scan index per empty scan")
     rng = np.random.default_rng(seed)
     noise = _draw_noise(rng, (count,) + bg.shape, bg.noise_std()[None, :, :], repetitions)
-    spectra = bg.mean_spectrum[None, :, :] + bg.drift[None, :, :] * schedule[:, None, None] + noise
-    return EmptyScanSet(spectra, schedule, seed)
+    return bg.mean_spectrum[None, :, :] + bg.drift[None, :, :] * schedule[:, None, None] + noise
 
 
 def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
@@ -263,6 +238,6 @@ def draw_phantom_measurement(system: SystemMatrix, phantom: Phantom,
     return Measurement(spectrum, repetitions, seed, scan_index)
 
 
-def background_mean(scans: EmptyScanSet) -> np.ndarray:
-    """Componentwise mean spectrum over all empty scans."""
-    return scans.spectra.mean(axis=0)
+def background_mean(scans: np.ndarray) -> np.ndarray:
+    """Componentwise mean spectrum over all empty scans (count, coils, freqs)."""
+    return np.mean(scans, axis=0)

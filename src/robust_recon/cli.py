@@ -119,7 +119,7 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
         name: artifacts.write_artifact(run_dir / name, kind, array)
         for name, kind, array in (
             (SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET, calib),
-            (EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET, empties.spectra),
+            (EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET, empties),
             (MEASUREMENT, artifacts.KIND_SPECTRUM_SET, meas.spectrum[None]),
             (PHANTOM, artifacts.KIND_IMAGE, phantom.values))})
     return {
@@ -136,7 +136,7 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     """Score, select, correct, whiten (optionally) and scale: raw scans in,
     reduced real system out."""
     calib = artifacts.read_verified(run_dir, SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET)
-    empty_spectra = artifacts.read_verified(run_dir, EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET)
+    empties = artifacts.read_verified(run_dir, EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET)
     meas = artifacts.read_verified(run_dir, MEASUREMENT, artifacts.KIND_SPECTRUM_SET)
     scanner = cfg.scanner_config()
     grid = cfg.voxel_grid()
@@ -149,12 +149,13 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
         raise IntegrityError(f"{MEASUREMENT}: unexpected shape {meas.shape}")
     q = cfg.scans_per_bracket(m)
     _, empty_idx = acquisition.acquisition_schedule(m, q)
-    if empty_spectra.shape != (empty_idx.size, scanner.coils, scanner.freq_count):
+    if empties.shape != (empty_idx.size, scanner.coils, scanner.freq_count):
         raise IntegrityError(
-            f"{EMPTY_SCANS}: shape {empty_spectra.shape} does not match the "
+            f"{EMPTY_SCANS}: shape {empties.shape} does not match the "
             f"schedule ({empty_idx.size} scans expected)")
-    empties = acquisition.EmptyScanSet(empty_spectra, empty_idx,
-                                       cfg.background.noise_seed + 1)
+    for name, spectra in ((SYSTEM_MATRIX, calib), (EMPTY_SCANS, empties), (MEASUREMENT, meas)):
+        if not np.isfinite(spectra).all():
+            raise NumericalError(f"{name}: spectra hold non-finite values")
     pre = cfg.preprocess
     mu = preprocess.interp_backgrounds(empties, m, q)
     band = preprocess.band_pass(scanner.freq_count, scanner.period_ms,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import VoxelGrid, rasterize_shifted, rasterize_support
+from .model import VoxelGrid, rasterize_shifted
 
 __all__ = [
     "ShiftGrid",
@@ -110,7 +110,7 @@ def rasterize_reference(support, shift_mm, grid: VoxelGrid, concentration: float
                         subsamples: int = 4) -> ReferenceImage:
     """Rasterize the shifted support; shares the phantom rasterizer so the
     reference at zero shift equals the generating phantom exactly."""
-    values = rasterize_support(support, grid, concentration, subsamples, shift_mm=shift_mm)
+    values = rasterize_shifted(support, grid, concentration, [shift_mm], subsamples)[0]
     return ReferenceImage(grid, values, tuple(float(s) for s in shift_mm), concentration)
 
 

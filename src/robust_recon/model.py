@@ -184,11 +184,6 @@ class ScannerConfig:
     def freq_count(self) -> int:
         return self.samples_per_period // 2 + 1
 
-    @property
-    def bin_khz(self) -> float:
-        """Frequency spacing of the spectral bins: bin j sits at j/period kHz."""
-        return 1.0 / self.period_ms
-
     def fov_half_extent_mm(self) -> tuple[float, ...]:
         """Peak field-free-point excursion per driven axis: amplitude/gradient."""
         return tuple(
@@ -365,15 +360,14 @@ def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
 
 
 def rasterize_support(support, grid: VoxelGrid, concentration: float,
-                      subsamples: int = 4, shift_mm=None) -> np.ndarray:
-    """Rasterize a geometric support onto the grid: the one-shift case of
-    rasterize_shifted (no shift when ``shift_mm`` is None).
+                      subsamples: int = 4) -> np.ndarray:
+    """Rasterize a geometric support onto the grid: the unshifted case of
+    rasterize_shifted.
 
     Phantom generation and reference rasterization share rasterize_shifted,
     so a zero-shift reference equals the phantom bit for bit.
     """
-    shift = (0.0, 0.0, 0.0) if shift_mm is None else shift_mm
-    return rasterize_shifted(support, grid, concentration, [shift], subsamples)[0]
+    return rasterize_shifted(support, grid, concentration, [(0.0, 0.0, 0.0)], subsamples)[0]
 
 
 @dataclass
@@ -499,9 +493,6 @@ class SystemMatrix:
     @property
     def voxel_count(self) -> int:
         return self.data.shape[2]
-
-    def frequencies_khz(self) -> np.ndarray:
-        return np.arange(self.freq_count) / self.period_ms
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Noise-free spectra (coils, freqs) for a concentration image."""

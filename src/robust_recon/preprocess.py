@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import EmptyScanSet, Measurement, background_mean
+from .acquisition import background_mean
 from .errors import NumericalError
-from .model import SystemMatrix
 
 __all__ = [
     "FrequencySelection",
-    "WhiteningWeights",
     "ReducedSystem",
     "band_pass",
     "interp_backgrounds",
@@ -48,38 +46,36 @@ def band_pass(freq_count: int, period_ms: float, b1_khz: float, b2_khz: float) -
     return np.nonzero((f >= b1_khz) & (f <= b2_khz))[0]
 
 
-def interp_backgrounds(scans: EmptyScanSet, calibration_count: int,
+def interp_backgrounds(scans: np.ndarray, calibration_count: int,
                        scans_per_bracket: int) -> np.ndarray:
-    """Background estimates for calibration scans 0..calibration_count-1,
-    stacked to (count, coils, freqs).
+    """Background estimates for calibration scans 0..calibration_count-1
+    from the empty scans (count, coils, freqs), stacked to (calibration_count,
+    coils, freqs).
 
     Calibration scan i lives in bracket b = i // Q between empty scans b and
-    b+1 and gets mu = kappa * spectra[b] + (1 - kappa) * spectra[b+1] with
+    b+1 and gets mu = kappa * scans[b] + (1 - kappa) * scans[b+1] with
     kappa = (i mod Q)/(Q - 1): equidistant within the bracket, kappa = 0 for
-    the bracket's first scan.
+    the bracket's first scan. Built bracket by bracket into the result, so
+    no full-size temporary is made.
     """
     q = int(scans_per_bracket)
     if q < 2:
         raise ValueError("scans_per_bracket must be >= 2")
     if calibration_count < 0:
         raise ValueError("calibration_count must be nonnegative")
-    i = np.arange(calibration_count)
-    b = i // q
-    if calibration_count > 0 and b[-1] + 1 >= scans.count:
+    if calibration_count > 0 and (calibration_count - 1) // q + 1 >= scans.shape[0]:
         raise ValueError("calibration count beyond the empty-scan schedule")
-    kappa = (i % q) / (q - 1)
-    k = kappa[:, None, None]
-    return k * scans.spectra[b] + (1.0 - k) * scans.spectra[b + 1]
+    kappa = np.arange(q) / (q - 1)
+    out = np.empty((calibration_count,) + scans.shape[1:], dtype=np.complex128)
+    for b, lo in enumerate(range(0, calibration_count, q)):
+        rows = out[lo:lo + q]
+        k = kappa[:rows.shape[0], None, None]
+        np.multiply(k, scans[b], out=rows)
+        rows += (1.0 - k) * scans[b + 1]
+    return out
 
 
-def _as_scan_array(calib_scans) -> np.ndarray:
-    arr = np.asarray(calib_scans, dtype=np.complex128)
-    if arr.ndim != 3:
-        raise ValueError("calibration scans must have shape (count, coils, freqs)")
-    return arr
-
-
-def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: EmptyScanSet,
+def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: np.ndarray,
                band_indices: np.ndarray) -> np.ndarray:
     """Signal-to-background score per (coil, in-band component).
 
@@ -88,7 +84,7 @@ def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: EmptyScanSet,
     empty-scan deviations from their own mean. A zero denominator yields
     +inf (a component with no background noise is perfectly reliable).
     """
-    calib = _as_scan_array(calib_scans)
+    calib = np.asarray(calib_scans, dtype=np.complex128)
     interp_bg = np.asarray(interp_bg, dtype=np.complex128)
     if calib.shape[0] == 0:
         raise ValueError("empty calibration set")
@@ -97,7 +93,7 @@ def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: EmptyScanSet,
     band_indices = np.asarray(band_indices, dtype=np.int64)
     num = np.abs(calib[:, :, band_indices] - interp_bg[:, :, band_indices]).mean(axis=0)
     mu = background_mean(empty_scans)
-    den = np.abs(empty_scans.spectra[:, :, band_indices] - mu[None, :, band_indices]).mean(axis=0)
+    den = np.abs(empty_scans[:, :, band_indices] - mu[None, :, band_indices]).mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
     return scores
@@ -144,9 +140,9 @@ def select_frequencies(scores: np.ndarray, tau: float,
     return FrequencySelection(band_indices, scores, float(tau), selected)
 
 
-def subtract_background(measurement, background: np.ndarray) -> np.ndarray:
+def subtract_background(spectrum: np.ndarray, background: np.ndarray) -> np.ndarray:
     """Componentwise background subtraction; shapes must match."""
-    spectrum = measurement.spectrum if isinstance(measurement, Measurement) else np.asarray(measurement)
+    spectrum = np.asarray(spectrum)
     background = np.asarray(background)
     if spectrum.shape != background.shape:
         raise ValueError("measurement and background shapes differ")
@@ -158,35 +154,24 @@ def calibration_system_matrix(calib_scans, interp_bg: np.ndarray,
     """System-matrix estimate from calibration scans: background-corrected
     per-voxel spectra divided by the calibration concentration, (coils,
     freqs, voxels)."""
-    calib = _as_scan_array(calib_scans)
+    calib = np.asarray(calib_scans, dtype=np.complex128)
     if concentration <= 0:
         raise ValueError("calibration concentration must be positive")
     if np.asarray(interp_bg).shape != calib.shape:
         raise ValueError("interpolated backgrounds must match the calibration scans")
-    corrected = (calib - interp_bg) / concentration
+    corrected = calib - interp_bg
+    corrected /= concentration
     return np.transpose(corrected, (1, 2, 0))
 
 
-@dataclass
-class WhiteningWeights:
-    """Per-row inverse-std weights in canonical row order."""
-
-    weights: np.ndarray
-    floor: float
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 1 or np.any(~np.isfinite(self.weights)) or np.any(self.weights <= 0):
-            raise ValueError("whitening weights must be positive and finite")
-
-
-def whitening_weights(empty_scans: EmptyScanSet, selection: FrequencySelection,
-                      floor_ratio: float = 1e-8) -> WhiteningWeights:
-    """Inverse empty-scan std per retained row, floored at floor_ratio times
-    the largest retained std so near-constant components cannot blow up."""
+def whitening_weights(empty_scans: np.ndarray, selection: FrequencySelection,
+                      floor_ratio: float = 1e-8) -> np.ndarray:
+    """Inverse empty-scan std per retained row in canonical row order,
+    floored at floor_ratio times the largest retained std so near-constant
+    components cannot blow up."""
     stds = []
     for c, sel in enumerate(selection.selected):
-        block = empty_scans.spectra[:, c, sel]
+        block = empty_scans[:, c, sel]
         std = np.empty((2, sel.size))
         std[0] = block.real.std(axis=0, ddof=1)
         std[1] = block.imag.std(axis=0, ddof=1)
@@ -197,8 +182,7 @@ def whitening_weights(empty_scans: EmptyScanSet, selection: FrequencySelection,
     max_std = flat.max()
     if max_std == 0.0:
         raise NumericalError("all retained components are constant across empty scans")
-    floor = floor_ratio * max_std
-    return WhiteningWeights(1.0 / np.maximum(flat, floor), floor)
+    return 1.0 / np.maximum(flat, floor_ratio * max_std)
 
 
 def power_iteration_norm(a: np.ndarray, tol: float = 1e-6, max_iter: int = 500) -> float:
@@ -208,7 +192,8 @@ def power_iteration_norm(a: np.ndarray, tol: float = 1e-6, max_iter: int = 500) 
     certified to lie within tol of the top eigenvalue, using the
     eigen-residual together with a gap estimate from the residual decay (a
     plain change-based stop can halt far from the true norm when the
-    spectral gap is small). Raises NumericalError if max_iter is exhausted.
+    spectral gap is small). Raises NumericalError if max_iter is exhausted
+    or the Rayleigh quotient is not finite (A holds NaN or inf).
     """
     a = np.asarray(a, dtype=np.float64)
     rng = np.random.default_rng(0x5EED)
@@ -221,6 +206,8 @@ def power_iteration_norm(a: np.ndarray, tol: float = 1e-6, max_iter: int = 500) 
     for k in range(max_iter):
         w = a.T @ (a @ v)
         lam = float(v @ w)
+        if not np.isfinite(lam):
+            raise NumericalError("power iteration: non-finite Rayleigh quotient")
         if lam <= 0.0:
             return 0.0
         res = float(np.linalg.norm(w - lam * v))
@@ -252,7 +239,6 @@ class ReducedSystem:
     row_index: np.ndarray | None = None
     scale: float = 1.0
     whitened: bool = False
-    tau: float | None = None
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
@@ -275,17 +261,18 @@ class ReducedSystem:
         return self.A.shape[1]
 
 
-def assemble_reduced_system(system, y_spectrum: np.ndarray,
+def assemble_reduced_system(system: np.ndarray, y_spectrum: np.ndarray,
                             selection: FrequencySelection,
-                            weights: WhiteningWeights | None = None) -> ReducedSystem:
+                            weights: np.ndarray | None = None) -> ReducedSystem:
     """Stack selected components into real row pairs and normalize.
 
-    ``system`` is a SystemMatrix or a raw (coils, freqs, voxels) complex
-    array; ``y_spectrum`` the background-subtracted measurement. Optional
-    whitening multiplies rows and data entries before the operator norm of
-    the stacked matrix is estimated and divided out of both A and y.
+    ``system`` is a (coils, freqs, voxels) complex array; ``y_spectrum`` the
+    background-subtracted measurement. Optional whitening weights (one per
+    row, as whitening_weights returns them) multiply rows and data entries
+    before the operator norm of the stacked matrix is estimated and divided
+    out of both A and y.
     """
-    data = system.data if isinstance(system, SystemMatrix) else np.asarray(system, dtype=np.complex128)
+    data = np.asarray(system, dtype=np.complex128)
     if data.ndim != 3:
         raise ValueError("system matrix must have shape (coils, freqs, voxels)")
     y_spectrum = np.asarray(y_spectrum, dtype=np.complex128)
@@ -294,27 +281,19 @@ def assemble_reduced_system(system, y_spectrum: np.ndarray,
     n = selection.row_count
     if n == 0:
         raise ValueError("empty selection: no components retained")
-    m = data.shape[2]
-    a = np.empty((n, m))
+    # one (coil, frequency) pair per retained component, in row order
+    coil = np.repeat(np.arange(selection.coils), [s.size for s in selection.selected])
+    freq = np.concatenate(selection.selected)
+    a = np.empty((n, data.shape[2]))
+    a[0::2] = data.real[coil, freq]
+    a[1::2] = data.imag[coil, freq]
     y = np.empty(n)
-    row_index = np.empty((n, 3), dtype=np.int64)
-    pos = 0
-    for c, sel in enumerate(selection.selected):
-        k = sel.size
-        if k == 0:
-            continue
-        block = data[c, sel, :]
-        a[pos:pos + 2 * k:2] = block.real
-        a[pos + 1:pos + 2 * k:2] = block.imag
-        y[pos:pos + 2 * k:2] = y_spectrum[c, sel].real
-        y[pos + 1:pos + 2 * k:2] = y_spectrum[c, sel].imag
-        row_index[pos:pos + 2 * k:2] = np.stack(
-            [np.full(k, c), sel, np.zeros(k, dtype=np.int64)], axis=1)
-        row_index[pos + 1:pos + 2 * k:2] = np.stack(
-            [np.full(k, c), sel, np.ones(k, dtype=np.int64)], axis=1)
-        pos += 2 * k
+    y[0::2] = y_spectrum.real[coil, freq]
+    y[1::2] = y_spectrum.imag[coil, freq]
+    row_index = np.stack([np.repeat(coil, 2), np.repeat(freq, 2), np.tile([0, 1], n // 2)],
+                         axis=1)
     if weights is not None:
-        w = weights.weights
+        w = np.asarray(weights, dtype=np.float64)
         if w.shape != (n,):
             raise ValueError("whitening weights do not match the selection")
         a *= w[:, None]
@@ -324,4 +303,4 @@ def assemble_reduced_system(system, y_spectrum: np.ndarray,
         raise NumericalError("reduced system has no usable operator norm")
     a /= scale
     y /= scale
-    return ReducedSystem(a, y, row_index, scale, weights is not None, selection.tau)
+    return ReducedSystem(a, y, row_index, scale, weights is not None)

@@ -110,8 +110,8 @@ class SolverConfig:
 
     memory/pgtol/max_iterations drive the quasi-Newton method; sweeps,
     row_order ("sequential" or "shuffled"), seed and projection ("sweep"
-    or "none") drive Kaczmarz. record_trace keeps per-iterate objective
-    values, record_snapshots keeps a copy of x after every Kaczmarz sweep.
+    or "none") drive Kaczmarz. record_snapshots keeps a copy of x after
+    every Kaczmarz sweep.
     """
 
     memory: int = 20
@@ -121,7 +121,6 @@ class SolverConfig:
     row_order: str = "sequential"
     seed: int = 0
     projection: str = "sweep"
-    record_trace: bool = False
     record_snapshots: bool = False
 
     def __post_init__(self):
@@ -143,7 +142,6 @@ class SolverResult:
     iterations: int
     converged: bool
     snapshots: list | None = None
-    objective_trace: list | None = None
 
 
 def _projected_gradient(x, g, lower, upper):
@@ -307,7 +305,6 @@ def lbfgsb(objective, cfg: SolverConfig | None = None,
     x = np.clip(x, lower, upper)
 
     f, g = _checked_eval(fun, x)
-    trace = [f] if cfg.record_trace else None
     pairs: list = []
     g0_norm = float(np.linalg.norm(g))
     gamma = 1.0 / g0_norm if g0_norm > 0 else 1.0
@@ -342,8 +339,6 @@ def lbfgsb(objective, cfg: SolverConfig | None = None,
             if g_new is not None and f_new < f:
                 x = np.clip(x + a * d, lower, upper)
                 f, g = f_new, g_new
-                if trace is not None:
-                    trace.append(f)
             break  # line-search failure: report the best iterate
         x_new = np.clip(x + a * d, lower, upper)
         s = x_new - x
@@ -356,8 +351,6 @@ def lbfgsb(objective, cfg: SolverConfig | None = None,
             gamma = sy / float(yv @ yv)
         x, f, g = x_new, f_new, g_new
         iterations += 1
-        if trace is not None:
-            trace.append(f)
 
     pg = _projected_gradient(x, g, lower, upper)
     return SolverResult(
@@ -366,7 +359,6 @@ def lbfgsb(objective, cfg: SolverConfig | None = None,
         projected_gradient_norm=float(np.max(np.abs(pg), initial=0.0)),
         iterations=iterations,
         converged=converged,
-        objective_trace=trace,
     )
 
 

@@ -4,7 +4,6 @@ import pytest
 from robust_recon import VoxelGrid, acquisition, make_phantom, simulate_system_matrix
 from robust_recon.acquisition import (
     BackgroundModel,
-    EmptyScanSet,
     Measurement,
     acquisition_schedule,
     background_mean,
@@ -63,8 +62,8 @@ def test_make_background_outlier_count_and_determinism():
 def test_zero_variance_zero_drift_scans_equal_mean():
     bg = quiet_background((2, 9), variance=0.0)
     scans = draw_empty_scans(bg, 2, seed=1)
-    assert np.array_equal(scans.spectra[0], bg.mean_spectrum)
-    assert np.array_equal(scans.spectra[1], bg.mean_spectrum)
+    assert np.array_equal(scans[0], bg.mean_spectrum)
+    assert np.array_equal(scans[1], bg.mean_spectrum)
 
 
 def test_outlier_variance_matches_model_monte_carlo():
@@ -72,8 +71,8 @@ def test_outlier_variance_matches_model_monte_carlo():
     mask[0, 3] = True
     bg = BackgroundModel(np.zeros((1, 8)), 1.0, mask, 10.0, 0.0)
     scans = draw_empty_scans(bg, 1000, seed=7)
-    var_re = scans.spectra.real.var(axis=0, ddof=1)
-    var_im = scans.spectra.imag.var(axis=0, ddof=1)
+    var_re = scans.real.var(axis=0, ddof=1)
+    var_im = scans.imag.var(axis=0, ddof=1)
     target = 100.0  # (outlier_scale * base_std)**2
     assert abs(var_re[0, 3] - target) <= 0.15 * target
     assert abs(var_im[0, 3] - target) <= 0.15 * target
@@ -86,25 +85,29 @@ def test_draw_empty_scans_determinism():
     a = draw_empty_scans(bg, 5, seed=42)
     b = draw_empty_scans(bg, 5, seed=42)
     c = draw_empty_scans(bg, 5, seed=43)
-    assert np.array_equal(a.spectra, b.spectra)
-    assert not np.array_equal(a.spectra, c.spectra)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_draw_empty_scans_validation():
     bg = quiet_background((1, 4))
-    with pytest.raises(ValueError):
-        draw_empty_scans(bg, 1, seed=0)
-    with pytest.raises(ValueError):
-        draw_empty_scans(bg, 3, seed=0, schedule=[0, 1])
+    for count in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 empty scans"):
+            draw_empty_scans(bg, count, seed=0)
+    for schedule in ([0, 1], [0, 1, 2, 3], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match="one scan index per empty scan"):
+            draw_empty_scans(bg, 3, seed=0, schedule=schedule)
+    scans = draw_empty_scans(bg, 3, seed=0, schedule=[0, 5, 10])
+    assert scans.shape == (3, 1, 4) and scans.dtype == np.complex128
 
 
 def test_drift_enters_linearly_in_scan_index():
     drift = 0.25 - 0.5j
     bg = quiet_background((1, 6), variance=0.0, drift=drift)
     scans = draw_empty_scans(bg, 3, seed=0, schedule=[0, 4, 8])
-    assert np.array_equal(scans.spectra[0], bg.mean_spectrum)
-    assert np.array_equal(scans.spectra[1], bg.mean_spectrum + bg.drift * 4)
-    assert np.array_equal(scans.spectra[2], bg.mean_spectrum + bg.drift * 8)
+    assert np.array_equal(scans[0], bg.mean_spectrum)
+    assert np.array_equal(scans[1], bg.mean_spectrum + bg.drift * 4)
+    assert np.array_equal(scans[2], bg.mean_spectrum + bg.drift * 8)
 
 
 def test_repetitions_halve_noise_exactly():
@@ -113,7 +116,7 @@ def test_repetitions_halve_noise_exactly():
     bg = BackgroundModel(np.zeros((2, 8)), 1.0, False, 1.0, 0.0)
     one = draw_empty_scans(bg, 4, seed=11, repetitions=1)
     four = draw_empty_scans(bg, 4, seed=11, repetitions=4)
-    assert np.array_equal(four.spectra, one.spectra / 2.0)
+    assert np.array_equal(four, one / 2.0)
 
 
 def test_zero_phantom_zero_noise_measurement_is_mean(system_1d):
@@ -159,9 +162,8 @@ def test_measurement_validation(system_1d):
 
 def test_background_mean_examples():
     spec = np.arange(6, dtype=float).reshape(1, 6) + 1j
-    scans = EmptyScanSet(np.stack([spec, spec, spec]), [0, 1, 2], seed=0)
-    assert np.array_equal(background_mean(scans), spec)
-    pair = EmptyScanSet(np.stack([spec * 0 + 1.0, spec * 0 + 3.0]), [0, 1], seed=0)
+    assert np.array_equal(background_mean(np.stack([spec, spec, spec])), spec)
+    pair = np.stack([spec * 0 + 1.0, spec * 0 + 3.0])
     assert np.array_equal(background_mean(pair), np.full((1, 6), 2.0 + 0.0j))
 
 
@@ -178,8 +180,8 @@ def test_outlier_components_dominate_median_variance():
     bg = make_background(2, 200, 1.0, (25.0,), base_std=1.0, mean_peak=5.0,
                          outlier_fraction=0.03, outlier_scale=100.0, seed=3)
     scans = draw_empty_scans(bg, 200, seed=5)
-    var_re = scans.spectra.real.var(axis=0, ddof=1)
-    var_im = scans.spectra.imag.var(axis=0, ddof=1)
+    var_re = scans.real.var(axis=0, ddof=1)
+    var_im = scans.imag.var(axis=0, ddof=1)
     total = var_re + var_im
     median = np.median(total)
     for coil, freq in bg.outlier_indices():
@@ -191,8 +193,8 @@ def test_top_variance_components_recover_injected_outliers():
                          outlier_fraction=0.03, outlier_scale=50.0, seed=3)
     injected = {tuple(ix) for ix in np.argwhere(bg.outlier_mask)}
     scans = draw_empty_scans(bg, 1000, seed=5)
-    var_re = scans.spectra.real.var(axis=0, ddof=1)
-    var_im = scans.spectra.imag.var(axis=0, ddof=1)
+    var_re = scans.real.var(axis=0, ddof=1)
+    var_im = scans.imag.var(axis=0, ddof=1)
     total = var_re + var_im
     order = np.argsort(total.ravel())[::-1][: len(injected)]
     top = {tuple(ix) for ix in np.array(np.unravel_index(order, total.shape)).T}
@@ -244,15 +246,6 @@ def test_calibration_scans_validation(system_1d):
                                scan_indices=np.arange(5))
 
 
-def test_empty_scan_set_validation():
-    with pytest.raises(ValueError):
-        EmptyScanSet(np.zeros((1, 2, 4)), [0], seed=0)
-    with pytest.raises(ValueError):
-        EmptyScanSet(np.zeros((3, 2, 4)), [0, 1], seed=0)
-    with pytest.raises(ValueError):
-        EmptyScanSet(np.zeros((3, 4)), [0, 1, 2], seed=0)
-
-
 def _noise_reference(rng, shape, std, repetitions):
     # _draw_noise before the in-place parts, kept as the oracle
     scale = std / np.sqrt(repetitions)
@@ -285,7 +278,7 @@ def test_draws_match_reference_formulas_bitwise(system_2d):
     rng = np.random.default_rng(8)
     noise = _noise_reference(rng, (empty_idx.size,) + bg.shape, std[None, :, :], 4)
     want = bg.mean_spectrum[None, :, :] + bg.drift[None, :, :] * empty_idx[:, None, None] + noise
-    assert empties.spectra.tobytes() == want.tobytes()
+    assert empties.tobytes() == want.tobytes()
 
     phantom = make_phantom("shape-cone", system_2d.grid, 50.0)
     meas = draw_phantom_measurement(system_2d, phantom, bg, seed=9, scan_index=40,

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,26 @@ def test_reconstruct_non_finite_reduced_system_exits_4(pipeline, tmp_path, capsy
                  "--out", str(run)]) == 4
     assert "non-finite" in capsys.readouterr().err
     assert (run / "reconstruction.rrc").read_bytes() == before
+
+
+@pytest.mark.parametrize("name,bad,flags", [
+    ("empty_scans.rrc", np.nan, ["--whiten"]),
+    ("system_matrix.rrc", np.inf, []),
+    ("measurement.rrc", complex(0.0, -np.inf), []),
+])
+def test_preprocess_non_finite_spectra_exit_4(pipeline, tmp_path, capsys, name, bad, flags):
+    cfg, run = clone(pipeline, tmp_path)
+    kind, spectra = artifacts.read_artifact(run / name)
+    spectra[0, 1, 100] = bad  # in band
+    replace_artifact(run, name, kind, spectra)
+    before = (run / "reduced_A.rrc").read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["preprocess", "--config", str(cfg), "--tau", "0", *flags,
+                     "--out", str(run)])
+    assert code == 4
+    assert f"{name}: spectra hold non-finite values" in capsys.readouterr().err
+    assert (run / "reduced_A.rrc").read_bytes() == before
 
 
 def test_reconstruct_kaczmarz_overflow_exits_4(tmp_path, capsys):

@@ -4,8 +4,6 @@ import pytest
 from robust_recon import make_phantom
 from robust_recon.acquisition import (
     BackgroundModel,
-    EmptyScanSet,
-    Measurement,
     acquisition_schedule,
     draw_calibration_scans,
     draw_empty_scans,
@@ -14,7 +12,6 @@ from robust_recon.errors import NumericalError
 from robust_recon.preprocess import (
     FrequencySelection,
     ReducedSystem,
-    WhiteningWeights,
     assemble_reduced_system,
     band_pass,
     calibration_system_matrix,
@@ -29,9 +26,8 @@ from robust_recon.solvers import Objective, SolverConfig, lbfgsb
 
 
 def scans_from_values(values):
-    """EmptyScanSet with shape (count, 1, 1) from scalar complex values."""
-    arr = np.asarray(values, dtype=np.complex128).reshape(-1, 1, 1)
-    return EmptyScanSet(arr, np.arange(arr.shape[0]), seed=0)
+    """Empty scans of shape (count, 1, 1) from scalar complex values."""
+    return np.asarray(values, dtype=np.complex128).reshape(-1, 1, 1)
 
 
 def test_band_pass_unbounded_keeps_everything():
@@ -62,17 +58,15 @@ def test_band_pass_validation():
 def test_interp_background_middle_scan_is_average():
     rng = np.random.default_rng(31)
     spectra = rng.standard_normal((2, 2, 4)) + 1j * rng.standard_normal((2, 2, 4))
-    scans = EmptyScanSet(spectra, [0, 4], seed=0)
-    mid = interp_backgrounds(scans, 3, 3)[1]  # kappa = 1/2
+    mid = interp_backgrounds(spectra, 3, 3)[1]  # kappa = 1/2
     assert np.array_equal(mid, (spectra[0] + spectra[1]) / 2.0)
 
 
 def test_interp_background_bracket_endpoints():
     rng = np.random.default_rng(32)
     spectra = rng.standard_normal((3, 1, 4)) + 1j * rng.standard_normal((3, 1, 4))
-    scans = EmptyScanSet(spectra, [0, 4, 8], seed=0)
     q = 3
-    stacked = interp_backgrounds(scans, q + 1, q)
+    stacked = interp_backgrounds(spectra, q + 1, q)
     assert np.array_equal(stacked[0], spectra[1])
     assert np.array_equal(stacked[q - 1], spectra[0])
     assert np.array_equal(stacked[q], spectra[2])
@@ -97,20 +91,36 @@ def test_interp_background_validation():
 def test_interp_backgrounds_matches_scalar_loop():
     rng = np.random.default_rng(33)
     spectra = rng.standard_normal((4, 2, 6)) + 1j * rng.standard_normal((4, 2, 6))
-    scans = EmptyScanSet(spectra, np.arange(4), seed=0)
-    stacked = interp_backgrounds(scans, 15, 5)
+    stacked = interp_backgrounds(spectra, 15, 5)
     for i in range(15):
         b, kappa = i // 5, (i % 5) / 4
         expected = kappa * spectra[b] + (1 - kappa) * spectra[b + 1]
         assert np.array_equal(stacked[i], expected)
     with pytest.raises(ValueError):
-        interp_backgrounds(scans, 16, 5)
+        interp_backgrounds(spectra, 16, 5)
+
+
+def test_interp_backgrounds_matches_whole_array_formula():
+    # the whole-array expression the bracket loop replaced, bitwise; 23 is
+    # not a multiple of Q = 4
+    rng = np.random.default_rng(36)
+    spectra = rng.standard_normal((7, 2, 9)) + 1j * rng.standard_normal((7, 2, 9))
+    i = np.arange(23)
+    b = i // 4
+    k = ((i % 4) / 3)[:, None, None]
+    want = k * spectra[b] + (1.0 - k) * spectra[b + 1]
+    assert interp_backgrounds(spectra, 23, 4).tobytes() == want.tobytes()
+
+
+def test_interp_backgrounds_zero_count():
+    empty = interp_backgrounds(scans_from_values([1.0, 2.0]), 0, 5)
+    assert empty.shape == (0, 1, 1) and empty.dtype == np.complex128
 
 
 def test_snr_scores_zero_when_calibration_equals_background():
     rng = np.random.default_rng(34)
     calib = rng.standard_normal((3, 1, 5)) + 1j * rng.standard_normal((3, 1, 5))
-    empty = EmptyScanSet(rng.standard_normal((2, 1, 5)) + 0j, [0, 1], seed=0)
+    empty = rng.standard_normal((2, 1, 5)) + 0j
     scores = snr_scores(calib, calib.copy(), empty, np.arange(5))
     assert np.all(scores == 0.0)
 
@@ -209,8 +219,6 @@ def test_subtract_background_examples():
     assert np.all(subtract_background(spec, spec) == 0.0)
     out = subtract_background(spec, np.array([[1.0 + 1.0j]]))
     assert out[0, 0] == 2.0 + 3.0j
-    meas = Measurement(spec, repetitions=1, seed=0)
-    assert np.array_equal(subtract_background(meas, np.zeros((1, 1))), spec)
     with pytest.raises(ValueError):
         subtract_background(spec, np.zeros((2, 2)))
 
@@ -224,7 +232,7 @@ def test_subtract_background_residual_shrinks_with_repetitions(system_1d):
     from robust_recon.acquisition import draw_phantom_measurement
 
     meas = draw_phantom_measurement(system_1d, phantom, bg, seed=6, repetitions=k)
-    residual = subtract_background(meas, mean) - system_1d.apply(phantom.flat())
+    residual = subtract_background(meas.spectrum, mean) - system_1d.apply(phantom.flat())
     mean_abs = np.mean(np.abs(residual))
     assert mean_abs <= 4.0 / np.sqrt(k)  # 4 * base std / sqrt(repetitions)
 
@@ -234,8 +242,7 @@ def test_whitening_weights_inverse_std():
     base = 5.0 + 3.0j
     scans = scans_from_values([base - (2 + 2j), base, base + (2 + 2j)])
     sel = select_frequencies(np.ones((1, 1)), 0.0, np.array([0]))
-    w = whitening_weights(scans, sel)
-    assert np.array_equal(w.weights, [0.5, 0.5])
+    assert np.array_equal(whitening_weights(scans, sel), [0.5, 0.5])
 
 
 def test_whitening_weights_example_pair():
@@ -243,20 +250,16 @@ def test_whitening_weights_example_pair():
     spectra = np.zeros((3, 1, 2), dtype=np.complex128)
     spectra[:, 0, 0] = [-(1 + 1j), 0.0, 1 + 1j]
     spectra[:, 0, 1] = [-(10 + 10j), 0.0, 10 + 10j]
-    scans = EmptyScanSet(spectra, [0, 1, 2], seed=0)
     sel = select_frequencies(np.ones((1, 2)), 0.0, np.array([0, 1]))
-    w = whitening_weights(scans, sel)
-    assert np.array_equal(w.weights, [1.0, 1.0, 0.1, 0.1])
+    assert np.array_equal(whitening_weights(spectra, sel), [1.0, 1.0, 0.1, 0.1])
 
 
 def test_whitening_weights_floor():
     spectra = np.zeros((3, 1, 2), dtype=np.complex128)
     spectra[:, 0, 1] = [-(1 + 1j), 0.0, 1 + 1j]  # component 0 is constant
-    scans = EmptyScanSet(spectra, [0, 1, 2], seed=0)
     sel = select_frequencies(np.ones((1, 2)), 0.0, np.array([0, 1]))
-    w = whitening_weights(scans, sel)
-    assert w.floor == 1e-8
-    assert np.array_equal(w.weights, [1e8, 1e8, 1.0, 1.0])
+    # the floor is 1e-8 times the largest std, 1
+    assert np.array_equal(whitening_weights(spectra, sel), [1e8, 1e8, 1.0, 1.0])
 
 
 def test_whitening_weights_all_constant_raises():
@@ -272,18 +275,18 @@ def test_whitening_normalizes_independent_draws():
     fit = draw_empty_scans(bg, 1000, seed=1)
     fresh = draw_empty_scans(bg, 1000, seed=2)
     sel = select_frequencies(np.ones((1, 16)), 0.0, np.arange(16))
-    w = whitening_weights(fit, sel).weights.reshape(16, 2)
-    whitened_re = (fresh.spectra[:, 0, :].real * w[:, 0]).std(axis=0, ddof=1)
-    whitened_im = (fresh.spectra[:, 0, :].imag * w[:, 1]).std(axis=0, ddof=1)
+    w = whitening_weights(fit, sel).reshape(16, 2)
+    whitened_re = (fresh[:, 0, :].real * w[:, 0]).std(axis=0, ddof=1)
+    whitened_im = (fresh[:, 0, :].imag * w[:, 1]).std(axis=0, ddof=1)
     for stat in (whitened_re, whitened_im):
         assert np.all(stat >= 0.8) and np.all(stat <= 1.2)
 
 
 def test_whitening_weights_validation():
-    with pytest.raises(ValueError):
-        WhiteningWeights(np.array([1.0, -1.0]), 0.0)
-    with pytest.raises(ValueError):
-        WhiteningWeights(np.array([1.0, np.inf]), 0.0)
+    scans = scans_from_values([1.0, 2.0, 4.0])
+    nothing = select_frequencies(np.zeros((1, 1)), 1.0, np.array([0]))
+    with pytest.raises(ValueError, match="empty selection"):
+        whitening_weights(scans, nothing)
 
 
 def test_power_iteration_matches_svd_oracle():
@@ -299,6 +302,14 @@ def test_power_iteration_edge_cases():
     assert abs(power_iteration_norm(np.array([[3.0], [4.0]])) - 5.0) <= 1e-12
     with pytest.raises(NumericalError):
         power_iteration_norm(np.ones((3, 3)), max_iter=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_power_iteration_non_finite_raises_at_once(bad):
+    a = np.ones((4, 3))
+    a[2, 1] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        power_iteration_norm(a)
 
 
 def test_power_iteration_near_degenerate_raises():
@@ -349,6 +360,25 @@ def test_assemble_row_layout_and_index():
         assert reduced.y[r] == target / reduced.scale
 
 
+def test_assemble_skips_a_coil_that_keeps_nothing():
+    # coil 0 keeps nothing, coils 1 and 2 keep components: the rows of coil 1
+    # come first, each (real, imaginary) pair in frequency order
+    rng = np.random.default_rng(46)
+    data = rng.standard_normal((3, 6, 2)) + 1j * rng.standard_normal((3, 6, 2))
+    yspec = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    scores = np.zeros((3, 6))
+    scores[1, [2, 5]] = 1.0
+    scores[2, 0] = 1.0
+    sel = select_frequencies(scores, 0.5, np.arange(6))
+    reduced = assemble_reduced_system(data, yspec, sel)
+    expected_index = [(1, 2, 0), (1, 2, 1), (1, 5, 0), (1, 5, 1), (2, 0, 0), (2, 0, 1)]
+    assert np.array_equal(reduced.row_index, expected_index)
+    for r, (c, j, part) in enumerate(expected_index):
+        part_of = np.real if part == 0 else np.imag
+        assert np.array_equal(reduced.A[r], part_of(data[c, j]) / reduced.scale)
+        assert reduced.y[r] == part_of(yspec[c, j]) / reduced.scale
+
+
 def test_assemble_two_identity_example():
     data = np.zeros((1, 4, 2), dtype=np.complex128)
     data[0, 1, 0] = 2.0
@@ -369,8 +399,7 @@ def test_assemble_identity_whitening_changes_nothing():
     yspec = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
     sel = fixed_selection(1, [0, 2, 3])
     plain = assemble_reduced_system(data, yspec, sel)
-    unit = assemble_reduced_system(data, yspec, sel,
-                                   WhiteningWeights(np.ones(6), 0.0))
+    unit = assemble_reduced_system(data, yspec, sel, np.ones(6))
     assert np.array_equal(plain.A, unit.A)
     assert np.array_equal(plain.y, unit.y)
     assert plain.scale == unit.scale
@@ -382,11 +411,11 @@ def test_assemble_whitening_applied_before_scaling():
     data = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
     yspec = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
     sel = fixed_selection(1, [0, 2])
-    weights = WhiteningWeights(np.array([2.0, 0.5, 4.0, 1.0]), 0.0)
+    weights = np.array([2.0, 0.5, 4.0, 1.0])
     reduced = assemble_reduced_system(data, yspec, sel, weights)
     raw = np.stack([data[0, 0].real, data[0, 0].imag,
                     data[0, 2].real, data[0, 2].imag])
-    weighted = raw * weights.weights[:, None]
+    weighted = raw * weights[:, None]
     assert abs(reduced.scale - np.linalg.svd(weighted, compute_uv=False)[0]) <= 1e-6
     assert np.max(np.abs(reduced.A * reduced.scale - weighted)) <= 1e-12
 
@@ -394,8 +423,8 @@ def test_assemble_whitening_applied_before_scaling():
 def test_assembled_norm_is_one(system_1d, rng):
     yspec = rng.standard_normal((1, 129)) + 1j * rng.standard_normal((1, 129))
     sel = fixed_selection(1, list(range(20, 110)))
-    for weights in (None, WhiteningWeights(rng.uniform(0.5, 2.0, 180), 0.0)):
-        reduced = assemble_reduced_system(system_1d, yspec, sel, weights)
+    for weights in (None, rng.uniform(0.5, 2.0, 180)):
+        reduced = assemble_reduced_system(system_1d.data, yspec, sel, weights)
         top = np.linalg.svd(reduced.A, compute_uv=False)[0]
         assert top <= 1.0 + 1e-6
 
@@ -434,7 +463,7 @@ def test_assemble_validation():
         assemble_reduced_system(data, yspec, empty)
     sel = fixed_selection(1, [1])
     with pytest.raises(ValueError):
-        assemble_reduced_system(data, yspec, sel, WhiteningWeights(np.ones(4), 0.0))
+        assemble_reduced_system(data, yspec, sel, np.ones(4))
     with pytest.raises(ValueError):
         assemble_reduced_system(data, np.zeros((2, 4)), sel)
     with pytest.raises(NumericalError):
