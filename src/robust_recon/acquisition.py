@@ -11,6 +11,10 @@ Scan scheduling interleaves empty (blank) scans with calibration scans:
 one empty scan, then a bracket of ``scans_per_bracket`` calibration scans,
 then the next empty scan, and so on, with a final empty scan after the last
 bracket. Global scan indices feed the drift term.
+
+Every draw adds its drift and noise terms into the one array it returns,
+_BLOCK_SCANS scans at a time, so a draw holds no full-size temporary: at
+40x40 voxels the calibration draw peaks at its own 52 MB output.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ __all__ = [
     "background_mean",
 ]
 
-# scans per block of the drift term: a 0.5 MB temporary at 2 coils x 1025 bins
-_DRIFT_BLOCK_VOXELS = 16
+# scans per block of the drift and noise terms: 0.5 MB temporaries at
+# 2 coils x 1025 bins
+_BLOCK_SCANS = 16
 
 
 @dataclass
@@ -136,16 +141,11 @@ class Measurement:
     """One acquired spectrum set (coils, freqs)."""
 
     spectrum: np.ndarray
-    repetitions: int
-    seed: int
-    scan_index: int = 0
 
     def __post_init__(self):
         self.spectrum = np.asarray(self.spectrum, dtype=np.complex128)
         if self.spectrum.ndim != 2:
             raise ValueError("measurement spectrum must have shape (coils, freqs)")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
 
 
 def acquisition_schedule(voxel_count: int, scans_per_bracket: int):
@@ -167,23 +167,43 @@ def acquisition_schedule(voxel_count: int, scans_per_bracket: int):
     return calib, empty
 
 
-def _draw_noise(rng, shape, std, repetitions):
-    """Complex noise std/sqrt(repetitions) * (re + 1j*im), with re and then
-    im drawn from ``rng``. Built in place: a standard normal draw is never
-    +-0, so setting the parts gives the bits of re + 1j*im."""
+def _add_drift_and_noise(out: np.ndarray, bg: BackgroundModel, scan_indices,
+                         seed: int, repetitions: int) -> None:
+    """Add drift * scan_indices[i] and then complex noise to each scan out[i]
+    of a (scans, coils, freqs) array, _BLOCK_SCANS scans at a time.
+
+    The noise is (re + 1j*im) * std/sqrt(repetitions), where the stream of
+    ``seed`` draws every real part of the whole array before any imaginary
+    part. A second generator from the same seed, advanced past the real
+    draws, yields the imaginary parts block by block; chunked draws give the
+    values of one draw. A standard normal draw is never +-0, so setting the
+    parts of a complex block gives the bits of re + 1j*im, and the complex
+    multiply keeps the sign of zero a real one would lose when std is 0.
+    """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    noise = np.empty(shape, dtype=np.complex128)
-    noise.real = rng.standard_normal(shape)
-    noise.imag = rng.standard_normal(shape)
-    noise *= std / np.sqrt(repetitions)
-    return noise
+    std = bg.noise_std() / np.sqrt(repetitions)
+    re_rng = np.random.default_rng(seed)
+    im_rng = np.random.default_rng(seed)
+    part = np.empty((_BLOCK_SCANS,) + out.shape[1:])
+    noise = np.empty(part.shape, dtype=np.complex128)
+    for lo in range(0, out.shape[0], _BLOCK_SCANS):
+        im_rng.standard_normal(out=part[:out.shape[0] - lo])
+    for lo in range(0, out.shape[0], _BLOCK_SCANS):
+        block = out[lo:lo + _BLOCK_SCANS]
+        n = block.shape[0]
+        block += bg.drift * scan_indices[lo:lo + n, None, None]
+        noise.real[:n] = re_rng.standard_normal(out=part[:n])
+        noise.imag[:n] = im_rng.standard_normal(out=part[:n])
+        noise[:n] *= std
+        block += noise[:n]
 
 
 def draw_empty_scans(bg: BackgroundModel, count: int, seed: int,
                      schedule=None, repetitions: int = 1) -> np.ndarray:
     """Draw ``count`` blank scans at the global scan indices ``schedule``
-    (default 0..count-1): complex spectra of shape (count, coils, freqs)."""
+    (default 0..count-1): complex spectra of shape (count, coils, freqs),
+    mean + drift * schedule[i] + noise in that order."""
     if count < 2:
         raise ValueError("at least 2 empty scans are required")
     if schedule is None:
@@ -191,9 +211,9 @@ def draw_empty_scans(bg: BackgroundModel, count: int, seed: int,
     schedule = np.asarray(schedule, dtype=np.int64)
     if schedule.shape != (count,):
         raise ValueError("schedule must give one scan index per empty scan")
-    rng = np.random.default_rng(seed)
-    noise = _draw_noise(rng, (count,) + bg.shape, bg.noise_std()[None, :, :], repetitions)
-    return bg.mean_spectrum[None, :, :] + bg.drift[None, :, :] * schedule[:, None, None] + noise
+    out = np.repeat(bg.mean_spectrum[None], count, axis=0)
+    _add_drift_and_noise(out, bg, schedule, seed, repetitions)
+    return out
 
 
 def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
@@ -205,8 +225,6 @@ def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
     global scan index scan_indices[i]: concentration * S[:, :, i] + mean +
     drift * scan_indices[i] + noise, added in that order into one
     C-contiguous array, so the artifact writer stores it without a copy.
-    The drift term is added _DRIFT_BLOCK_VOXELS scans at a time, so its
-    temporary stays small even when the drift is zero.
     Raises ValueError when repetitions < 1.
     """
     if concentration <= 0:
@@ -216,13 +234,9 @@ def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
         raise ValueError("need one scan index per voxel")
     if bg.shape != (system.coils, system.freq_count):
         raise ValueError("background shape does not match the system matrix")
-    rng = np.random.default_rng(seed)
     out = np.multiply(concentration, system.data.transpose(2, 0, 1), order="C")
     out += bg.mean_spectrum
-    for lo in range(0, out.shape[0], _DRIFT_BLOCK_VOXELS):
-        out[lo:lo + _DRIFT_BLOCK_VOXELS] += (
-            bg.drift * scan_indices[lo:lo + _DRIFT_BLOCK_VOXELS, None, None])
-    out += _draw_noise(rng, out.shape, bg.noise_std(), repetitions)
+    _add_drift_and_noise(out, bg, scan_indices, seed, repetitions)
     return out
 
 
@@ -232,10 +246,9 @@ def draw_phantom_measurement(system: SystemMatrix, phantom: Phantom,
     """One noisy phantom measurement: S*x + mean + drift*scan_index + noise."""
     if bg.shape != (system.coils, system.freq_count):
         raise ValueError("background shape does not match the system matrix")
-    rng = np.random.default_rng(seed)
-    noise = _draw_noise(rng, bg.shape, bg.noise_std(), repetitions)
-    spectrum = system.apply(phantom.flat()) + bg.mean_spectrum + bg.drift * scan_index + noise
-    return Measurement(spectrum, repetitions, seed, scan_index)
+    out = (system.apply(phantom.flat()) + bg.mean_spectrum)[None]
+    _add_drift_and_noise(out, bg, np.array([scan_index], dtype=np.int64), seed, repetitions)
+    return Measurement(out[0])
 
 
 def background_mean(scans: np.ndarray) -> np.ndarray:

@@ -10,6 +10,10 @@ system to unit operator norm.
 Row order is canonical throughout: coil-major, then selected frequency
 index, with the real row immediately before the imaginary row of each
 component.
+
+The band is one run of bins. A caller may slice the spectra to it and pass
+band-local indices; each step then gives the bits it gives on the full
+arrays. The pipeline does so (see cli.cmd_preprocess).
 """
 
 from __future__ import annotations
@@ -35,9 +39,13 @@ __all__ = [
     "assemble_reduced_system",
 ]
 
+# calibration scans per block of the SNR numerator
+_SCORE_BLOCK = 64
+
 
 def band_pass(freq_count: int, period_ms: float, b1_khz: float, b2_khz: float) -> np.ndarray:
-    """Indices j with b1 <= j/period <= b2, ascending. b2 may be infinite."""
+    """Indices j with b1 <= j/period <= b2, ascending: one run of
+    consecutive bins, possibly empty. b2 may be infinite."""
     if freq_count < 1 or period_ms <= 0:
         raise ValueError("freq_count and period must be positive")
     if b1_khz < 0 or not b1_khz < b2_khz:
@@ -83,6 +91,10 @@ def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: np.ndarray,
     background-corrected component. Denominator: mean magnitude of the
     empty-scan deviations from their own mean. A zero denominator yields
     +inf (a component with no background noise is perfectly reliable).
+
+    The numerator is summed _SCORE_BLOCK scans at a time, each scan added in
+    scan order as np.mean adds them, so the bits are np.mean's and no
+    full-size temporary is made; interp_bg may be a broadcast view.
     """
     calib = np.asarray(calib_scans, dtype=np.complex128)
     interp_bg = np.asarray(interp_bg, dtype=np.complex128)
@@ -91,7 +103,13 @@ def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: np.ndarray,
     if interp_bg.shape != calib.shape:
         raise ValueError("interpolated backgrounds must match the calibration scans")
     band_indices = np.asarray(band_indices, dtype=np.int64)
-    num = np.abs(calib[:, :, band_indices] - interp_bg[:, :, band_indices]).mean(axis=0)
+    num = np.zeros((calib.shape[1], band_indices.size))
+    for lo in range(0, calib.shape[0], _SCORE_BLOCK):
+        hi = lo + _SCORE_BLOCK
+        for row in np.abs(calib[lo:hi][:, :, band_indices]
+                          - interp_bg[lo:hi][:, :, band_indices]):
+            num += row
+    num /= calib.shape[0]
     mu = background_mean(empty_scans)
     den = np.abs(empty_scans[:, :, band_indices] - mu[None, :, band_indices]).mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -153,7 +171,8 @@ def calibration_system_matrix(calib_scans, interp_bg: np.ndarray,
                               concentration: float) -> np.ndarray:
     """System-matrix estimate from calibration scans: background-corrected
     per-voxel spectra divided by the calibration concentration, (coils,
-    freqs, voxels)."""
+    freqs, voxels), a transposed view of one new (voxels, coils, freqs)
+    array. interp_bg may be a broadcast view."""
     calib = np.asarray(calib_scans, dtype=np.complex128)
     if concentration <= 0:
         raise ValueError("calibration concentration must be positive")

@@ -132,7 +132,12 @@ def test_zero_background_measurement_is_forward_model(system_1d):
     bg = BackgroundModel(np.zeros((1, system_1d.freq_count)), 0.0, False, 1.0, 0.0)
     meas = draw_phantom_measurement(system_1d, phantom, bg, seed=5, scan_index=9)
     assert np.array_equal(meas.spectrum, system_1d.apply(phantom.flat()))
-    assert meas.scan_index == 9
+    # the scan index enters through the drift term alone
+    drifting = BackgroundModel(np.zeros((1, system_1d.freq_count)), 0.0, False, 1.0,
+                               0.25 - 0.5j)
+    meas = draw_phantom_measurement(system_1d, phantom, drifting, seed=5, scan_index=9)
+    assert np.array_equal(meas.spectrum,
+                          system_1d.apply(phantom.flat()) + drifting.drift * 9)
 
 
 def test_measurement_mean_converges_to_signal_plus_mean(system_1d):
@@ -154,10 +159,8 @@ def test_measurement_validation(system_1d):
     bg = quiet_background((2, 5))
     with pytest.raises(ValueError):
         draw_phantom_measurement(system_1d, phantom, bg, seed=0)
-    with pytest.raises(ValueError):
-        Measurement(np.zeros((1, 4)), repetitions=0, seed=0)
-    with pytest.raises(ValueError):
-        Measurement(np.zeros(4), repetitions=1, seed=0)
+    with pytest.raises(ValueError, match="shape"):
+        Measurement(np.zeros(4))
 
 
 def test_background_mean_examples():
@@ -296,7 +299,7 @@ def test_blocked_drift_matches_whole_array_drift(scanner_2d, drift_scale, base_s
     # the noise is +-0, so the signed zeros planted in the signal and the
     # mean show whether the +0 drift term was added
     system = simulate_system_matrix(scanner_2d, VoxelGrid((7, 5, 1), (1.0, 1.0, 1.0)))
-    assert system.voxel_count % acquisition._DRIFT_BLOCK_VOXELS != 0
+    assert system.voxel_count % acquisition._BLOCK_SCANS != 0
     bg = make_background(system.coils, system.freq_count, system.period_ms,
                          (15.625, 16.6015625), base_std=base_std, mean_peak=30.0,
                          drift_scale=drift_scale, seed=4)
@@ -310,6 +313,59 @@ def test_blocked_drift_matches_whole_array_drift(scanner_2d, drift_scale, base_s
     want += bg.drift * calib_idx[:, None, None]
     want += _noise_reference(np.random.default_rng(7), want.shape, bg.noise_std(), 1)
     assert scans.tobytes() == want.tobytes()
+
+
+def _whole_array_noise(rng, shape, std, repetitions):
+    # the whole-array draw the blocks replace: every real part, then every
+    # imaginary part, then one complex multiply by the scaled std
+    noise = np.empty(shape, dtype=np.complex128)
+    noise.real = rng.standard_normal(shape)
+    noise.imag = rng.standard_normal(shape)
+    noise *= std / np.sqrt(repetitions)
+    return noise
+
+
+@pytest.mark.parametrize("repetitions", [1, 3])
+@pytest.mark.parametrize("base_std, drift_scale", [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0),
+                                                   (0.5, 0.5)])
+def test_blocked_noise_matches_whole_array_noise(scanner_2d, base_std, drift_scale,
+                                                 repetitions):
+    # 35 calibration and 35 empty scans: two full blocks and a partial one.
+    # With base_std = 0 the noise is +-0. The signed zeros planted in the
+    # signal, the mean and the drift keep the real part -0 up to the noise
+    # term, so its sign of zero shows whether the complex multiply was kept.
+    system = simulate_system_matrix(scanner_2d, VoxelGrid((7, 5, 1), (1.0, 1.0, 1.0)))
+    assert system.voxel_count % acquisition._BLOCK_SCANS != 0
+    bg = make_background(system.coils, system.freq_count, system.period_ms,
+                         (15.625, 16.6015625), base_std=base_std, mean_peak=30.0,
+                         drift_scale=drift_scale, seed=4)
+    assert np.any(bg.drift != 0) == (drift_scale * base_std != 0)
+    system.data[..., ::5] = complex(-0.0, -0.0)
+    bg.mean_spectrum[:, ::3] = complex(-0.0, -0.0)
+    bg.drift[:, ::3] = complex(-0.0, 0.0)  # drift * index then has a -0 real part
+    std = bg.noise_std()
+    idx = 3 * np.arange(system.voxel_count, dtype=np.int64) + 1
+
+    scans = draw_calibration_scans(system, bg, 80.0, seed=7, scan_indices=idx,
+                                   repetitions=repetitions)
+    want = np.multiply(80.0, system.data.transpose(2, 0, 1), order="C")
+    want += bg.mean_spectrum
+    want += bg.drift * idx[:, None, None]
+    want += _whole_array_noise(np.random.default_rng(7), want.shape, std, repetitions)
+    assert scans.tobytes() == want.tobytes()
+
+    empties = draw_empty_scans(bg, idx.size, seed=8, schedule=idx, repetitions=repetitions)
+    want = (bg.mean_spectrum[None, :, :] + bg.drift[None, :, :] * idx[:, None, None]
+            + _whole_array_noise(np.random.default_rng(8), empties.shape, std[None, :, :],
+                                 repetitions))
+    assert empties.tobytes() == want.tobytes()
+
+    phantom = make_phantom("shape-cone", system.grid, 50.0)
+    meas = draw_phantom_measurement(system, phantom, bg, seed=9, scan_index=40,
+                                    repetitions=repetitions)
+    want = (system.apply(phantom.flat()) + bg.mean_spectrum + bg.drift * 40
+            + _whole_array_noise(np.random.default_rng(9), bg.shape, std, repetitions))
+    assert meas.spectrum.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("repetitions", [0, -1])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robust_recon import artifacts, cli, metrics, preprocess, solvers
+from robust_recon import acquisition, artifacts, cli, metrics, preprocess, solvers
 from robust_recon.cli import main
 from robust_recon.config import load_config
 from robust_recon.metrics import ShiftGrid, psnr, ssim
@@ -144,6 +144,44 @@ def test_preprocess_rows_shrink_with_tau(pipeline, tmp_path):
                      "--out", str(run)]) == 0
         counts.append(read_json(run / "selection_report.json")["rows"])
     assert counts[0] >= counts[1] >= counts[2]
+
+
+@pytest.mark.parametrize("b1, b2, tau, whiten", [
+    ("80", "625", "3", False),  # the default band reaches the last of 129 bins
+    ("0", "inf", "0", True),
+    ("0", "60", "2", True),
+    ("30", "90", "0", False),
+])
+def test_band_only_preprocess_matches_full_array_composition(pipeline, tmp_path,
+                                                             b1, b2, tau, whiten):
+    # cmd_preprocess slices every spectrum to the band; the oracle runs the
+    # public steps on the full arrays, as the stage did before
+    _, run = clone(pipeline, tmp_path)
+    cfg = write_config(tmp_path, {"preprocess.b1_khz": b1, "preprocess.b2_khz": b2,
+                                  "preprocess.tau": tau,
+                                  "preprocess.whiten": str(whiten).lower()})
+    assert main(["preprocess", "--config", str(cfg), "--out", str(run)]) == 0
+    conf = load_config(cfg)
+    scanner, pre = conf.scanner_config(), conf.preprocess
+    calib, empties, meas = (artifacts.read_artifact(run / name)[1] for name in
+                            ("system_matrix.rrc", "empty_scans.rrc", "measurement.rrc"))
+    m = calib.shape[0]
+    mu = preprocess.interp_backgrounds(empties, m, conf.scans_per_bracket(m))
+    band = preprocess.band_pass(scanner.freq_count, scanner.period_ms, pre.b1_khz, pre.b2_khz)
+    scores = preprocess.snr_scores(calib, mu, empties, band)
+    selection = preprocess.select_frequencies(scores, pre.tau, band)
+    measured = preprocess.calibration_system_matrix(
+        calib, mu, conf.background.calibration_concentration)
+    y = preprocess.subtract_background(meas[0], acquisition.background_mean(empties))
+    weights = preprocess.whitening_weights(empties, selection) if whiten else None
+    want = preprocess.assemble_reduced_system(measured, y, selection, weights)
+    assert artifacts.read_artifact(run / "reduced_A.rrc")[1].tobytes() == want.A.tobytes()
+    assert artifacts.read_artifact(run / "reduced_y.rrc")[1].tobytes() == want.y.tobytes()
+    rows = artifacts.read_artifact(run / "reduced_rows.rrc")[1]
+    assert rows.tobytes() == want.row_index.astype(np.float64).tobytes()
+    report = read_json(run / "selection_report.json")
+    assert report["scale"] == want.scale and report["whitened"] is whiten
+    assert report["retained_per_coil"] == [int(s.size) for s in selection.selected]
 
 
 def test_reconstruct_toy_kaczmarz_exact(tmp_path):
