@@ -28,14 +28,9 @@ def acquire(scanner, grid, system, phantom):
     calib = acquisition.draw_calibration_scans(system, bg, 100.0, 2000, calib_idx, 1000)
     meas = acquisition.draw_phantom_measurement(system, phantom, bg, 3000,
                                                 int(empty_idx[-1]) + 1, 1)
-    mu = preprocess.interp_backgrounds(empties, m, q)
     band = preprocess.band_pass(scanner.freq_count, scanner.period_ms, 80.0, 625.0)
-    scores = preprocess.snr_scores(calib, mu, empties, band)
-    selection = preprocess.select_frequencies(scores, 0.0, band)
-    measured = preprocess.calibration_system_matrix(calib, mu, 100.0)
-    y = preprocess.subtract_background(meas.spectrum,
-                                       acquisition.background_mean(empties))
-    return preprocess.assemble_reduced_system(measured, y, selection), bg
+    reduced, _ = preprocess.reduce_scans(calib, empties, meas.spectrum, q, band, 0.0, 100.0)
+    return reduced, bg
 
 
 def evaluate(x, phantom, grid, stack):

@@ -55,6 +55,7 @@ from .preprocess import (
     calibration_system_matrix,
     interp_backgrounds,
     power_iteration_norm,
+    reduce_scans,
     select_frequencies,
     snr_scores,
     subtract_background,
@@ -117,6 +118,7 @@ __all__ = [
     "rasterize_reference",
     "rasterize_shifted",
     "rasterize_support",
+    "reduce_scans",
     "reference_stack",
     "select_frequencies",
     "shift_max_metric",

@@ -134,9 +134,8 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
 
 def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     """Score, select, correct, whiten (optionally) and scale: raw scans in,
-    reduced real system out. Works on the band's bins only, and holds no
-    array of the calibration set's size besides its read buffer, which is
-    released once the corrected band is formed."""
+    reduced real system out, through preprocess.reduce_scans, which works
+    on the band's bins of the calibration read buffer in place."""
     calib = artifacts.read_verified(run_dir, SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET)
     empties = artifacts.read_verified(run_dir, EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET)
     meas = artifacts.read_verified(run_dir, MEASUREMENT, artifacts.KIND_SPECTRUM_SET)
@@ -161,29 +160,9 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     pre = cfg.preprocess
     band = preprocess.band_pass(scanner.freq_count, scanner.period_ms,
                                 pre.b1_khz, pre.b2_khz)
-    # The band is one run of bins: slice every spectrum to it once, and count
-    # frequency indices from its first bin until row_index is shifted back.
-    lo = int(band[0]) if band.size else 0
-    bins = slice(lo, lo + band.size)
-    local = band - lo
-    empties, y_raw = empties[:, :, bins], meas[0, :, bins]
-    # the background-corrected band, formed once in place of the backgrounds
-    corrected = preprocess.interp_backgrounds(empties, m, q)
-    np.subtract(calib[:, :, bins], corrected, out=corrected)
-    del calib  # release the read buffer before the measured matrix is formed
-    no_background = np.broadcast_to(np.complex128(0), corrected.shape)
-    scores = preprocess.snr_scores(corrected, no_background, empties, local)
-    selection = preprocess.select_frequencies(scores, pre.tau, local)
-    if selection.row_count == 0:
-        raise ConfigError(
-            f"preprocess.tau: no components reach tau={pre.tau:g}, nothing to reconstruct from")
-    measured = preprocess.calibration_system_matrix(
-        corrected, no_background, cfg.background.calibration_concentration)
-    del corrected
-    y_spec = preprocess.subtract_background(y_raw, acquisition.background_mean(empties))
-    weights = preprocess.whitening_weights(empties, selection) if pre.whiten else None
-    reduced = preprocess.assemble_reduced_system(measured, y_spec, selection, weights)
-    reduced.row_index[:, 1] += lo
+    reduced, selection = preprocess.reduce_scans(
+        calib, empties, meas[0], q, band, pre.tau,
+        cfg.background.calibration_concentration, pre.whiten)
     digests = {
         name: artifacts.write_artifact(run_dir / name, kind, array)
         for name, kind, array in (

@@ -230,8 +230,7 @@ def _filter3(volume: np.ndarray, window: np.ndarray, work: dict | None = None) -
     return out
 
 
-def ssim_table(images, stack, dynamic_range: float,
-               taps: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+def ssim_table(images, stack, dynamic_range: float) -> np.ndarray:
     """SSIM (see ssim) of each (nx, ny, nz) image against each reference
     volume: an (n, k) table. Image moments are filtered once, all images in
     one call; reference moments once per chunk of the stack (at most
@@ -244,11 +243,9 @@ def ssim_table(images, stack, dynamic_range: float,
         raise ValueError("ssim expects (nx, ny, nz) volumes")
     if dynamic_range <= 0:
         raise ValueError("dynamic range must be positive")
-    if taps < 1:
-        raise ValueError("the SSIM window needs at least one tap")
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
-    w = _gaussian_window(taps, sigma)
+    w = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
     mu_x = _filter3(images, w)
     mu_x2 = mu_x * mu_x
     var_x = _filter3(images * images, w) - mu_x2
@@ -284,8 +281,7 @@ def ssim_table(images, stack, dynamic_range: float,
     return table
 
 
-def ssim(image: np.ndarray, reference: np.ndarray, dynamic_range: float,
-         taps: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> float:
+def ssim(image: np.ndarray, reference: np.ndarray, dynamic_range: float) -> float:
     """Mean structural similarity over all voxel-centered Gaussian windows.
 
     Per window: (2 mu_x mu_r + C1)(2 cov + C2) /
@@ -296,7 +292,7 @@ def ssim(image: np.ndarray, reference: np.ndarray, dynamic_range: float,
     onto the one value, and summing the weighted copies moves it by up to
     about 1e-14 for values in [0, 100].
     """
-    return float(ssim_table([image], [reference], dynamic_range, taps, sigma)[0, 0])
+    return float(ssim_table([image], [reference], dynamic_range)[0, 0])
 
 
 def first_argmax(table: np.ndarray) -> tuple[int, ...]:

@@ -11,9 +11,9 @@ Row order is canonical throughout: coil-major, then selected frequency
 index, with the real row immediately before the imaginary row of each
 component.
 
-The band is one run of bins. A caller may slice the spectra to it and pass
-band-local indices; each step then gives the bits it gives on the full
-arrays. The pipeline does so (see cli.cmd_preprocess).
+reduce_scans runs the whole chain, as the pipeline does. It touches only
+the band's run of bins, corrects the calibration set's band in place, and
+gives the bits of the steps composed on the full arrays.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "whitening_weights",
     "power_iteration_norm",
     "assemble_reduced_system",
+    "reduce_scans",
 ]
 
 # calibration scans per block of the SNR numerator
@@ -121,25 +122,11 @@ def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: np.ndarray,
 class FrequencySelection:
     """Thresholded component choice: per coil, the retained frequency indices."""
 
-    band_indices: np.ndarray
-    scores: np.ndarray
-    tau: float
     selected: list
-
-    def __post_init__(self):
-        self.band_indices = np.asarray(self.band_indices, dtype=np.int64)
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.scores.shape[1] != self.band_indices.shape[0]:
-            raise ValueError("scores must align with the band indices")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
-        self.selected = [np.asarray(s, dtype=np.int64) for s in self.selected]
-        if len(self.selected) != self.scores.shape[0]:
-            raise ValueError("need one selection per coil")
 
     @property
     def coils(self) -> int:
-        return self.scores.shape[0]
+        return len(self.selected)
 
     @property
     def row_count(self) -> int:
@@ -154,8 +141,9 @@ def select_frequencies(scores: np.ndarray, tau: float,
     band_indices = np.asarray(band_indices, dtype=np.int64)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    selected = [band_indices[scores[c] >= tau] for c in range(scores.shape[0])]
-    return FrequencySelection(band_indices, scores, float(tau), selected)
+    if scores.ndim != 2 or scores.shape[1] != band_indices.size:
+        raise ValueError("scores must align with the band indices")
+    return FrequencySelection([band_indices[row >= tau] for row in scores])
 
 
 def subtract_background(spectrum: np.ndarray, background: np.ndarray) -> np.ndarray:
@@ -183,10 +171,9 @@ def calibration_system_matrix(calib_scans, interp_bg: np.ndarray,
     return np.transpose(corrected, (1, 2, 0))
 
 
-def whitening_weights(empty_scans: np.ndarray, selection: FrequencySelection,
-                      floor_ratio: float = 1e-8) -> np.ndarray:
+def whitening_weights(empty_scans: np.ndarray, selection: FrequencySelection) -> np.ndarray:
     """Inverse empty-scan std per retained row in canonical row order,
-    floored at floor_ratio times the largest retained std so near-constant
+    floored at 1e-8 times the largest retained std so near-constant
     components cannot blow up."""
     stds = []
     for c, sel in enumerate(selection.selected):
@@ -201,7 +188,7 @@ def whitening_weights(empty_scans: np.ndarray, selection: FrequencySelection,
     max_std = flat.max()
     if max_std == 0.0:
         raise NumericalError("all retained components are constant across empty scans")
-    return 1.0 / np.maximum(flat, floor_ratio * max_std)
+    return 1.0 / np.maximum(flat, 1e-8 * max_std)
 
 
 def power_iteration_norm(a: np.ndarray, tol: float = 1e-6, max_iter: int = 500) -> float:
@@ -323,3 +310,39 @@ def assemble_reduced_system(system: np.ndarray, y_spectrum: np.ndarray,
     a /= scale
     y /= scale
     return ReducedSystem(a, y, row_index, scale, weights is not None)
+
+
+def reduce_scans(calib_scans: np.ndarray, empty_scans: np.ndarray, spectrum: np.ndarray,
+                 scans_per_bracket: int, band: np.ndarray, tau: float, concentration: float,
+                 whiten: bool = False) -> tuple[ReducedSystem, FrequencySelection]:
+    """Raw scans to the reduced system and its selection: bit for bit the
+    steps above composed on the full arrays (whitening_weights if whiten),
+    but computed on the band's run of bins only (band as band_pass returns
+    it). The band of calib_scans, a (voxels, coils, freqs) complex128 array,
+    is overwritten with its background-corrected spectra divided by the
+    concentration; its other bins are not touched. Raises ValueError when
+    no component reaches tau.
+    """
+    if calib_scans.dtype != np.complex128:
+        raise ValueError("calib_scans must be a complex128 array; its band is overwritten")
+    if concentration <= 0:
+        raise ValueError("calibration concentration must be positive")
+    bins = slice(band[0], band[-1] + 1) if len(band) else slice(0)
+    if not np.array_equal(band, np.arange(calib_scans.shape[2])[bins]):
+        raise ValueError("the band must be one run of consecutive bins of the spectra")
+    q = int(scans_per_bracket)
+    if q < 2:
+        raise ValueError("scans_per_bracket must be >= 2")
+    corrected = calib_scans[:, :, bins]  # a view: the band is corrected in place
+    for b, first in enumerate(range(0, corrected.shape[0], q)):
+        rows = corrected[first:first + q]
+        rows -= interp_backgrounds(empty_scans[b:b + 2, :, bins], rows.shape[0], q)
+    zero = np.broadcast_to(np.complex128(0), calib_scans.shape)  # already subtracted
+    selection = select_frequencies(snr_scores(calib_scans, zero, empty_scans, band), tau, band)
+    if selection.row_count == 0:
+        raise ValueError(f"no components reach tau={tau:g}, nothing to reconstruct from")
+    corrected /= concentration
+    y = subtract_background(spectrum, background_mean(empty_scans))
+    weights = whitening_weights(empty_scans, selection) if whiten else None
+    measured = np.transpose(calib_scans, (1, 2, 0))
+    return assemble_reduced_system(measured, y, selection, weights), selection

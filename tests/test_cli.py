@@ -146,6 +146,21 @@ def test_preprocess_rows_shrink_with_tau(pipeline, tmp_path):
     assert counts[0] >= counts[1] >= counts[2]
 
 
+@pytest.mark.parametrize("flags", [[], ["--whiten"]])
+def test_preprocess_tau_above_every_score_exits_2(tmp_path, capsys, flags):
+    cfg = write_config(tmp_path)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 0
+    manifest = (run / "manifest.json").read_bytes()
+    capsys.readouterr()
+    assert main(["preprocess", "--config", str(cfg), "--tau", "1e30", *flags,
+                 "--out", str(run)]) == 2
+    assert "tau=1e+30" in capsys.readouterr().err
+    assert not list(run.glob("reduced_*.rrc"))
+    assert not (run / "selection_report.json").exists()
+    assert (run / "manifest.json").read_bytes() == manifest
+
+
 @pytest.mark.parametrize("b1, b2, tau, whiten", [
     ("80", "625", "3", False),  # the default band reaches the last of 129 bins
     ("0", "inf", "0", True),
@@ -154,8 +169,8 @@ def test_preprocess_rows_shrink_with_tau(pipeline, tmp_path):
 ])
 def test_band_only_preprocess_matches_full_array_composition(pipeline, tmp_path,
                                                              b1, b2, tau, whiten):
-    # cmd_preprocess slices every spectrum to the band; the oracle runs the
-    # public steps on the full arrays, as the stage did before
+    # cmd_preprocess reduces the band only, through reduce_scans; the oracle
+    # runs the public steps on the full arrays
     _, run = clone(pipeline, tmp_path)
     cfg = write_config(tmp_path, {"preprocess.b1_khz": b1, "preprocess.b2_khz": b2,
                                   "preprocess.tau": tau,

@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
 
-from robust_recon import make_phantom
+from robust_recon import SystemMatrix, make_phantom
 from robust_recon.acquisition import (
     BackgroundModel,
     acquisition_schedule,
+    background_mean,
     draw_calibration_scans,
     draw_empty_scans,
+    draw_phantom_measurement,
 )
 from robust_recon.errors import NumericalError
 from robust_recon.preprocess import (
-    FrequencySelection,
     ReducedSystem,
     assemble_reduced_system,
     band_pass,
     calibration_system_matrix,
     interp_backgrounds,
     power_iteration_norm,
+    reduce_scans,
     select_frequencies,
     snr_scores,
     subtract_background,
@@ -188,7 +190,6 @@ def test_select_frequencies_example():
     sel = select_frequencies(scores, 1.0, np.array([10, 11, 12]))
     assert np.array_equal(sel.selected[0], [10, 12])
     assert sel.row_count == 4
-    assert sel.tau == 1.0
 
 
 def test_select_frequencies_threshold_monotonicity(rng):
@@ -206,12 +207,10 @@ def test_select_frequencies_threshold_monotonicity(rng):
 
 
 def test_selection_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         select_frequencies(np.ones((1, 3)), -0.5, np.arange(3))
-    with pytest.raises(ValueError):
-        FrequencySelection(np.arange(3), np.ones((1, 4)), 0.0, [np.arange(2)])
-    with pytest.raises(ValueError):
-        FrequencySelection(np.arange(3), np.ones((2, 3)), 0.0, [np.arange(2)])
+    with pytest.raises(ValueError, match="align"):
+        select_frequencies(np.ones((1, 4)), 0.0, np.arange(3))
 
 
 def test_subtract_background_examples():
@@ -458,7 +457,7 @@ def test_assemble_validation():
     data = np.zeros((1, 4, 2), dtype=np.complex128)
     data[0, 1, 0] = 1.0
     yspec = np.zeros((1, 4), dtype=np.complex128)
-    empty = FrequencySelection(np.arange(4), np.zeros((1, 4)), 1.0, [np.array([], dtype=int)])
+    empty = select_frequencies(np.zeros((1, 4)), 1.0, np.arange(4))
     with pytest.raises(ValueError):
         assemble_reduced_system(data, yspec, empty)
     sel = fixed_selection(1, [1])
@@ -490,3 +489,78 @@ def test_reduced_system_rejects_non_finite_values():
         a_bad[2, 0] = bad
         with pytest.raises(NumericalError):
             ReducedSystem(a_bad, np.ones(3))
+
+
+def full_array_composition(calib, empties, spectrum, q, band, tau, concentration, whiten):
+    mu = interp_backgrounds(empties, calib.shape[0], q)
+    selection = select_frequencies(snr_scores(calib, mu, empties, band), tau, band)
+    measured = calibration_system_matrix(calib, mu, concentration)
+    y = subtract_background(spectrum, background_mean(empties))
+    weights = whitening_weights(empties, selection) if whiten else None
+    return assemble_reduced_system(measured, y, selection, weights), selection, measured
+
+
+@pytest.mark.parametrize("q, base_std, b1, b2, tau, whiten", [
+    (5, 1.0, 30.0, 90.0, 2.0, False),  # 64 voxels: the last bracket holds 4 scans
+    (8, 0.0, 30.0, 90.0, 0.0, False),  # noise-free: signed zeros, infinite scores
+    (8, 1.0, 30.0, 90.0, 1.0, True),
+    (5, 1.0, 0.0, np.inf, 1.0, True),
+])
+def test_reduce_scans_matches_full_array_composition(system_2d, grid_2d, q, base_std,
+                                                     b1, b2, tau, whiten):
+    # voxels 0..7 give no signal and bins below 40 no mean: with base_std = 0
+    # and a -0 drift their calibration scans are signed zeros, and so are
+    # their entries in A
+    data = system_2d.data.copy()
+    data[:, :, :8] = complex(-0.0, -0.0)
+    system = SystemMatrix(data, grid_2d, system_2d.period_ms)
+    mean = np.full((2, 129), complex(-0.0, -0.0))
+    mean[:, 40:] = np.random.default_rng(37).standard_normal((2, 89)) + 2.0j
+    drift = 0.3 - 0.1j if base_std else complex(-0.0, -0.0)
+    bg = BackgroundModel(mean, base_std**2, False, 1.0, drift)
+    calib_idx, empty_idx = acquisition_schedule(system.voxel_count, q)
+    empties = draw_empty_scans(bg, empty_idx.size, seed=11, schedule=empty_idx)
+    calib = draw_calibration_scans(system, bg, 40.0, seed=12, scan_indices=calib_idx)
+    spectrum = draw_phantom_measurement(system, make_phantom("shape-cone", grid_2d, 50.0),
+                                        bg, seed=13, scan_index=int(empty_idx[-1]) + 1).spectrum
+    band = band_pass(129, system.period_ms, b1, b2)
+    want, want_sel, measured = full_array_composition(calib, empties, spectrum, q, band,
+                                                      tau, 40.0, whiten)
+    before = calib.copy()
+    got, sel = reduce_scans(calib, empties, spectrum, q, band, tau, 40.0, whiten)
+    if base_std == 0.0:
+        assert (np.signbit(got.A) & (got.A == 0.0)).any()
+    assert got.A.tobytes() == want.A.tobytes() and got.y.tobytes() == want.y.tobytes()
+    assert got.row_index.tobytes() == want.row_index.tobytes()
+    assert got.scale == want.scale and got.whitened is whiten
+    assert len(sel.selected) == 2
+    for s, w in zip(sel.selected, want_sel.selected):
+        assert s.tobytes() == w.tobytes()
+    # the band now holds the measured matrix; every other bin is as it was
+    inside = np.zeros(129, dtype=bool)
+    inside[band] = True
+    assert calib[:, :, inside].tobytes() == measured.transpose(2, 0, 1)[:, :, inside].tobytes()
+    assert calib[:, :, ~inside].tobytes() == before[:, :, ~inside].tobytes()
+
+
+def test_reduce_scans_validation(system_1d):
+    bg = BackgroundModel(np.zeros((1, 129)), 1.0, False, 1.0, 0.0)
+    calib_idx, empty_idx = acquisition_schedule(5, 5)
+    empties = draw_empty_scans(bg, empty_idx.size, seed=1, schedule=empty_idx)
+    calib = draw_calibration_scans(system_1d, bg, 10.0, seed=2, scan_indices=calib_idx)
+    spectrum = np.zeros((1, 129), dtype=np.complex128)
+    band = np.arange(10, 20)
+    with pytest.raises(ValueError, match="tau=1e\\+30"):
+        reduce_scans(calib.copy(), empties, spectrum, 5, band, 1e30, 10.0)
+    for bad in (band[::2], band[::-1], np.arange(125, 135)):
+        with pytest.raises(ValueError, match="consecutive"):
+            reduce_scans(calib.copy(), empties, spectrum, 5, bad, 0.0, 10.0)
+    for q in (-1, 0, 1):
+        with pytest.raises(ValueError, match="scans_per_bracket"):
+            reduce_scans(calib.copy(), empties, spectrum, q, band, 0.0, 10.0)
+    with pytest.raises(ValueError, match="complex128"):
+        reduce_scans(calib.astype(np.complex64), empties, spectrum, 5, band, 0.0, 10.0)
+    with pytest.raises(ValueError, match="concentration"):
+        reduce_scans(calib.copy(), empties, spectrum, 5, band, 0.0, 0.0)
+    with pytest.raises(ValueError, match="schedule"):
+        reduce_scans(calib.copy(), empties[:1], spectrum, 5, band, 0.0, 10.0)
