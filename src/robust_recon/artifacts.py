@@ -12,7 +12,9 @@ on any mismatch, so a truncated or bit-flipped file never parses.
 manifest.json maps artifact names to sha256 hex digests. It is written
 with sorted keys and no timestamps, so reruns with the same seed produce
 byte-identical bytes. Wall-clock timing lives in sidecar files that are
-deliberately not part of the manifest.
+deliberately not part of the manifest. A stage checks each input as it
+reads it (read_verified); verify_manifest checks every recorded file of a
+run directory at once.
 
 All writes go through a temp file and os.replace, so a crash cannot leave
 a half-written artifact under the final name.
@@ -206,19 +208,15 @@ def load_manifest(directory) -> dict:
     return files
 
 
-def verify_manifest(directory, names=None) -> dict:
-    """Check recorded hashes against the files on disk.
+def verify_manifest(directory) -> dict:
+    """Check every recorded hash against the file on disk.
 
-    names limits the check to those artifacts (all recorded otherwise).
     Returns the manifest entries; raises IntegrityError on any mismatch
-    or missing record.
+    and OSError when a recorded file is missing.
     """
     directory = Path(directory)
     entries = load_manifest(directory)
-    for name in (entries if names is None else names):
-        if name not in entries:
-            raise IntegrityError(f"{name}: not recorded in manifest")
-        actual = sha256_file(directory / name)
-        if actual != entries[name]:
+    for name, digest in entries.items():
+        if sha256_file(directory / name) != digest:
             raise IntegrityError(f"{name}: sha256 mismatch, file was modified")
     return entries

@@ -9,9 +9,11 @@ the manifest with what it writes, so a corrupted or hand-edited run
 directory fails loudly instead of producing plausible images.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 I/O or integrity
-failure, 4 numerical failure. Wall-clock timing goes to a timing_*.json
-sidecar that is intentionally absent from the manifest: with a fixed seed,
-rerunning a stage must reproduce every hashed byte.
+failure, 4 numerical failure: a NumericalError, or an ArithmeticError such
+as the overflow of a config value whose derived quantities leave the float
+range. Wall-clock timing goes to a timing_*.json sidecar that is
+intentionally absent from the manifest: with a fixed seed, rerunning a
+stage must reproduce every hashed byte.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ __all__ = [
     "cmd_reconstruct",
     "cmd_evaluate",
     "cmd_sweep",
-    "phantom_from_config",
-    "background_from_config",
 ]
 
 SYSTEM_MATRIX = "system_matrix.rrc"
@@ -53,25 +53,6 @@ RECON_SUMMARY = "reconstruction_summary.json"
 QUALITY_CSV = "quality.csv"
 QUALITY_SUMMARY = "quality_summary.json"
 SWEEP_SUMMARY = "sweep_summary.json"
-
-
-def phantom_from_config(cfg: PipelineConfig, grid: model.VoxelGrid) -> model.Phantom:
-    p = cfg.phantom
-    try:
-        return model.make_phantom(p.kind, grid, p.concentration, subsamples=p.subsamples)
-    except ValueError as exc:
-        raise ConfigError(f"phantom: {exc}") from exc
-
-
-def background_from_config(cfg: PipelineConfig,
-                           scanner: model.ScannerConfig) -> acquisition.BackgroundModel:
-    b = cfg.background
-    return acquisition.make_background(
-        scanner.coils, scanner.freq_count, scanner.period_ms,
-        scanner.drive_frequencies_khz, b.base_std, b.mean_peak,
-        mean_decay=b.mean_decay, outlier_fraction=b.outlier_fraction,
-        outlier_scale=b.outlier_scale, drift_scale=b.drift_scale,
-        seed=b.structure_seed)
 
 
 def _write_json(path, payload) -> str:
@@ -101,9 +82,18 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
         system = model.simulate_system_matrix(scanner, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    phantom = phantom_from_config(cfg, grid)
-    bg = background_from_config(cfg, scanner)
+    p = cfg.phantom
+    try:
+        phantom = model.make_phantom(p.kind, grid, p.concentration, p.subsamples)
+    except ValueError as exc:
+        raise ConfigError(f"phantom: {exc}") from exc
     b = cfg.background
+    bg = acquisition.make_background(
+        scanner.coils, scanner.freq_count, scanner.period_ms,
+        scanner.drive_frequencies_khz, b.base_std, b.mean_peak,
+        mean_decay=b.mean_decay, outlier_fraction=b.outlier_fraction,
+        outlier_scale=b.outlier_scale, drift_scale=b.drift_scale,
+        seed=b.structure_seed)
     m = grid.voxel_count
     q = cfg.scans_per_bracket(m)
     calib_idx, empty_idx = acquisition.acquisition_schedule(m, q)
@@ -459,7 +449,7 @@ def main(argv=None) -> int:
     except (IntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -9,9 +9,9 @@ A setting is validated by the object it configures: the scanner, grid,
 metrics and solver sections build model.ScannerConfig, model.VoxelGrid,
 metrics.ShiftGrid and solvers.SolverConfig, whose ValueError becomes
 ConfigError("<section>: <message>"), e.g. "scanner: drive amplitudes must
-be nonnegative". validate_config checks the rest (solver method, alpha,
-epsilon, sweeps and seed; the phantom, background, preprocess, metrics
-scoring and sweep keys) as ConfigError("<section>.<key>: <precondition>").
+be nonnegative". validate_config checks the rest (solver method, alpha and
+epsilon; the phantom, background, preprocess, metrics scoring and sweep
+keys) as ConfigError("<section>.<key>: <precondition>").
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .solvers import METHODS, SolverConfig
 
 __all__ = ["PipelineConfig", "load_config", "parse_config", "apply_overrides"]
 
-PHANTOM_KINDS = ("delta", "shape-cone", "resolution-tubes", "custom")
+PHANTOM_KINDS = ("delta", "shape-cone", "resolution-tubes")
 
 
 @dataclass
@@ -235,10 +235,7 @@ def validate_config(cfg: PipelineConfig) -> None:
 
     p = cfg.phantom
     _require(p.kind in PHANTOM_KINDS,
-             f"phantom.kind: must be one of {', '.join(PHANTOM_KINDS)}")
-    _require(p.kind != "custom",
-             "phantom.kind: custom phantoms carry explicit voxel values and "
-             "cannot be built from a config file")
+             f"phantom.kind: must be one of {', '.join(PHANTOM_KINDS)}, got {p.kind!r}")
     _require(p.concentration > 0, "phantom.concentration: must be positive")
     _require(p.subsamples >= 1, "phantom.subsamples: must be at least 1")
 
@@ -275,8 +272,6 @@ def validate_config(cfg: PipelineConfig) -> None:
              f"solver.method: must be one of {', '.join(METHODS)}")
     _require(sol.alpha > 0, "solver.alpha: must be positive")
     _require(sol.epsilon > 0, "solver.epsilon: must be positive")
-    _require(sol.sweeps >= 1, "solver.sweeps: must be at least 1")
-    _require(sol.seed >= 0, "solver.seed: must be nonnegative")
 
     m = cfg.metrics
     _require(m.psnr_peak > 0, "metrics.psnr_peak: must be positive")

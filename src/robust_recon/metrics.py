@@ -15,10 +15,11 @@ NumericalError instead of naming a best cell.
 PSNR uses a fixed peak value (not the per-image maximum) so scores are
 comparable across reconstructions; identical images return +inf. SSIM uses
 the standard Gaussian window (11 taps, sigma 1.5) with symmetric padding
-and a fixed dynamic range. The window runs through _filter3, a NumPy port
-of scipy.ndimage.correlate1d(mode="reflect") that does its floating-point
-operations in its order, so scores keep correlate1d's bits while the
-package needs numpy only.
+and a fixed dynamic range. The window's weights are computed once, at
+import. They run through _filter3, a NumPy port of
+scipy.ndimage.correlate1d(mode="reflect") for odd, symmetric windows that
+does its floating-point operations in its order, so scores keep
+correlate1d's bits while the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ def _gaussian_window(taps: int, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
+# the one window ssim_table filters with: odd and exactly symmetric
+_SSIM_WEIGHTS = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+
+
 def _scratch(work: dict, key, shape: tuple) -> np.ndarray:
     """A C-ordered view of the work buffer named key, grown as needed."""
     size = math.prod(shape)
@@ -170,14 +175,14 @@ def _filter3(volume: np.ndarray, window: np.ndarray, work: dict | None = None) -
     scipy.ndimage.correlate1d(mode="reflect") on each axis in turn, with
     its IEEE operations in its order, so the bits are the same.
 
+    The window must have an odd number of taps, c = taps // 2, with
+    |w[c+k] - w[c-k]| <= DBL_EPSILON for every k: correlate1d's test for
+    its paired loop, which an odd-length _gaussian_window passes exactly.
     Padding is symmetric (d c b a | a b c d | d c b a), periodic with
-    period 2n when the window is longer than the line. With c = taps // 2,
-    a symmetric window (|w[c+i] - w[c-i]| <= DBL_EPSILON) takes
-    v[0]*w[c], then adds (v[-k] + v[+k])*w[c-k] for k = c..1, outermost
-    tap first; an antisymmetric one subtracts instead. Any other window,
-    even-length ones included, takes the last tap's product and then adds
-    the others from the first tap on. Which NaN propagates, and so the sign
-    of a NaN output, is unspecified, as in IEEE 754.
+    period 2n when the window is longer than the line. Each output is
+    v[0]*w[c] plus (v[-k] + v[+k])*w[c-k] for k = c..1, outermost tap
+    first. Which NaN propagates, and so the sign of a NaN output, is
+    unspecified, as in IEEE 754.
 
     Each axis is moved to the front and copied into a padded buffer (a
     length-1 axis is a zero-stride view instead), so every tap reads one
@@ -190,13 +195,6 @@ def _filter3(volume: np.ndarray, window: np.ndarray, work: dict | None = None) -
     """
     taps = window.size
     c = taps // 2
-    right, left = window[c + 1:], window[:c][::-1]
-    eps = np.finfo(np.float64).eps
-    combine = None
-    if taps % 2 and not (np.abs(right - left) > eps).any():
-        combine = np.add
-    elif taps % 2 and not (np.abs(right + left) > eps).any():
-        combine = np.subtract
     work = {} if work is None else work
     out = volume
     with np.errstate(over="ignore", invalid="ignore"):  # correlate1d is silent
@@ -213,19 +211,12 @@ def _filter3(volume: np.ndarray, window: np.ndarray, work: dict | None = None) -
                     padded[j] = padded[c + min(p, 2 * n - 1 - p)]
             # ping-pong: a length-1 axis reads the previous result in place
             out, pair, tmp = (_scratch(work, key, moved.shape) for key in (i % 2, "pair", "tmp"))
-            if combine:
-                np.multiply(padded[c:c + n], window[c], out=out)
-                for t in range(c):
-                    if n > 1 or t == 0:  # a length-1 axis has one pair
-                        combine(padded[t:t + n], padded[taps - 1 - t:taps - 1 - t + n],
-                                out=pair)
-                    np.multiply(pair, window[t], out=tmp)
-                    out += tmp
-            else:
-                np.multiply(padded[taps - 1:], window[taps - 1], out=out)
-                for t in range(taps - 1):
-                    np.multiply(padded[t:t + n], window[t], out=tmp)
-                    out += tmp
+            np.multiply(padded[c:c + n], window[c], out=out)
+            for t in range(c):
+                if n > 1 or t == 0:  # a length-1 axis has one pair
+                    np.add(padded[t:t + n], padded[taps - 1 - t:taps - 1 - t + n], out=pair)
+                np.multiply(pair, window[t], out=tmp)
+                out += tmp
             out = np.moveaxis(out, 0, axis)
     return out
 
@@ -245,10 +236,9 @@ def ssim_table(images, stack, dynamic_range: float) -> np.ndarray:
         raise ValueError("dynamic range must be positive")
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
-    w = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-    mu_x = _filter3(images, w)
+    mu_x = _filter3(images, _SSIM_WEIGHTS)
     mu_x2 = mu_x * mu_x
-    var_x = _filter3(images * images, w) - mu_x2
+    var_x = _filter3(images * images, _SSIM_WEIGHTS) - mu_x2
     twice_mu_x = 2.0 * mu_x
     table = np.empty((images.shape[0], stack.shape[0]))
     step = max(1, _CHUNK_VOXELS // max(1, int(np.prod(stack.shape[1:]))))
@@ -256,15 +246,15 @@ def ssim_table(images, stack, dynamic_range: float) -> np.ndarray:
     for lo in range(0, stack.shape[0], step):
         part = slice(lo, lo + step)
         refs = stack[part]
-        mu_r = _filter3(refs, w, work_mu)
+        mu_r = _filter3(refs, _SSIM_WEIGHTS, work_mu)
         mu_r2 = mu_r * mu_r
-        var_r = _filter3(refs * refs, w, work_var)
+        var_r = _filter3(refs * refs, _SSIM_WEIGHTS, work_var)
         var_r -= mu_r2
         prod, num, den = np.empty_like(refs), np.empty_like(mu_r), np.empty_like(mu_r)
         for i, x in enumerate(images):
             # (2 mu_x mu_r + c1)(2 cov + c2) / ((mu_x^2 + mu_r^2 + c1)(var_x + var_r + c2)),
             # each product and sum in that order, into reused arrays
-            cov = _filter3(np.multiply(x, refs, out=prod), w, work)
+            cov = _filter3(np.multiply(x, refs, out=prod), _SSIM_WEIGHTS, work)
             cov -= np.multiply(mu_x[i], mu_r, out=num)
             cov *= 2.0
             cov += c2
@@ -375,11 +365,10 @@ def shift_max_metric(image: np.ndarray, support, grid: VoxelGrid,
 def quality_report(image: np.ndarray, support, grid: VoxelGrid,
                    shift_grid: ShiftGrid, *, concentration: float,
                    subsamples: int = 4, peak: float = 100.0,
-                   dynamic_range: float = 100.0,
-                   stack: np.ndarray | None = None) -> QualityReport:
-    """Evaluate both metrics over one shared reference stack."""
+                   dynamic_range: float = 100.0) -> QualityReport:
+    """Evaluate both metrics over one reference stack, rasterized here."""
     stack = _checked_stack(image, support, grid, shift_grid, concentration,
-                           subsamples, stack)
+                           subsamples, None)
     psnr_values = psnr_table([image], stack, peak)[0]
     ssim_values = ssim_table([image], stack, dynamic_range)[0]
     shifts = shift_grid.shifts()

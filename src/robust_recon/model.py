@@ -12,6 +12,12 @@ fields in mT / T/m, frequencies in kHz, period in ms. The induced signal is
 the time derivative of the mean magnetization component taken with respect
 to the phase variable t/T, so row magnitudes do not carry the absolute
 drive-frequency scale; an overall receiver gain is configurable.
+
+Phantoms have one build path: make_phantom rasterizes the analytic support
+of a stock kind (delta, shape-cone, resolution-tubes) with
+rasterize_support, the rasterizer that metrics shifts for its references.
+A custom geometry is a ConeSupport, TubeSupport or BoxSupport passed to
+rasterize_support; custom values are a Phantom constructed directly.
 """
 
 from __future__ import annotations
@@ -391,77 +397,56 @@ class Phantom:
         return self.values.ravel()
 
 
-def phantom_support(kind: str, grid: VoxelGrid, **params):
+def phantom_support(kind: str, grid: VoxelGrid):
     """Analytic support geometry of a stock phantom on ``grid``.
 
-    kind = "delta":            the box of one interior voxel.
-    kind = "shape-cone":       truncated cone along +x, sized to the grid
-                               (override with apex_mm/axis/tip_radius_mm/
-                               half_angle_deg/height_mm).
+    kind = "delta":            the box of the voxel at index n // 2 on
+                               every axis.
+    kind = "shape-cone":       truncated cone along +x, sized to the grid.
     kind = "resolution-tubes": five thin tubes fanning out from a common
-                               origin in the x-y plane (override with
-                               angles_deg/radius_mm/length_mm/origin_mm).
+                               origin in the x-y plane.
+
+    For another geometry, build a ConeSupport, TubeSupport or BoxSupport
+    and pass it to rasterize_support.
     """
     ex = grid.extent_mm()[0]
     sx = grid.spacing_mm[0]
     if kind == "delta":
-        _reject_extra(kind, params)
         idx = tuple(n // 2 for n in grid.shape)
         center = grid.centers_mm().reshape(grid.shape + (3,))[idx]
         return BoxSupport(center, grid.spacing_mm)
     if kind == "shape-cone":
-        height = params.pop("height_mm", 0.55 * ex)
-        apex = params.pop("apex_mm", (-height / 2.0, 0.0, 0.0))
-        axis = params.pop("axis", (1.0, 0.0, 0.0))
-        tip_radius = params.pop("tip_radius_mm", 0.8 * sx)
-        half_angle = params.pop("half_angle_deg", 10.0)
-        _reject_extra(kind, params)
-        return ConeSupport(apex, axis, tip_radius, half_angle, height)
+        height = 0.55 * ex
+        return ConeSupport((-height / 2.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.8 * sx, 10.0, height)
     if kind == "resolution-tubes":
-        angles = params.pop("angles_deg", (-24.0, -12.0, 0.0, 12.0, 24.0))
-        radius = params.pop("radius_mm", 0.8 * sx)
-        length = params.pop("length_mm", 0.72 * ex)
-        origin = np.asarray(params.pop("origin_mm", (-0.38 * ex, 0.0, 0.0)), dtype=np.float64)
-        _reject_extra(kind, params)
+        length = 0.72 * ex
+        origin = np.array([-0.38 * ex, 0.0, 0.0])
         segments = []
-        for a in angles:
+        for a in (-24.0, -12.0, 0.0, 12.0, 24.0):
             rad = np.deg2rad(a)
             direction = np.array([np.cos(rad), np.sin(rad), 0.0])
-            segments.append((origin, origin + length * direction, radius))
+            segments.append((origin, origin + length * direction, 0.8 * sx))
         return TubeSupport(segments)
     raise ValueError(f"unknown phantom kind: {kind!r}")
 
 
 def make_phantom(kind: str, grid: VoxelGrid, concentration: float,
-                 subsamples: int = 4, **params) -> Phantom:
-    """Build one of the stock phantoms of phantom_support, or
-    kind = "custom": caller-provided ``values`` array, no geometry.
+                 subsamples: int = 4) -> Phantom:
+    """Rasterize the support of a stock phantom (see phantom_support) with
+    ``subsamples`` per axis. The delta phantom's box covers every sample
+    point of its voxel and none of another's, so it is that voxel at full
+    concentration.
 
-    The delta phantom is its voxel at full concentration; the others are
-    their support rasterized with ``subsamples`` per axis.
+    For values of your own, construct Phantom(grid, values, kind,
+    concentration) directly.
     """
     if concentration <= 0:
         raise ValueError("concentration must be positive")
-    if kind == "custom":
-        values = params.pop("values", None)
-        _reject_extra(kind, params)
-        if values is None:
-            raise ValueError("custom phantom requires a values array")
-        return Phantom(grid, values, kind, concentration, None)
-    support = phantom_support(kind, grid, **params)
-    if kind == "delta":
-        values = np.zeros(grid.shape)
-        values[tuple(n // 2 for n in grid.shape)] = concentration
-        return Phantom(grid, values, kind, concentration, support)
+    support = phantom_support(kind, grid)
     values = rasterize_support(support, grid, concentration, subsamples)
     if not np.any(values > 0):
         raise ValueError("phantom support does not intersect the grid")
     return Phantom(grid, values, kind, concentration, support)
-
-
-def _reject_extra(kind, params):
-    if params:
-        raise ValueError(f"unknown parameters for phantom kind {kind!r}: {sorted(params)}")
 
 
 class SystemMatrix:

@@ -124,8 +124,10 @@ class SolverConfig:
     record_snapshots: bool = False
 
     def __post_init__(self):
-        if self.memory < 1 or self.max_iterations < 1 or self.sweeps < 0:
+        if self.memory < 1 or self.max_iterations < 1 or self.sweeps < 1:
             raise ValueError("memory, max_iterations and sweeps must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.pgtol <= 0:
             raise ValueError("pgtol must be positive")
         if self.row_order not in ("sequential", "shuffled"):

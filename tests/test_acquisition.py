@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robust_recon import VoxelGrid, acquisition, make_phantom, simulate_system_matrix
+from robust_recon import Phantom, VoxelGrid, acquisition, make_phantom, simulate_system_matrix
 from robust_recon.acquisition import (
     BackgroundModel,
     Measurement,
@@ -121,7 +121,7 @@ def test_repetitions_halve_noise_exactly():
 
 def test_zero_phantom_zero_noise_measurement_is_mean(system_1d):
     grid = system_1d.grid
-    phantom = make_phantom("custom", grid, 50.0, values=np.zeros(grid.shape))
+    phantom = Phantom(grid, np.zeros(grid.shape), "custom", 50.0)
     bg = quiet_background((1, system_1d.freq_count), variance=0.0)
     meas = draw_phantom_measurement(system_1d, phantom, bg, seed=5)
     assert np.array_equal(meas.spectrum, bg.mean_spectrum)

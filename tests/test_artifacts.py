@@ -158,14 +158,15 @@ def test_verify_detects_modification_and_missing_record(tmp_path):
     write_artifact(path, KIND_VECTOR, np.arange(3.0))
     write_manifest(tmp_path, {"a.rrc": sha256_file(path)})
 
-    with pytest.raises(IntegrityError):
-        verify_manifest(tmp_path, names=["other.rrc"])
+    assert verify_manifest(tmp_path) == {"a.rrc": sha256_file(path)}
+    with pytest.raises(IntegrityError, match="not recorded"):
+        read_verified(tmp_path, "other.rrc", KIND_VECTOR)
 
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(IntegrityError):
-        verify_manifest(tmp_path, names=["a.rrc"])
+    with pytest.raises(IntegrityError, match="a.rrc: sha256 mismatch"):
+        verify_manifest(tmp_path)
 
 
 def test_read_verified_hashes_and_parses_one_read(tmp_path, monkeypatch):

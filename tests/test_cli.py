@@ -389,6 +389,30 @@ def test_reconstruct_kaczmarz_overflow_exits_4(tmp_path, capsys):
     assert not (run / "reconstruction.rrc").exists()
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("simulate", "scanner.period_ms", "1e308", "infinity"),
+    ("simulate", "scanner.particle_diameter_nm", "1e308", "out of range"),
+    ("simulate", "background.base_std", "1e308", "out of range"),
+    ("simulate", "scanner.temperature_k", "1e-308", "division by zero"),
+    ("evaluate", "metrics.dynamic_range", "1e308", "out of range"),
+    ("sweep", "sweep.alpha_max_exp", "2000", "out of range"),
+])
+def test_config_value_overflow_exits_4(command, key, value, message, pipeline,
+                                       tmp_path, capsys):
+    # the stage that raises the ArithmeticError, on a run directory that
+    # holds its inputs; nothing is written
+    _, run = clone(pipeline, tmp_path)
+    if command == "simulate":
+        run = tmp_path / "fresh"
+        run.mkdir()
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    cfg = write_config(tmp_path, {key: value})
+    assert main([command, "--config", str(cfg), "--out", str(run)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "evaluate", "sweep"])
 def test_scanner_rejected_config_exits_2_in_every_stage(command, pipeline, tmp_path, capsys):
     _, run = clone(pipeline, tmp_path)

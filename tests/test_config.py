@@ -144,6 +144,8 @@ def test_validation_rejects_bad_values(dotted, value):
         ("scanner.period_ms = inf", "scanner"),
         ("grid.spacing_mm = 1, inf, 1", "grid"),
         ("metrics.shift_extent_mm = inf, 0, 0", "metrics"),
+        ("solver.sweeps = 0", "solver"),
+        ("solver.seed = -1", "solver"),
     ],
 )
 def test_constructor_preconditions_fail_at_load(line, section):

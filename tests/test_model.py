@@ -93,11 +93,26 @@ def test_make_phantom_delta():
     assert ph.values[2, 2, 0] == 50.0
 
 
+@pytest.mark.parametrize("subsamples", [1, 3, 4])
+@pytest.mark.parametrize("grid", [
+    VoxelGrid((6, 5, 3), (0.5, 1.0, 2.0)),
+    VoxelGrid((16, 1, 1), (1.0, 1.0, 1.0)),
+    VoxelGrid((20, 20, 1), (1.0, 1.0, 1.0)),
+], ids=["6x5x3", "16x1x1", "20x20x1"])
+def test_delta_phantom_is_one_hot_at_the_centre_voxel(grid, subsamples):
+    # the rasterized box covers every sample point of its voxel and none
+    # of any neighbour's
+    expected = np.zeros(grid.shape)
+    expected[tuple(n // 2 for n in grid.shape)] = 50.0
+    ph = make_phantom("delta", grid, 50.0, subsamples)
+    assert ph.values.tobytes() == expected.tobytes()
+
+
 def test_delta_phantom_rejects_unknown_parameters():
     grid = VoxelGrid((5, 5, 1), (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="banana"):
+    with pytest.raises(TypeError, match="banana"):
         make_phantom("delta", grid, 50.0, banana=1)
-    with pytest.raises(ValueError, match="banana"):
+    with pytest.raises(TypeError, match="banana"):
         phantom_support("delta", grid, banana=1)
 
 
@@ -113,18 +128,10 @@ def test_make_phantom_cone_half_covered_voxel():
     grid = VoxelGrid((5, 5, 1), (1.0, 1.0, 1.0))
     # frustum cap plane through the center voxel's midpoint: the wide cone
     # covers exactly the half of the voxel with x below the cap
-    ph = make_phantom(
-        "shape-cone",
-        grid,
-        50.0,
-        subsamples=4,
-        apex_mm=(-3.0, 0.0, 0.0),
-        axis=(1.0, 0.0, 0.0),
-        tip_radius_mm=50.0,
-        half_angle_deg=10.0,
-        height_mm=3.0,
-    )
-    assert abs(ph.values[2, 2, 0] - 25.0) <= 50.0 / 64.0
+    cone = ConeSupport(apex_mm=(-3.0, 0.0, 0.0), axis=(1.0, 0.0, 0.0),
+                       tip_radius_mm=50.0, half_angle_deg=10.0, height_mm=3.0)
+    values = rasterize_support(cone, grid, 50.0, subsamples=4)
+    assert abs(values[2, 2, 0] - 25.0) <= 50.0 / 64.0
 
 
 def test_make_phantom_value_bounds():
@@ -142,12 +149,14 @@ def test_make_phantom_errors():
         make_phantom("blob", grid, 50.0)
     with pytest.raises(ValueError):
         make_phantom("delta", grid, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown phantom kind"):
         make_phantom("custom", grid, 50.0)
-    with pytest.raises(ValueError):
-        make_phantom("shape-cone", grid, 50.0, apex_mm=(100.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        make_phantom("shape-cone", grid, 50.0, banana=1)
+    # the stock supports hug the x axis; with two 10 mm voxels in y every
+    # sample point lies at least 1.25 mm off it
+    thin = VoxelGrid((20, 2, 1), (0.1, 10.0, 1.0))
+    for kind in ("shape-cone", "resolution-tubes"):
+        with pytest.raises(ValueError, match="does not intersect"):
+            make_phantom(kind, thin, 50.0)
 
 
 @pytest.mark.parametrize("kind", ["shape-cone", "resolution-tubes"])
@@ -174,8 +183,9 @@ def test_phantom_support_delta_box_is_the_nonzero_voxel():
 def test_phantom_custom_values_and_validation():
     grid = VoxelGrid((2, 2, 1), (1.0, 1.0, 1.0))
     values = np.array([[[1.0], [0.0]], [[2.0], [3.0]]])
-    ph = make_phantom("custom", grid, 50.0, values=values)
+    ph = Phantom(grid, values, "custom", 50.0)
     assert np.array_equal(ph.flat(), [1.0, 0.0, 2.0, 3.0])
+    assert ph.support is None
     with pytest.raises(ValueError):
         Phantom(grid, -values, "custom", 50.0)
     with pytest.raises(ValueError):

@@ -327,6 +327,10 @@ def test_solver_config_validation():
         SolverConfig(projection="clamp")
     with pytest.raises(ValueError):
         SolverConfig(sweeps=-1)
+    with pytest.raises(ValueError, match="sweeps must be positive"):
+        SolverConfig(sweeps=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        SolverConfig(seed=-1)
 
 
 def test_kaczmarz_unregularized_single_row():
