@@ -21,7 +21,6 @@ from .acquisition import (
 from .config import PipelineConfig, load_config, parse_config
 from .errors import ConfigError, IntegrityError, NumericalError
 from .metrics import (
-    QualityReport,
     ReferenceImage,
     ShiftGrid,
     ShiftMetricResult,
@@ -84,7 +83,6 @@ __all__ = [
     "Objective",
     "Phantom",
     "PipelineConfig",
-    "QualityReport",
     "ReducedSystem",
     "ReferenceImage",
     "ScannerConfig",

@@ -11,9 +11,13 @@ directory fails loudly instead of producing plausible images.
 Exit codes: 0 success, 2 invalid config or arguments, 3 I/O or integrity
 failure, 4 numerical failure: a NumericalError, or an ArithmeticError such
 as the overflow of a config value whose derived quantities leave the float
-range. Wall-clock timing goes to a timing_*.json sidecar that is
-intentionally absent from the manifest: with a fixed seed, rerunning a
-stage must reproduce every hashed byte.
+range. A numerical failure prints "error: <command>: <message>", with the
+exception type before the message of an ArithmeticError; simulate checks
+its spectra before writing, so it never writes non-finite artifacts. The
+override flags and the config keys they set are one table, _FLAGS. Every
+CSV is written by _write_csv. Wall-clock timing goes to a timing_*.json
+sidecar that is intentionally absent from the manifest: with a fixed seed,
+rerunning a stage must reproduce every hashed byte.
 """
 
 from __future__ import annotations
@@ -59,12 +63,27 @@ def _write_json(path, payload) -> str:
     return artifacts.atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_csv(path, header, rows) -> str:
+    """Comma-joined str() of each cell, header first. Cells are Python
+    values (ndarray.tolist()), whose str() of a float is its repr."""
+    lines = [",".join(str(cell) for cell in row) for row in [header, *rows]]
+    return artifacts.atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def _update_manifest(run_dir: Path, digests: dict) -> None:
     """Record {name: sha256} of the files a stage has just written."""
     manifest = run_dir / artifacts.MANIFEST_NAME
     entries = artifacts.load_manifest(run_dir) if manifest.exists() else {}
     entries.update(digests)
     artifacts.write_manifest(run_dir, entries)
+
+
+def _require_finite(name: str, spectra: np.ndarray) -> None:
+    """NumericalError naming the artifact if (scans, coils, bins) spectra
+    hold NaN or inf; checked 64 scans at a time, with no full-size mask."""
+    for lo in range(0, spectra.shape[0], 64):
+        if not np.isfinite(spectra[lo:lo + 64]).all():
+            raise NumericalError(f"{name}: spectra hold non-finite values")
 
 
 def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
@@ -76,42 +95,45 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
     whenever needed, so it is not persisted.
     """
     run_dir.mkdir(parents=True, exist_ok=True)
-    scanner = cfg.scanner_config()
+    scanner = cfg.scanner
     grid = cfg.voxel_grid()
-    try:
-        system = model.simulate_system_matrix(scanner, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    p = cfg.phantom
-    try:
-        phantom = model.make_phantom(p.kind, grid, p.concentration, p.subsamples)
-    except ValueError as exc:
-        raise ConfigError(f"phantom: {exc}") from exc
-    b = cfg.background
-    bg = acquisition.make_background(
-        scanner.coils, scanner.freq_count, scanner.period_ms,
-        scanner.drive_frequencies_khz, b.base_std, b.mean_peak,
-        mean_decay=b.mean_decay, outlier_fraction=b.outlier_fraction,
-        outlier_scale=b.outlier_scale, drift_scale=b.drift_scale,
-        seed=b.structure_seed)
-    m = grid.voxel_count
-    q = cfg.scans_per_bracket(m)
-    calib_idx, empty_idx = acquisition.acquisition_schedule(m, q)
-    empties = acquisition.draw_empty_scans(bg, empty_idx.size, b.noise_seed + 1,
-                                           schedule=empty_idx)
-    calib = acquisition.draw_calibration_scans(system, bg, b.calibration_concentration,
-                                               b.noise_seed + 2, calib_idx,
-                                               b.calibration_repetitions)
-    meas_index = int(empty_idx[-1]) + 1
-    meas = acquisition.draw_phantom_measurement(system, phantom, bg, b.noise_seed + 3,
-                                                meas_index, b.measurement_repetitions)
-    _update_manifest(run_dir, {
-        name: artifacts.write_artifact(run_dir / name, kind, array)
-        for name, kind, array in (
-            (SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET, calib),
-            (EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET, empties),
-            (MEASUREMENT, artifacts.KIND_SPECTRUM_SET, meas.spectrum[None]),
-            (PHANTOM, artifacts.KIND_IMAGE, phantom.values))})
+    # an overflow is reported as NumericalError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            system = model.simulate_system_matrix(scanner, grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        p = cfg.phantom
+        try:
+            phantom = model.make_phantom(p.kind, grid, p.concentration, p.subsamples)
+        except ValueError as exc:
+            raise ConfigError(f"phantom: {exc}") from exc
+        b = cfg.background
+        bg = acquisition.make_background(
+            scanner.coils, scanner.freq_count, scanner.period_ms,
+            scanner.drive_frequencies_khz, b.base_std, b.mean_peak,
+            mean_decay=b.mean_decay, outlier_fraction=b.outlier_fraction,
+            outlier_scale=b.outlier_scale, drift_scale=b.drift_scale,
+            seed=b.structure_seed)
+        m = grid.voxel_count
+        q = cfg.scans_per_bracket(m)
+        calib_idx, empty_idx = acquisition.acquisition_schedule(m, q)
+        empties = acquisition.draw_empty_scans(bg, empty_idx.size, b.noise_seed + 1,
+                                               schedule=empty_idx)
+        calib = acquisition.draw_calibration_scans(system, bg, b.calibration_concentration,
+                                                   b.noise_seed + 2, calib_idx,
+                                                   b.calibration_repetitions)
+        meas_index = int(empty_idx[-1]) + 1
+        meas = acquisition.draw_phantom_measurement(system, phantom, bg, b.noise_seed + 3,
+                                                    meas_index, b.measurement_repetitions)
+    spectra = {SYSTEM_MATRIX: calib, EMPTY_SCANS: empties, MEASUREMENT: meas.spectrum[None]}
+    for name, array in spectra.items():
+        _require_finite(name, array)
+    digests = {name: artifacts.write_artifact(run_dir / name, artifacts.KIND_SPECTRUM_SET, array)
+               for name, array in spectra.items()}
+    digests[PHANTOM] = artifacts.write_artifact(run_dir / PHANTOM, artifacts.KIND_IMAGE,
+                                                phantom.values)
+    _update_manifest(run_dir, digests)
     return {
         "voxels": m,
         "calibration_scans": int(calib_idx.size),
@@ -129,7 +151,7 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     calib = artifacts.read_verified(run_dir, SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET)
     empties = artifacts.read_verified(run_dir, EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET)
     meas = artifacts.read_verified(run_dir, MEASUREMENT, artifacts.KIND_SPECTRUM_SET)
-    scanner = cfg.scanner_config()
+    scanner = cfg.scanner
     grid = cfg.voxel_grid()
     m = grid.voxel_count
     if calib.shape != (m, scanner.coils, scanner.freq_count):
@@ -145,8 +167,7 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
             f"{EMPTY_SCANS}: shape {empties.shape} does not match the "
             f"schedule ({empty_idx.size} scans expected)")
     for name, spectra in ((SYSTEM_MATRIX, calib), (EMPTY_SCANS, empties), (MEASUREMENT, meas)):
-        if not np.isfinite(spectra).all():
-            raise NumericalError(f"{name}: spectra hold non-finite values")
+        _require_finite(name, spectra)
     pre = cfg.preprocess
     band = preprocess.band_pass(scanner.freq_count, scanner.period_ms,
                                 pre.b1_khz, pre.b2_khz)
@@ -237,35 +258,33 @@ def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> dict:
     if image.shape != grid.shape:
         raise IntegrityError(
             f"{RECONSTRUCTION}: shape {image.shape} does not match the config grid")
-    report = metrics.quality_report(
+    psnr, ssim = metrics.quality_report(
         image, support, grid, shift_grid,
         concentration=cfg.phantom.concentration,
         subsamples=cfg.metrics.subsamples,
         peak=cfg.metrics.psnr_peak,
         dynamic_range=cfg.metrics.dynamic_range)
-    lines = ["dx_mm,dy_mm,dz_mm,psnr_db,ssim"]
-    for shift, p, s in zip(report.shifts, report.psnr_values, report.ssim_values):
-        cells = [float(shift[0]), float(shift[1]), float(shift[2]), float(p), float(s)]
-        lines.append(",".join(repr(c) for c in cells))
-    csv_digest = artifacts.atomic_write_text(run_dir / QUALITY_CSV, "\n".join(lines) + "\n")
+    rows = np.column_stack([psnr.shifts, psnr.per_shift, ssim.per_shift]).tolist()
+    csv_digest = _write_csv(run_dir / QUALITY_CSV,
+                            ["dx_mm", "dy_mm", "dz_mm", "psnr_db", "ssim"], rows)
     summary = {
-        "eps_psnr_db": report.eps_psnr,
-        "eps_ssim": report.eps_ssim,
-        "argmax_shift_psnr_mm": list(report.argmax_psnr),
-        "argmax_shift_ssim_mm": list(report.argmax_ssim),
+        "eps_psnr_db": psnr.value,
+        "eps_ssim": ssim.value,
+        "argmax_shift_psnr_mm": list(psnr.argmax_shift),
+        "argmax_shift_ssim_mm": list(ssim.argmax_shift),
         "psnr_peak": cfg.metrics.psnr_peak,
         "dynamic_range": cfg.metrics.dynamic_range,
-        "shifts": int(report.shifts.shape[0]),
+        "shifts": len(rows),
     }
     _update_manifest(run_dir, {
         QUALITY_CSV: csv_digest,
         QUALITY_SUMMARY: _write_json(run_dir / QUALITY_SUMMARY, summary),
     })
     return {
-        "eps_psnr_db": report.eps_psnr,
-        "eps_ssim": report.eps_ssim,
-        "argmax_shift_psnr_mm": tuple(report.argmax_psnr),
-        "argmax_shift_ssim_mm": tuple(report.argmax_ssim),
+        "eps_psnr_db": psnr.value,
+        "eps_ssim": ssim.value,
+        "argmax_shift_psnr_mm": psnr.argmax_shift,
+        "argmax_shift_ssim_mm": ssim.argmax_shift,
     }
 
 
@@ -299,13 +318,6 @@ def _sweep_worker_init(reduced: preprocess.ReducedSystem, stack: np.ndarray,
 
 def _sweep_worker_task(alpha: float):
     return _sweep_task(*_worker_inputs, alpha)
-
-
-def _sweep_csv_lines(alphas, columns, table):
-    lines = ["alpha," + ",".join(str(c) for c in columns)]
-    for alpha, row in zip(alphas, table):
-        lines.append(f"{alpha!r}," + ",".join(repr(float(v)) for v in row))
-    return lines
 
 
 def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
@@ -344,19 +356,17 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
         col_name, columns = "column", ["value"]
     written = {}
     for metric_name, table in (("psnr", psnr_table), ("ssim", ssim_table)):
-        name = f"sweep_{metric_name}.csv"
-        written[name] = artifacts.atomic_write_text(
-            run_dir / name, "\n".join(_sweep_csv_lines(alphas, columns, table)) + "\n")
-        row_max = table.max(axis=1)
-        name = f"sweep_{metric_name}_row_max.csv"
-        lines = [f"alpha,max_{metric_name}"]
-        lines += [f"{a!r},{float(v)!r}" for a, v in zip(alphas, row_max)]
-        written[name] = artifacts.atomic_write_text(run_dir / name, "\n".join(lines) + "\n")
-        col_max = table.max(axis=0)
-        name = f"sweep_{metric_name}_col_max.csv"
-        lines = [f"{col_name},max_{metric_name}"]
-        lines += [f"{c},{float(v)!r}" for c, v in zip(columns, col_max)]
-        written[name] = artifacts.atomic_write_text(run_dir / name, "\n".join(lines) + "\n")
+        best = f"max_{metric_name}"
+        files = {
+            f"sweep_{metric_name}.csv": (
+                ["alpha", *columns], [[a, *row] for a, row in zip(alphas, table.tolist())]),
+            f"sweep_{metric_name}_row_max.csv": (
+                ["alpha", best], zip(alphas, table.max(axis=1).tolist())),
+            f"sweep_{metric_name}_col_max.csv": (
+                [col_name, best], zip(columns, table.max(axis=0).tolist())),
+        }
+        for name, (header, rows) in files.items():
+            written[name] = _write_csv(run_dir / name, header, rows)
 
     def _best(table, at):
         return {"alpha": alphas[at[0]], col_name: columns[at[1]], "value": float(table[at])}
@@ -388,6 +398,20 @@ _COMMANDS = {
 }
 
 
+# The override flags: argparse keywords and the config key each one sets.
+_FLAGS = {
+    "--tau": ({"type": float, "help": "selection threshold"}, "preprocess.tau"),
+    "--method": ({"choices": list(solvers.METHODS), "help": "reconstruction method"},
+                 "solver.method"),
+    "--alpha": ({"type": float, "help": "regularization weight"}, "solver.alpha"),
+    "--sweeps": ({"type": int, "help": "Kaczmarz sweep count"}, "solver.sweeps"),
+    "--whiten": ({"action": "store_true", "help": "whiten rows by empty-scan noise levels"},
+                 "preprocess.whiten"),
+    "--seed": ({"type": int, "help": "noise seed override"}, "background.noise_seed"),
+    "--jobs": ({"type": int, "help": "parallel workers for sweep"}, "sweep.jobs"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robust-recon",
@@ -404,35 +428,19 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sp = sub.add_parser(name, help=helps[name])
         sp.add_argument("--config", required=True, help="pipeline config file")
-        sp.add_argument("--tau", type=float, help="selection threshold")
-        sp.add_argument("--method", choices=list(solvers.METHODS),
-                        help="reconstruction method")
-        sp.add_argument("--alpha", type=float, help="regularization weight")
-        sp.add_argument("--sweeps", type=int, help="Kaczmarz sweep count")
-        sp.add_argument("--whiten", action="store_true",
-                        help="whiten rows by empty-scan noise levels")
-        sp.add_argument("--seed", type=int, help="noise seed override")
-        sp.add_argument("--jobs", type=int, help="parallel workers for sweep")
+        for flag, (keywords, _) in _FLAGS.items():
+            sp.add_argument(flag, **keywords)
         sp.add_argument("--out", default="run", help="run directory (default: run)")
     return parser
 
 
 def _overrides(args: argparse.Namespace) -> dict:
     over = {}
-    if args.tau is not None:
-        over["preprocess.tau"] = repr(args.tau)
-    if args.method is not None:
-        over["solver.method"] = args.method
-    if args.alpha is not None:
-        over["solver.alpha"] = repr(args.alpha)
-    if args.sweeps is not None:
-        over["solver.sweeps"] = str(args.sweeps)
-    if args.whiten:
-        over["preprocess.whiten"] = "true"
-    if args.seed is not None:
-        over["background.noise_seed"] = str(args.seed)
-    if args.jobs is not None:
-        over["sweep.jobs"] = str(args.jobs)
+    for flag, (_, key) in _FLAGS.items():
+        value = getattr(args, flag[2:])
+        # unset is None (False for --whiten); `in (None, False)` would drop 0
+        if value is not None and value is not False:
+            over[key] = str(value)
     return over
 
 
@@ -449,8 +457,11 @@ def main(argv=None) -> int:
     except (IntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except NumericalError as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 4
+    except ArithmeticError as exc:
+        print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,19 +5,23 @@ Every key has a default, so an empty file is a valid config. Unknown keys
 are rejected rather than ignored; a typo should fail loudly, not silently
 run with defaults.
 
-A setting is validated by the object it configures: the scanner, grid,
-metrics and solver sections build model.ScannerConfig, model.VoxelGrid,
-metrics.ShiftGrid and solvers.SolverConfig, whose ValueError becomes
+The scanner section is a model.ScannerConfig, so its fields and defaults
+are written once; a file or override replaces it once with all of its
+keys. A setting is validated by the object it configures: ScannerConfig,
+and the model.VoxelGrid, metrics.ShiftGrid and solvers.SolverConfig that
+the grid, metrics and solver sections build, whose ValueError becomes
 ConfigError("<section>: <message>"), e.g. "scanner: drive amplitudes must
-be nonnegative". validate_config checks the rest (solver method, alpha and
-epsilon; the phantom, background, preprocess, metrics scoring and sweep
-keys) as ConfigError("<section>.<key>: <precondition>").
+be nonnegative". validate_config then rejects NaN and +-inf in every float
+key and float tuple as ConfigError("<section>.<key>: must be finite"),
+except preprocess.b2_khz = inf (an open band), and checks the rest (solver
+method, alpha and epsilon; the phantom, background, preprocess, metrics
+scoring and sweep keys) as ConfigError("<section>.<key>: <precondition>").
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -28,19 +32,6 @@ from .solvers import METHODS, SolverConfig
 __all__ = ["PipelineConfig", "load_config", "parse_config", "apply_overrides"]
 
 PHANTOM_KINDS = ("delta", "shape-cone", "resolution-tubes")
-
-
-@dataclass
-class ScannerSection:
-    dims: int = 2
-    drive_frequencies_khz: tuple = (15.625, 16.6015625)
-    drive_amplitudes_mt: tuple = (12.0, 12.0)
-    gradient_t_per_m: tuple = (1.0, 1.0)
-    period_ms: float = 1.024
-    samples_per_period: int = 2048
-    particle_diameter_nm: float = 30.0
-    temperature_k: float = 300.0
-    receiver_gain: float = 1.0
 
 
 @dataclass
@@ -113,7 +104,7 @@ class SweepSection:
 
 @dataclass
 class PipelineConfig:
-    scanner: ScannerSection = field(default_factory=ScannerSection)
+    scanner: ScannerConfig = field(default_factory=ScannerConfig)
     grid: GridSection = field(default_factory=GridSection)
     phantom: PhantomSection = field(default_factory=PhantomSection)
     background: BackgroundSection = field(default_factory=BackgroundSection)
@@ -128,9 +119,6 @@ class PipelineConfig:
         if k == 0:
             return 19
         return math.ceil(voxel_count / (k - 1))
-
-    def scanner_config(self) -> ScannerConfig:
-        return ScannerConfig(**vars(self.scanner))
 
     def voxel_grid(self) -> VoxelGrid:
         return VoxelGrid(self.grid.shape, self.grid.spacing_mm)
@@ -173,22 +161,8 @@ def _coerce(key: str, raw: str, default):
     return raw
 
 
-def _set_key(cfg: PipelineConfig, dotted: str, raw: str) -> None:
-    if "." not in dotted:
-        raise ConfigError(f"{dotted}: keys are written section.name")
-    section_name, key = dotted.split(".", 1)
-    if section_name not in {f.name for f in fields(cfg)}:
-        raise ConfigError(f"{dotted}: unknown section {section_name!r}")
-    section = getattr(cfg, section_name)
-    if key not in {f.name for f in fields(section)}:
-        raise ConfigError(f"{dotted}: unknown key")
-    default = getattr(type(section)(), key)
-    setattr(section, key, _coerce(dotted, raw, default))
-
-
 def parse_config(text: str) -> PipelineConfig:
-    cfg = PipelineConfig()
-    seen = set()
+    pairs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -197,11 +171,11 @@ def parse_config(text: str) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: expected key = value")
         dotted, raw = line.split("=", 1)
         dotted = dotted.strip()
-        if dotted in seen:
+        if dotted in pairs:
             raise ConfigError(f"{dotted}: set twice")
-        seen.add(dotted)
-        _set_key(cfg, dotted, raw)
-    validate_config(cfg)
+        pairs[dotted] = raw
+    cfg = PipelineConfig()
+    apply_overrides(cfg, pairs)
     return cfg
 
 
@@ -214,9 +188,29 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
 
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> None:
-    """Apply {dotted key: raw string} pairs on top of a parsed config."""
+    """Apply {dotted key: raw value} pairs, then validate.
+
+    Each value is coerced to its key's type first. Then every section with
+    changes is replaced once, with all of them, so the frozen scanner
+    section checks them together: scanner.dims = 1 is only valid beside
+    one-entry drive tuples.
+    """
+    changes: dict = {}
     for dotted, raw in overrides.items():
-        _set_key(cfg, dotted, str(raw))
+        if "." not in dotted:
+            raise ConfigError(f"{dotted}: keys are written section.name")
+        section_name, key = dotted.split(".", 1)
+        if section_name not in {f.name for f in fields(cfg)}:
+            raise ConfigError(f"{dotted}: unknown section {section_name!r}")
+        defaults = {f.name: f.default for f in fields(getattr(cfg, section_name))}
+        if key not in defaults:
+            raise ConfigError(f"{dotted}: unknown key")
+        changes.setdefault(section_name, {})[key] = _coerce(dotted, str(raw), defaults[key])
+    for section_name, values in changes.items():
+        try:
+            setattr(cfg, section_name, replace(getattr(cfg, section_name), **values))
+        except ValueError as exc:
+            raise ConfigError(f"{section_name}: {exc}") from exc
     validate_config(cfg)
 
 
@@ -226,12 +220,21 @@ def _require(cond: bool, message: str) -> None:
 
 
 def validate_config(cfg: PipelineConfig) -> None:
-    for section, build in (("scanner", cfg.scanner_config), ("grid", cfg.voxel_grid),
-                           ("metrics", cfg.shift_grid), ("solver", cfg.solver_config)):
+    for section, build in (("grid", cfg.voxel_grid), ("metrics", cfg.shift_grid),
+                           ("solver", cfg.solver_config)):
         try:
             build()
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
+    for section in fields(cfg):
+        values = getattr(cfg, section.name)
+        for f in fields(values):
+            dotted, value = f"{section.name}.{f.name}", getattr(values, f.name)
+            if dotted == "preprocess.b2_khz" and value == math.inf:
+                continue  # an open band: every bin above b1
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{dotted}: must be finite")
 
     p = cfg.phantom
     _require(p.kind in PHANTOM_KINDS,

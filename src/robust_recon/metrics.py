@@ -10,7 +10,10 @@ rasterizing its shift on its own and, at zero shift, to the phantom.
 Scores are tabulated (images x shifts) by psnr_table and ssim_table; the
 best cell is the first maximum in row-major order (ties resolve to the
 first shift in lexicographic order), and a table holding a NaN raises
-NumericalError instead of naming a best cell.
+NumericalError instead of naming a best cell. shift_max_metric scores one
+image and returns its ShiftMetricResult (the best value, its shift and the
+per-shift table); quality_report returns the (psnr, ssim) pair of them
+over one reference stack.
 
 PSNR uses a fixed peak value (not the per-image maximum) so scores are
 comparable across reconstructions; identical images return +inf. SSIM uses
@@ -35,7 +38,6 @@ from .model import VoxelGrid, rasterize_shifted
 __all__ = [
     "ShiftGrid",
     "ReferenceImage",
-    "QualityReport",
     "ShiftMetricResult",
     "rasterize_reference",
     "reference_stack",
@@ -305,35 +307,6 @@ class ShiftMetricResult:
     per_shift: np.ndarray
 
 
-@dataclass
-class QualityReport:
-    """Both shift-tolerant quality numbers plus the per-shift table."""
-
-    eps_psnr: float
-    eps_ssim: float
-    argmax_psnr: tuple[float, float, float]
-    argmax_ssim: tuple[float, float, float]
-    shifts: np.ndarray
-    psnr_values: np.ndarray
-    ssim_values: np.ndarray
-
-
-def _checked_stack(image, support, grid, shift_grid, concentration,
-                   subsamples, stack) -> np.ndarray:
-    if np.shape(image) != grid.shape:
-        raise ValueError("image does not match the grid shape")
-    if stack is None:
-        return reference_stack(support, grid, shift_grid, concentration, subsamples)
-    if stack.shape != (shift_grid.count,) + grid.shape:
-        raise ValueError("precomputed stack does not match the shift grid")
-    return stack
-
-
-def _best(values: np.ndarray, shifts: np.ndarray):
-    (k,) = first_argmax(values)
-    return float(values[k]), tuple(float(v) for v in shifts[k])
-
-
 def shift_max_metric(image: np.ndarray, support, grid: VoxelGrid,
                      shift_grid: ShiftGrid, metric: str, *,
                      concentration: float, subsamples: int = 4,
@@ -352,27 +325,31 @@ def shift_max_metric(image: np.ndarray, support, grid: VoxelGrid,
         raise ValueError("psnr requires a peak value")
     if metric == "ssim" and dynamic_range is None:
         raise ValueError("ssim requires a dynamic range")
-    stack = _checked_stack(image, support, grid, shift_grid, concentration,
-                           subsamples, stack)
+    if np.shape(image) != grid.shape:
+        raise ValueError("image does not match the grid shape")
+    if stack is None:
+        stack = reference_stack(support, grid, shift_grid, concentration, subsamples)
+    elif stack.shape != (shift_grid.count,) + grid.shape:
+        raise ValueError("precomputed stack does not match the shift grid")
     if metric == "psnr":
         values = psnr_table([image], stack, peak)[0]
     else:
         values = ssim_table([image], stack, dynamic_range)[0]
     shifts = shift_grid.shifts()
-    return ShiftMetricResult(metric, *_best(values, shifts), shifts, values)
+    (k,) = first_argmax(values)
+    return ShiftMetricResult(metric, float(values[k]), tuple(float(v) for v in shifts[k]),
+                             shifts, values)
 
 
 def quality_report(image: np.ndarray, support, grid: VoxelGrid,
                    shift_grid: ShiftGrid, *, concentration: float,
                    subsamples: int = 4, peak: float = 100.0,
-                   dynamic_range: float = 100.0) -> QualityReport:
-    """Evaluate both metrics over one reference stack, rasterized here."""
-    stack = _checked_stack(image, support, grid, shift_grid, concentration,
-                           subsamples, None)
-    psnr_values = psnr_table([image], stack, peak)[0]
-    ssim_values = ssim_table([image], stack, dynamic_range)[0]
-    shifts = shift_grid.shifts()
-    eps_psnr, argmax_psnr = _best(psnr_values, shifts)
-    eps_ssim, argmax_ssim = _best(ssim_values, shifts)
-    return QualityReport(eps_psnr, eps_ssim, argmax_psnr, argmax_ssim, shifts,
-                         psnr_values, ssim_values)
+                   dynamic_range: float = 100.0
+                   ) -> tuple[ShiftMetricResult, ShiftMetricResult]:
+    """The (psnr, ssim) shift_max_metric results over one reference stack,
+    rasterized here."""
+    stack = reference_stack(support, grid, shift_grid, concentration, subsamples)
+    return tuple(shift_max_metric(image, support, grid, shift_grid, metric,
+                                  concentration=concentration, subsamples=subsamples,
+                                  peak=peak, dynamic_range=dynamic_range, stack=stack)
+                 for metric in ("psnr", "ssim"))

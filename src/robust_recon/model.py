@@ -175,6 +175,8 @@ class ScannerConfig:
             raise ValueError("particle diameter and temperature must be positive")
         if self.receiver_gain <= 0:
             raise ValueError("receiver_gain must be positive")
+        if not all(np.isfinite(self.drive_frequencies_khz)):
+            raise ValueError("drive_frequencies_khz must be finite")
         for f in self.drive_frequencies_khz:
             cycles = f * self.period_ms
             if abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1:

@@ -8,7 +8,8 @@ Two fitting objectives over nonnegative concentrations:
 The smoothed absolute value keeps the l1 objective differentiable; its
 distance to the true l1 norm is at most n*eps, so eps = 1e-12 is
 numerically invisible at data scale while the gradient stays defined at
-r_i = 0.
+r_i = 0. Objective.evaluate returns the value and gradient of either; the
+two share the residual and the penalty and differ in the data term only.
 
 Two solvers: a bound-constrained limited-memory quasi-Newton method
 (Cauchy point for the active set, two-loop recursion on the free variables,
@@ -41,8 +42,6 @@ __all__ = [
     "SolverConfig",
     "SolverResult",
     "smoothed_l1_norm",
-    "eval_l2",
-    "eval_l1s",
     "lbfgsb",
     "kaczmarz_reg",
     "solve",
@@ -74,34 +73,25 @@ class Objective:
             raise ValueError("the l1 smoothing epsilon must be positive")
 
     def evaluate(self, x: np.ndarray):
+        """Value and gradient at x. The objectives share r = Ax - y and the
+        penalty; they differ in the data term and the weights that A^T
+        applies to form its gradient: r for l2, r/t for l1s."""
+        a, y = self.system.A, self.system.y
+        r = a @ x - y
         if self.kind == "l2":
-            return eval_l2(self, x)
-        return eval_l1s(self, x)
+            data, weights = 0.5 * float(r @ r), r
+        else:
+            t = np.sqrt(r * r + self.epsilon * self.epsilon)
+            data, weights = float(np.sum(t)), r / t
+        value = data + 0.5 * self.alpha * float(x @ x)
+        grad = a.T @ weights + self.alpha * x
+        return value, grad
 
 
 def smoothed_l1_norm(v: np.ndarray, epsilon: float) -> float:
     """sum_i sqrt(v_i^2 + epsilon^2); within n*epsilon of the l1 norm."""
     v = np.asarray(v, dtype=np.float64)
     return float(np.sum(np.sqrt(v * v + epsilon * epsilon)))
-
-
-def eval_l2(objective: Objective, x: np.ndarray):
-    """Value and gradient of the quadratic objective."""
-    a, y = objective.system.A, objective.system.y
-    r = a @ x - y
-    value = 0.5 * float(r @ r) + 0.5 * objective.alpha * float(x @ x)
-    grad = a.T @ r + objective.alpha * x
-    return value, grad
-
-def eval_l1s(objective: Objective, x: np.ndarray):
-    """Value and gradient of the smoothed-l1 objective."""
-    a, y = objective.system.A, objective.system.y
-    eps = objective.epsilon
-    r = a @ x - y
-    t = np.sqrt(r * r + eps * eps)
-    value = float(np.sum(t)) + 0.5 * objective.alpha * float(x @ x)
-    grad = a.T @ (r / t) + objective.alpha * x
-    return value, grad
 
 
 @dataclass

@@ -177,7 +177,7 @@ def test_band_only_preprocess_matches_full_array_composition(pipeline, tmp_path,
                                   "preprocess.whiten": str(whiten).lower()})
     assert main(["preprocess", "--config", str(cfg), "--out", str(run)]) == 0
     conf = load_config(cfg)
-    scanner, pre = conf.scanner_config(), conf.preprocess
+    scanner, pre = conf.scanner, conf.preprocess
     calib, empties, meas = (artifacts.read_artifact(run / name)[1] for name in
                             ("system_matrix.rrc", "empty_scans.rrc", "measurement.rrc"))
     m = calib.shape[0]
@@ -409,8 +409,52 @@ def test_config_value_overflow_exits_4(command, key, value, message, pipeline,
     cfg = write_config(tmp_path, {key: value})
     assert main([command, "--config", str(cfg), "--out", str(run)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(f"error: {command}: ") and message in err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("key, artifact", [
+    ("phantom.concentration", "measurement.rrc"),
+    ("scanner.receiver_gain", "system_matrix.rrc"),
+    ("background.calibration_concentration", "system_matrix.rrc"),
+])
+def test_simulate_overflow_writes_nothing_exits_4(key, artifact, tmp_path, capsys):
+    # finite values whose spectra overflow: no warning, no artifact
+    cfg = write_config(tmp_path, {key: "1e308"})
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: simulate: {artifact}: spectra hold non-finite values")
+    assert list(run.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "0", "solver.alpha: must be positive"),
+    ("--sweeps", "0", "sweeps must be positive"),
+    ("--jobs", "0", "sweep.jobs: must be at least 1"),
+    ("--seed", "-1", "background.noise_seed: must be nonnegative"),
+    ("--tau", "-0.5", "preprocess.tau: must be nonnegative"),
+])
+def test_flags_reach_their_config_keys(flag, value, message, pipeline, tmp_path, capsys):
+    # 0 is a value, not an unset flag
+    cfg, _ = pipeline
+    assert main(["reconstruct", "--config", str(cfg), flag, value,
+                 "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_one_dimensional_scanner_runs_every_stage(tmp_path):
+    # dims = 1 comes before its one-entry tuples; the section is checked whole
+    cfg = write_config(tmp_path, {
+        "scanner.dims": "1", "scanner.drive_frequencies_khz": "15.625",
+        "scanner.drive_amplitudes_mt": "12", "scanner.gradient_t_per_m": "1",
+        "grid.shape": "20,1,1", "solver.method": "l2-K"})
+    run = tmp_path / "run"
+    for stage in ("simulate", "preprocess", "reconstruct", "evaluate"):
+        assert main([stage, "--config", str(cfg), "--out", str(run)]) == 0, stage
+    _, phantom = artifacts.read_artifact(run / "phantom.rrc")
+    assert phantom.shape == (20, 1, 1)
+    assert read_json(run / "selection_report.json")["retained_per_coil"][0] > 0
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "evaluate", "sweep"])

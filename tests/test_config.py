@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,6 @@ from robust_recon.acquisition import acquisition_schedule
 from robust_recon.config import (
     ConfigError,
     PipelineConfig,
-    ScannerSection,
     SolverSection,
     apply_overrides,
     load_config,
@@ -156,7 +157,7 @@ def test_constructor_preconditions_fail_at_load(line, section):
 def test_builders_return_the_configured_objects():
     cfg = parse_config("grid.shape = 8, 6, 1\nsolver.row_order = shuffled\n"
                        "metrics.shift_step_mm = 0.25")
-    assert cfg.scanner_config() == ScannerConfig()
+    assert cfg.scanner == ScannerConfig()
     assert cfg.voxel_grid() == VoxelGrid((8, 6, 1), (1.0, 1.0, 1.0))
     assert cfg.shift_grid() == ShiftGrid((3.0, 3.0, 0.0), 0.25)
     scfg = cfg.solver_config(sweeps=7, record_snapshots=True)
@@ -164,10 +165,8 @@ def test_builders_return_the_configured_objects():
 
 
 def test_section_defaults_match_the_objects_they_configure():
-    scanner, section = ScannerConfig(), ScannerSection()
-    assert [f.name for f in fields(ScannerSection)] == [f.name for f in fields(ScannerConfig)]
-    for f in fields(ScannerConfig):
-        assert getattr(section, f.name) == getattr(scanner, f.name), f.name
+    # the scanner section is the ScannerConfig itself; the solver section
+    # keeps its own copy of the SolverConfig fields it shares
     solver, section = SolverConfig(), SolverSection()
     shared = [f.name for f in fields(SolverConfig) if hasattr(section, f.name)]
     assert len(shared) == 7
@@ -212,3 +211,68 @@ def test_empty_scans_above_voxel_count_rejected():
         parse_config("grid.shape = 4,4,1\npreprocess.empty_scans = 17")
     with pytest.raises(ConfigError, match=r"^preprocess\.empty_scans"):
         parse_config("preprocess.empty_scans = 401")
+
+
+ONE_D = {"scanner.dims": "1", "scanner.drive_frequencies_khz": "15.625",
+         "scanner.drive_amplitudes_mt": "12", "scanner.gradient_t_per_m": "1",
+         "grid.shape": "20,1,1"}
+
+
+@pytest.mark.parametrize("order", [list(ONE_D), list(reversed(ONE_D))])
+def test_scanner_keys_are_checked_together(order):
+    # dims = 1 is valid only beside one-entry tuples, in either order
+    cfg = parse_config("".join(f"{key} = {ONE_D[key]}\n" for key in order))
+    assert cfg.scanner == ScannerConfig(dims=1, drive_frequencies_khz=(15.625,),
+                                        drive_amplitudes_mt=(12.0,),
+                                        gradient_t_per_m=(1.0,))
+    cfg = parse_config("")
+    apply_overrides(cfg, {key: ONE_D[key] for key in order})
+    assert cfg.scanner.dims == 1
+    with pytest.raises(ConfigError, match="^scanner: drive_frequencies_khz must have one"):
+        parse_config("scanner.dims = 1")
+
+
+FLOAT_KEYS = [f"{section.name}.{f.name}"
+              for section in fields(PipelineConfig)
+              for f in fields(getattr(PipelineConfig(), section.name))
+              if isinstance(f.default, float)
+              or (isinstance(f.default, tuple) and isinstance(f.default[0], float))]
+
+
+@pytest.mark.parametrize("dotted,value", [
+    (dotted, value) for dotted in FLOAT_KEYS for value in ("nan", "inf", "-inf")
+    if (dotted, value) != ("preprocess.b2_khz", "inf")])  # an open band, legal
+def test_non_finite_values_rejected_at_load(dotted, value):
+    section, key = dotted.split(".")
+    default = getattr(getattr(PipelineConfig(), section), key)
+    if isinstance(default, tuple):  # one non-finite element
+        value = ",".join([value] + [str(v) for v in default[1:]])
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"{dotted} = {value}")
+    # the object a section builds may reject the value first, naming the field
+    message = str(info.value)
+    words = key.rsplit("_", 1)[0].replace("_", " ")  # no unit: "shift step"
+    assert message == f"{dotted}: must be finite" or (
+        message.startswith(f"{section}: ") and words in message.replace("_", " ")), message
+
+
+def test_open_band_loads():
+    assert len(FLOAT_KEYS) == 26
+    assert parse_config("preprocess.b2_khz = inf").preprocess.b2_khz == math.inf
+
+
+def test_readme_config_table_lists_every_key():
+    # the README table is the one other copy of the config keys
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (\w+) \| (.+) \|$", readme, flags=re.M)
+    cfg = PipelineConfig()
+    tables = {}
+    for section, cell in rows:
+        if section == "section":
+            continue
+        while "(" in cell:  # drop the defaults, innermost parentheses first
+            cell = re.sub(r"\([^()]*\)", "", cell)
+        tables[section] = [key.strip() for key in cell.split(",")]
+    assert list(tables) == [f.name for f in fields(cfg)]
+    for section, keys in tables.items():
+        assert keys == [f.name for f in fields(getattr(cfg, section))], section

@@ -4,7 +4,6 @@ from scipy.ndimage import correlate1d
 
 from robust_recon import BoxSupport, NumericalError, VoxelGrid, make_phantom, metrics, model
 from robust_recon.metrics import (
-    QualityReport,
     ShiftGrid,
     first_argmax,
     psnr,
@@ -486,30 +485,35 @@ def test_quality_report_consistency():
     rng = np.random.default_rng(11)
     image = np.clip(phantom.values + rng.normal(0, 6, grid.shape), 0, None)
     sg = ShiftGrid((1.0, 1.0, 0.0), 0.5)
-    report = quality_report(image, phantom.support, grid, sg, concentration=50.0)
-    assert isinstance(report, QualityReport)
-    assert report.eps_psnr == np.max(report.psnr_values)
-    assert report.eps_ssim == np.max(report.ssim_values)
-    assert -1.0 <= report.eps_ssim <= 1.0 + 1e-12
-    assert report.eps_psnr >= psnr(image, phantom.values, 100.0)
-    assert report.eps_ssim >= ssim(image, phantom.values, 100.0)
-    assert report.shifts.shape == (sg.count, 3)
+    p, s = quality_report(image, phantom.support, grid, sg, concentration=50.0)
+    assert (p.metric, s.metric) == ("psnr", "ssim")
+    assert p.value == np.max(p.per_shift)
+    assert s.value == np.max(s.per_shift)
+    assert -1.0 <= s.value <= 1.0 + 1e-12
+    assert p.value >= psnr(image, phantom.values, 100.0)
+    assert s.value >= ssim(image, phantom.values, 100.0)
+    assert p.shifts.shape == (sg.count, 3)
     # the stored argmax points back at the tabulated values
-    k_p = np.flatnonzero((report.shifts == report.argmax_psnr).all(axis=1))[0]
-    assert report.psnr_values[k_p] == report.eps_psnr
+    k_p = np.flatnonzero((p.shifts == p.argmax_shift).all(axis=1))[0]
+    assert p.per_shift[k_p] == p.value
 
 
-def test_quality_report_shared_stack():
-    # both tables come from one reference stack: the one shift_max_metric
-    # scores against when given the precomputed reference_stack
+def test_quality_report_shared_stack(monkeypatch):
+    # both results come from one reference stack, rasterized once: the one
+    # shift_max_metric scores against when given the precomputed stack
     grid, phantom = cone_setup()
     sg = ShiftGrid((0.5, 0.5, 0.0), 0.5)
     stack = reference_stack(phantom.support, grid, sg, 50.0)
     rng = np.random.default_rng(12)
     image = np.clip(phantom.values + rng.normal(0, 6, grid.shape), 0, None)
+    calls = []
+    monkeypatch.setattr(metrics, "reference_stack",
+                        lambda *args: calls.append(args) or reference_stack(*args))
     report = quality_report(image, phantom.support, grid, sg, concentration=50.0)
-    for metric, values, kwargs in (("psnr", report.psnr_values, {"peak": 100.0}),
-                                   ("ssim", report.ssim_values, {"dynamic_range": 100.0})):
+    assert len(calls) == 1
+    for result, metric, kwargs in zip(report, ("psnr", "ssim"),
+                                      ({"peak": 100.0}, {"dynamic_range": 100.0})):
         shared = shift_max_metric(image, phantom.support, grid, sg, metric,
                                   concentration=50.0, stack=stack, **kwargs)
-        assert values.tobytes() == shared.per_shift.tobytes()
+        assert result.per_shift.tobytes() == shared.per_shift.tobytes()
+        assert (result.value, result.argmax_shift) == (shared.value, shared.argmax_shift)

@@ -8,8 +8,6 @@ from robust_recon.solvers import (
     SolverConfig,
     SolverResult,
     _cauchy_point,
-    eval_l1s,
-    eval_l2,
     kaczmarz_reg,
     lbfgsb,
     smoothed_l1_norm,
@@ -29,7 +27,7 @@ def random_system(rng, n, m, normalized=False):
 
 def test_eval_l2_identity_example():
     system = ReducedSystem(np.eye(2), np.zeros(2))
-    value, grad = eval_l2(Objective("l2", system, 2.0), np.array([1.0, 1.0]))
+    value, grad = Objective("l2", system, 2.0).evaluate(np.array([1.0, 1.0]))
     assert value == 3.0
     assert np.array_equal(grad, [3.0, 3.0])
 
@@ -40,7 +38,7 @@ def test_eval_l2_matches_normal_equations(rng):
     for _ in range(5):
         x = rng.standard_normal(7)
         alpha = float(rng.uniform(0.0, 2.0))
-        _, grad = eval_l2(Objective("l2", system, alpha), x)
+        _, grad = Objective("l2", system, alpha).evaluate(x)
         oracle = (a.T @ a) @ x - a.T @ y + alpha * x
         assert np.max(np.abs(grad - oracle)) <= 1e-10
 
@@ -70,7 +68,7 @@ def test_eval_l1s_limit_example():
     # residual (3, -4): the smoothed value approaches |3| + |-4| = 7
     system = ReducedSystem(np.eye(2), np.zeros(2))
     objective = Objective("l1s", system, 0.0, epsilon=1e-12)
-    value, _ = eval_l1s(objective, np.array([3.0, -4.0]))
+    value, _ = objective.evaluate(np.array([3.0, -4.0]))
     assert abs(value - 7.0) <= 2e-12
 
 
@@ -78,7 +76,7 @@ def test_eval_l1s_monotone_in_epsilon():
     system = ReducedSystem(np.eye(3), np.zeros(3))
     x = np.array([0.5, -2.0, 0.0])
     values = [
-        eval_l1s(Objective("l1s", system, 0.0, epsilon=eps), x)[0]
+        Objective("l1s", system, 0.0, epsilon=eps).evaluate(x)[0]
         for eps in (1e-12, 1e-9, 1e-6, 1e-3)
     ]
     assert values == sorted(values)
@@ -89,9 +87,30 @@ def test_eval_l1s_zero_residual():
     target = np.array([1.0, -2.0, 3.0, 0.5])
     system = ReducedSystem(np.eye(n), target)
     objective = Objective("l1s", system, 0.0, epsilon=1e-9)
-    value, grad = eval_l1s(objective, target)
+    value, grad = objective.evaluate(target)
     assert value == n * 1e-9
     assert np.array_equal(grad, np.zeros(n))
+
+
+@pytest.mark.parametrize("kind", ["l2", "l1s"])
+def test_objective_keeps_the_operation_order_of_each_formula(rng, kind):
+    # lbfgsb iterates keep their bits only if evaluate rounds as the formulas
+    # written out on their own do
+    system = random_system(rng, 30, 9)
+    a, y, alpha, eps = system.A, system.y, 0.37, 1e-6
+    for _ in range(5):
+        x = rng.standard_normal(9)
+        r = a @ x - y
+        if kind == "l2":
+            value = 0.5 * float(r @ r) + 0.5 * alpha * float(x @ x)
+            grad = a.T @ r + alpha * x
+        else:
+            t = np.sqrt(r * r + eps * eps)
+            value = float(np.sum(t)) + 0.5 * alpha * float(x @ x)
+            grad = a.T @ (r / t) + alpha * x
+        got_value, got_grad = Objective(kind, system, alpha, eps).evaluate(x)
+        assert got_value == value
+        assert got_grad.tobytes() == grad.tobytes()
 
 
 def test_objective_validation():
