@@ -6,124 +6,14 @@ directly: model builds the forward operator and phantoms, acquisition adds
 background and noise, preprocess selects reliable frequency components and
 assembles the reduced real system, solvers minimize the regularized
 objectives under nonnegativity, metrics scores images shift-tolerantly.
+The package root exports these layer modules, plus config, artifacts and
+errors; each public name lives in its module's __all__ only, e.g.
+robust_recon.model.VoxelGrid.
 """
 
-from .acquisition import (
-    BackgroundModel,
-    Measurement,
-    acquisition_schedule,
-    background_mean,
-    draw_calibration_scans,
-    draw_empty_scans,
-    draw_phantom_measurement,
-    make_background,
-)
-from .config import PipelineConfig, load_config, parse_config
-from .errors import ConfigError, IntegrityError, NumericalError
-from .metrics import (
-    ReferenceImage,
-    ShiftGrid,
-    ShiftMetricResult,
-    psnr,
-    quality_report,
-    rasterize_reference,
-    reference_stack,
-    shift_max_metric,
-    ssim,
-)
-from .model import (
-    BoxSupport,
-    ConeSupport,
-    Phantom,
-    ScannerConfig,
-    SystemMatrix,
-    TubeSupport,
-    VoxelGrid,
-    langevin,
-    make_phantom,
-    phantom_support,
-    rasterize_shifted,
-    rasterize_support,
-    simulate_system_matrix,
-)
-from .preprocess import (
-    FrequencySelection,
-    ReducedSystem,
-    assemble_reduced_system,
-    band_pass,
-    calibration_system_matrix,
-    interp_backgrounds,
-    power_iteration_norm,
-    reduce_scans,
-    select_frequencies,
-    snr_scores,
-    subtract_background,
-    whitening_weights,
-)
-from .solvers import (
-    Objective,
-    SolverConfig,
-    SolverResult,
-    kaczmarz_reg,
-    lbfgsb,
-    smoothed_l1_norm,
-)
+from . import acquisition, artifacts, config, errors, metrics, model, preprocess, solvers
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BackgroundModel",
-    "BoxSupport",
-    "ConeSupport",
-    "ConfigError",
-    "FrequencySelection",
-    "IntegrityError",
-    "Measurement",
-    "NumericalError",
-    "Objective",
-    "Phantom",
-    "PipelineConfig",
-    "ReducedSystem",
-    "ReferenceImage",
-    "ScannerConfig",
-    "ShiftGrid",
-    "ShiftMetricResult",
-    "SolverConfig",
-    "SolverResult",
-    "SystemMatrix",
-    "TubeSupport",
-    "VoxelGrid",
-    "acquisition_schedule",
-    "assemble_reduced_system",
-    "background_mean",
-    "band_pass",
-    "calibration_system_matrix",
-    "draw_calibration_scans",
-    "draw_empty_scans",
-    "draw_phantom_measurement",
-    "interp_backgrounds",
-    "kaczmarz_reg",
-    "langevin",
-    "lbfgsb",
-    "load_config",
-    "make_background",
-    "make_phantom",
-    "parse_config",
-    "phantom_support",
-    "power_iteration_norm",
-    "psnr",
-    "quality_report",
-    "rasterize_reference",
-    "rasterize_shifted",
-    "rasterize_support",
-    "reduce_scans",
-    "reference_stack",
-    "select_frequencies",
-    "shift_max_metric",
-    "simulate_system_matrix",
-    "smoothed_l1_norm",
-    "snr_scores",
-    "ssim",
-    "subtract_background",
-    "whitening_weights",
-]
+__all__ = ["acquisition", "artifacts", "config", "errors", "metrics", "model",
+           "preprocess", "solvers"]

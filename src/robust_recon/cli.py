@@ -13,11 +13,14 @@ failure, 4 numerical failure: a NumericalError, or an ArithmeticError such
 as the overflow of a config value whose derived quantities leave the float
 range. A numerical failure prints "error: <command>: <message>", with the
 exception type before the message of an ArithmeticError; simulate checks
-its spectra before writing, so it never writes non-finite artifacts. The
-override flags and the config keys they set are one table, _FLAGS. Every
-CSV is written by _write_csv. Wall-clock timing goes to a timing_*.json
-sidecar that is intentionally absent from the manifest: with a fixed seed,
-rerunning a stage must reproduce every hashed byte.
+its spectra before writing, so it never writes non-finite artifacts, and
+simulate and preprocess silence numpy's overflow warnings, so an overflow
+surfaces as that error. The subcommands, their stage functions and help
+lines are one table, _COMMANDS; the override flags and the config keys they
+set are another, _FLAGS. Every CSV is written by _write_csv. Wall-clock
+timing goes to a timing_*.json sidecar that is intentionally absent from
+the manifest: with a fixed seed, rerunning a stage must reproduce every
+hashed byte.
 """
 
 from __future__ import annotations
@@ -35,14 +38,7 @@ from . import acquisition, artifacts, metrics, model, preprocess, solvers
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, IntegrityError, NumericalError
 
-__all__ = [
-    "main",
-    "cmd_simulate",
-    "cmd_preprocess",
-    "cmd_reconstruct",
-    "cmd_evaluate",
-    "cmd_sweep",
-]
+__all__ = ["main"]
 
 SYSTEM_MATRIX = "system_matrix.rrc"
 PHANTOM = "phantom.rrc"
@@ -96,7 +92,7 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
     """
     run_dir.mkdir(parents=True, exist_ok=True)
     scanner = cfg.scanner
-    grid = cfg.voxel_grid()
+    grid = cfg.grid
     # an overflow is reported as NumericalError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -152,8 +148,7 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     empties = artifacts.read_verified(run_dir, EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET)
     meas = artifacts.read_verified(run_dir, MEASUREMENT, artifacts.KIND_SPECTRUM_SET)
     scanner = cfg.scanner
-    grid = cfg.voxel_grid()
-    m = grid.voxel_count
+    m = cfg.grid.voxel_count
     if calib.shape != (m, scanner.coils, scanner.freq_count):
         raise IntegrityError(
             f"{SYSTEM_MATRIX}: shape {calib.shape} does not match the config "
@@ -171,9 +166,12 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     pre = cfg.preprocess
     band = preprocess.band_pass(scanner.freq_count, scanner.period_ms,
                                 pre.b1_khz, pre.b2_khz)
-    reduced, selection = preprocess.reduce_scans(
-        calib, empties, meas[0], q, band, pre.tau,
-        cfg.background.calibration_concentration, pre.whiten)
+    # an overflow is reported as NumericalError by the checks in
+    # reduce_scans, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced, selection = preprocess.reduce_scans(
+            calib, empties, meas[0], q, band, pre.tau,
+            cfg.background.calibration_concentration, pre.whiten)
     digests = {
         name: artifacts.write_artifact(run_dir / name, kind, array)
         for name, kind, array in (
@@ -215,7 +213,7 @@ def _load_reduced(run_dir: Path, voxel_count: int) -> preprocess.ReducedSystem:
 
 
 def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> dict:
-    grid = cfg.voxel_grid()
+    grid = cfg.grid
     reduced = _load_reduced(run_dir, grid.voxel_count)
     sol = cfg.solver
     result = solvers.solve(reduced, sol.method, sol.alpha, sol.epsilon, cfg.solver_config())
@@ -248,7 +246,7 @@ def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> dict:
 
 
 def _reference_setup(cfg: PipelineConfig):
-    grid = cfg.voxel_grid()
+    grid = cfg.grid
     return grid, model.phantom_support(cfg.phantom.kind, grid), cfg.shift_grid()
 
 
@@ -389,12 +387,13 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
     }
 
 
+# The subcommands: the stage function each one runs and its --help line.
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "preprocess": cmd_preprocess,
-    "reconstruct": cmd_reconstruct,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
+    "simulate": (cmd_simulate, "simulate scanner artifacts for one phantom"),
+    "preprocess": (cmd_preprocess, "select components and assemble the reduced system"),
+    "reconstruct": (cmd_reconstruct, "solve the reduced system for an image"),
+    "evaluate": (cmd_evaluate, "score a reconstruction against the phantom geometry"),
+    "sweep": (cmd_sweep, "map quality over the regularization grid"),
 }
 
 
@@ -418,15 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulated scanner pipeline: robust image reconstruction "
                     "from frequency-component measurements")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "simulate scanner artifacts for one phantom",
-        "preprocess": "select components and assemble the reduced system",
-        "reconstruct": "solve the reduced system for an image",
-        "evaluate": "score a reconstruction against the phantom geometry",
-        "sweep": "map quality over the regularization grid",
-    }
-    for name in _COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="pipeline config file")
         for flag, (keywords, _) in _FLAGS.items():
             sp.add_argument(flag, **keywords)
@@ -450,7 +442,8 @@ def main(argv=None) -> int:
     run_dir = Path(args.out)
     try:
         cfg = load_config(args.config, _overrides(args))
-        info = _COMMANDS[args.command](cfg, run_dir)
+        stage, _ = _COMMANDS[args.command]
+        info = stage(cfg, run_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,17 +5,19 @@ Every key has a default, so an empty file is a valid config. Unknown keys
 are rejected rather than ignored; a typo should fail loudly, not silently
 run with defaults.
 
-The scanner section is a model.ScannerConfig, so its fields and defaults
-are written once; a file or override replaces it once with all of its
-keys. A setting is validated by the object it configures: ScannerConfig,
-and the model.VoxelGrid, metrics.ShiftGrid and solvers.SolverConfig that
-the grid, metrics and solver sections build, whose ValueError becomes
-ConfigError("<section>: <message>"), e.g. "scanner: drive amplitudes must
-be nonnegative". validate_config then rejects NaN and +-inf in every float
-key and float tuple as ConfigError("<section>.<key>: must be finite"),
-except preprocess.b2_khz = inf (an open band), and checks the rest (solver
-method, alpha and epsilon; the phantom, background, preprocess, metrics
-scoring and sweep keys) as ConfigError("<section>.<key>: <precondition>").
+The scanner section is a model.ScannerConfig and the grid section a
+model.VoxelGrid, so their fields and defaults are written once; a file or
+override replaces each section once with all of its keys. A setting is
+validated by the object it configures: ScannerConfig, VoxelGrid, and the
+metrics.ShiftGrid and solvers.SolverConfig that the metrics and solver
+sections build, whose ValueError becomes ConfigError("<section>:
+<message>"), e.g. "scanner: drive amplitudes must be nonnegative".
+validate_config then rejects NaN and +-inf in every float key and float
+tuple as ConfigError("<section>.<key>: must be finite"), except
+preprocess.b2_khz = inf (an open band), and checks the rest (solver method,
+alpha and epsilon; the phantom, background, preprocess, metrics scoring and
+sweep keys, and a bound of 2^24 sample points on voxels x subsamples^3) as
+ConfigError("<section>.<key>: <precondition>").
 """
 
 from __future__ import annotations
@@ -32,12 +34,9 @@ from .solvers import METHODS, SolverConfig
 __all__ = ["PipelineConfig", "load_config", "parse_config", "apply_overrides"]
 
 PHANTOM_KINDS = ("delta", "shape-cone", "resolution-tubes")
-
-
-@dataclass
-class GridSection:
-    shape: tuple = (20, 20, 1)
-    spacing_mm: tuple = (1.0, 1.0, 1.0)
+# The most sample points, voxels x subsamples^3, that one rasterization of
+# the grid may test: 655x the default grid's 25,600.
+_MAX_SAMPLE_POINTS = 1 << 24
 
 
 @dataclass
@@ -105,7 +104,7 @@ class SweepSection:
 @dataclass
 class PipelineConfig:
     scanner: ScannerConfig = field(default_factory=ScannerConfig)
-    grid: GridSection = field(default_factory=GridSection)
+    grid: VoxelGrid = field(default_factory=VoxelGrid)
     phantom: PhantomSection = field(default_factory=PhantomSection)
     background: BackgroundSection = field(default_factory=BackgroundSection)
     preprocess: PreprocessSection = field(default_factory=PreprocessSection)
@@ -119,9 +118,6 @@ class PipelineConfig:
         if k == 0:
             return 19
         return math.ceil(voxel_count / (k - 1))
-
-    def voxel_grid(self) -> VoxelGrid:
-        return VoxelGrid(self.grid.shape, self.grid.spacing_mm)
 
     def shift_grid(self) -> ShiftGrid:
         return ShiftGrid(self.metrics.shift_extent_mm, self.metrics.shift_step_mm)
@@ -220,8 +216,7 @@ def _require(cond: bool, message: str) -> None:
 
 
 def validate_config(cfg: PipelineConfig) -> None:
-    for section, build in (("grid", cfg.voxel_grid), ("metrics", cfg.shift_grid),
-                           ("solver", cfg.solver_config)):
+    for section, build in (("metrics", cfg.shift_grid), ("solver", cfg.solver_config)):
         try:
             build()
         except ValueError as exc:
@@ -236,6 +231,7 @@ def validate_config(cfg: PipelineConfig) -> None:
                    for v in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f"{dotted}: must be finite")
 
+    voxels = cfg.grid.voxel_count
     p = cfg.phantom
     _require(p.kind in PHANTOM_KINDS,
              f"phantom.kind: must be one of {', '.join(PHANTOM_KINDS)}, got {p.kind!r}")
@@ -266,7 +262,6 @@ def validate_config(cfg: PipelineConfig) -> None:
     _require(pre.empty_scans == 0 or pre.empty_scans >= 2,
              "preprocess.empty_scans: at least 2 empty scans are required "
              "(0 selects the default schedule)")
-    voxels = cfg.voxel_grid().voxel_count
     _require(pre.empty_scans <= voxels,
              f"preprocess.empty_scans: at most one per voxel ({voxels} voxels)")
 
@@ -280,6 +275,10 @@ def validate_config(cfg: PipelineConfig) -> None:
     _require(m.psnr_peak > 0, "metrics.psnr_peak: must be positive")
     _require(m.dynamic_range > 0, "metrics.dynamic_range: must be positive")
     _require(m.subsamples >= 1, "metrics.subsamples: must be at least 1")
+    for key, n in (("phantom.subsamples", p.subsamples), ("metrics.subsamples", m.subsamples)):
+        _require(voxels * n**3 <= _MAX_SAMPLE_POINTS,
+                 f"{key}: {voxels} voxels x {n}^3 samples exceed the limit of "
+                 f"{_MAX_SAMPLE_POINTS} sample points")
 
     sw = cfg.sweep
     _require(sw.alpha_max_exp >= sw.alpha_min_exp,

@@ -76,6 +76,8 @@ class ShiftGrid:
             raise ValueError("shift extents must be three nonnegative finite lengths")
         for e in self.extent_mm:
             k = e / self.step_mm
+            if not math.isfinite(k):
+                raise ValueError("shift extent over step must be finite")
             if abs(k - round(k)) > 1e-9 * max(1.0, k):
                 raise ValueError("shift extent must be an integer multiple of the step")
         object.__setattr__(self, "extent_mm", tuple(float(e) for e in self.extent_mm))

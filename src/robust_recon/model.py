@@ -11,7 +11,10 @@ Units: lengths in mm at the API surface (converted to meters internally),
 fields in mT / T/m, frequencies in kHz, period in ms. The induced signal is
 the time derivative of the mean magnetization component taken with respect
 to the phase variable t/T, so row magnitudes do not carry the absolute
-drive-frequency scale; an overall receiver gain is configurable.
+drive-frequency scale; an overall receiver gain is configurable. The
+voxel grid is centered on the scanner origin, so a VoxelGrid is its shape
+and spacing alone; ScannerConfig and VoxelGrid are also the config's
+scanner and grid sections, defaults included.
 
 Phantoms have one build path: make_phantom rasterizes the analytic support
 of a stock kind (delta, shape-cone, resolution-tubes) with
@@ -82,19 +85,19 @@ def langevin(xi):
 
 @dataclass(frozen=True)
 class VoxelGrid:
-    """Axis-aligned voxel grid, by default centered on the scanner origin.
+    """Axis-aligned voxel grid, centered on the scanner origin.
 
-    ``shape`` is (nx, ny, nz); ``spacing_mm`` the voxel pitch per axis;
-    ``origin_mm`` is the center of voxel (0, 0, 0) and defaults to the
-    placement that centers the whole grid on the origin. Voxel (ix, iy, iz)
-    has center origin + (ix*sx, iy*sy, iz*sz) mm and flat index
-    ix*ny*nz + iy*nz + iz (C order), which fixes the column order of the
-    system matrix and the layout of image vectors.
+    ``shape`` is (nx, ny, nz); ``spacing_mm`` the voxel pitch per axis. The
+    defaults are the pipeline's 20 x 20 x 1 grid at 1 mm, and the config's
+    grid section is this class. ``origin_mm``, the center of voxel
+    (0, 0, 0), follows from the two: -(n - 1) / 2 * s per axis. Voxel
+    (ix, iy, iz) has center origin + (ix*sx, iy*sy, iz*sz) mm and flat
+    index ix*ny*nz + iy*nz + iz (C order), which fixes the column order of
+    the system matrix and the layout of image vectors.
     """
 
-    shape: tuple[int, int, int]
-    spacing_mm: tuple[float, float, float]
-    origin_mm: tuple[float, float, float] | None = None
+    shape: tuple[int, int, int] = (20, 20, 1)
+    spacing_mm: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if len(self.shape) != 3 or any(int(n) != n or n < 1 for n in self.shape):
@@ -103,15 +106,10 @@ class VoxelGrid:
             raise ValueError("grid spacing must be three positive finite lengths")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "spacing_mm", tuple(float(s) for s in self.spacing_mm))
-        if self.origin_mm is None:
-            centered = tuple(
-                -(n - 1) / 2.0 * s for n, s in zip(self.shape, self.spacing_mm)
-            )
-            object.__setattr__(self, "origin_mm", centered)
-        else:
-            if len(self.origin_mm) != 3:
-                raise ValueError("grid origin must be three coordinates")
-            object.__setattr__(self, "origin_mm", tuple(float(c) for c in self.origin_mm))
+
+    @property
+    def origin_mm(self) -> tuple[float, float, float]:
+        return tuple(-(n - 1) / 2.0 * s for n, s in zip(self.shape, self.spacing_mm))
 
     @property
     def voxel_count(self) -> int:
@@ -179,6 +177,8 @@ class ScannerConfig:
             raise ValueError("drive_frequencies_khz must be finite")
         for f in self.drive_frequencies_khz:
             cycles = f * self.period_ms
+            if not np.isfinite(cycles):
+                raise ValueError("drive frequency times period_ms must be finite")
             if abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1:
                 raise ValueError(
                     "drive frequency %g kHz is not an integer harmonic of 1/period" % f

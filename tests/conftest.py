@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robust_recon import ScannerConfig, VoxelGrid, simulate_system_matrix
+from robust_recon.model import ScannerConfig, VoxelGrid, simulate_system_matrix
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robust_recon import Phantom, VoxelGrid, acquisition, make_phantom, simulate_system_matrix
+from robust_recon import acquisition
 from robust_recon.acquisition import (
     BackgroundModel,
     Measurement,
@@ -12,6 +12,7 @@ from robust_recon.acquisition import (
     draw_phantom_measurement,
     make_background,
 )
+from robust_recon.model import Phantom, VoxelGrid, make_phantom, simulate_system_matrix
 
 
 def quiet_background(shape, seed=99, variance=1.0, drift=0.0):

@@ -368,6 +368,27 @@ def test_preprocess_non_finite_spectra_exit_4(pipeline, tmp_path, capsys, name, 
     assert (run / "reduced_A.rrc").read_bytes() == before
 
 
+@pytest.mark.parametrize("key, value, flags, message", [
+    ("background.mean_peak", "1e308", [], "non-finite Rayleigh quotient"),
+    ("background.mean_peak", "1e308", ["--whiten"], "no usable operator norm"),
+    ("background.calibration_concentration", "1e-308", [], "non-finite Rayleigh quotient"),
+    ("background.calibration_concentration", "1e-308", ["--whiten"],
+     "non-finite Rayleigh quotient"),
+])
+def test_preprocess_overflow_exits_4_without_warning(key, value, flags, message,
+                                                     tmp_path, capsys):
+    # finite spectra whose reduced system overflows; the suite turns a
+    # RuntimeWarning into an error, so only the NumericalError may surface
+    cfg = write_config(tmp_path, {key: value})
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert main(["preprocess", "--config", str(cfg), "--out", str(run), *flags]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: preprocess: ") and message in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_reconstruct_kaczmarz_overflow_exits_4(tmp_path, capsys):
     # finite data whose l2 objective overflows to inf after the sweeps
     cfg = tmp_path / "toy.cfg"
@@ -390,7 +411,6 @@ def test_reconstruct_kaczmarz_overflow_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, key, value, message", [
-    ("simulate", "scanner.period_ms", "1e308", "infinity"),
     ("simulate", "scanner.particle_diameter_nm", "1e308", "out of range"),
     ("simulate", "background.base_std", "1e308", "out of range"),
     ("simulate", "scanner.temperature_k", "1e-308", "division by zero"),
@@ -411,6 +431,25 @@ def test_config_value_overflow_exits_4(command, key, value, message, pipeline,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: ") and message in err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("key, value, named, message", [
+    ("metrics.shift_extent_mm", "1e308,0,0", "metrics", "must be finite"),
+    ("metrics.shift_step_mm", "1e-309", "metrics", "must be finite"),  # 1.5 mm / 1e-309 = inf
+    ("scanner.period_ms", "1e308", "scanner", "must be finite"),
+    ("phantom.subsamples", "2000", "phantom.subsamples", "16777216 sample points"),
+    ("metrics.subsamples", "2000", "metrics.subsamples", "16777216 sample points"),
+])
+def test_config_value_bound_exits_2_at_load(key, value, named, message, tmp_path, capsys):
+    # values whose derived quantities overflow or whose rasterization would
+    # not fit in memory are config errors, found before a stage starts
+    cfg = write_config(tmp_path, {key: value})
+    run = tmp_path / "run"
+    run.mkdir()
+    assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ") and message in err
+    assert list(run.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, artifact", [

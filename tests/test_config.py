@@ -158,20 +158,28 @@ def test_builders_return_the_configured_objects():
     cfg = parse_config("grid.shape = 8, 6, 1\nsolver.row_order = shuffled\n"
                        "metrics.shift_step_mm = 0.25")
     assert cfg.scanner == ScannerConfig()
-    assert cfg.voxel_grid() == VoxelGrid((8, 6, 1), (1.0, 1.0, 1.0))
+    assert cfg.grid == VoxelGrid((8, 6, 1), (1.0, 1.0, 1.0))
     assert cfg.shift_grid() == ShiftGrid((3.0, 3.0, 0.0), 0.25)
     scfg = cfg.solver_config(sweeps=7, record_snapshots=True)
     assert scfg == SolverConfig(sweeps=7, row_order="shuffled", record_snapshots=True)
 
 
 def test_section_defaults_match_the_objects_they_configure():
-    # the scanner section is the ScannerConfig itself; the solver section
-    # keeps its own copy of the SolverConfig fields it shares
+    # the scanner and grid sections are the ScannerConfig and VoxelGrid
+    # themselves; the solver section keeps its own copy of the SolverConfig
+    # fields it shares
     solver, section = SolverConfig(), SolverSection()
     shared = [f.name for f in fields(SolverConfig) if hasattr(section, f.name)]
     assert len(shared) == 7
     for name in shared:
         assert getattr(section, name) == getattr(solver, name), name
+
+
+def test_grid_section_is_the_voxel_grid():
+    assert PipelineConfig().grid == VoxelGrid() == VoxelGrid((20, 20, 1), (1.0, 1.0, 1.0))
+    # the origin follows from shape and spacing, so it is not a key
+    with pytest.raises(ConfigError, match=r"^grid\.origin_mm: unknown key$"):
+        parse_config("grid.origin_mm = 1,2,3")
 
 
 def test_custom_phantom_kind_rejected_in_files():

@@ -29,7 +29,7 @@ def test_simulate_and_preprocess_hold_no_full_size_temporary(tmp_path):
     cfg.write_text("")
     conf = load_config(cfg)
     scanner = conf.scanner
-    calib_bytes = (conf.voxel_grid().voxel_count * scanner.coils * scanner.freq_count
+    calib_bytes = (conf.grid.voxel_count * scanner.coils * scanner.freq_count
                    * np.dtype(np.complex128).itemsize)
     run = str(tmp_path / "run")
     simulate = traced_peak(["simulate", "--config", str(cfg), "--out", run])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 
-from robust_recon import BoxSupport, NumericalError, VoxelGrid, make_phantom, metrics, model
+from robust_recon import metrics, model
+from robust_recon.errors import NumericalError
 from robust_recon.metrics import (
     ShiftGrid,
     first_argmax,
@@ -15,6 +16,7 @@ from robust_recon.metrics import (
     ssim,
     ssim_table,
 )
+from robust_recon.model import BoxSupport, VoxelGrid, make_phantom
 
 
 def test_shift_grid_counts():

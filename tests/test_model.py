@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robust_recon import (
+from robust_recon.model import (
     BoxSupport,
     ConeSupport,
     Phantom,
@@ -72,8 +72,9 @@ def test_voxel_grid_centers_and_flat_order():
 def test_voxel_grid_origin_default_and_explicit():
     grid = VoxelGrid((4, 2, 1), (1.0, 2.0, 3.0))
     assert grid.origin_mm == (-1.5, -1.0, 0.0)
-    shifted = VoxelGrid((2, 1, 1), (1.0, 1.0, 1.0), origin_mm=(10.0, 0.0, 0.0))
-    assert np.array_equal(shifted.centers_mm()[:, 0], [10.0, 11.0])
+    # the origin follows from shape and spacing; it is not a field
+    with pytest.raises(TypeError, match="origin_mm"):
+        VoxelGrid((2, 1, 1), (1.0, 1.0, 1.0), origin_mm=(10.0, 0.0, 0.0))
 
 
 def test_voxel_grid_validation():
@@ -81,8 +82,6 @@ def test_voxel_grid_validation():
         VoxelGrid((0, 1, 1), (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         VoxelGrid((2, 2, 1), (1.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        VoxelGrid((2, 2, 1), (1.0, 1.0, 1.0), origin_mm=(0.0, 0.0))
 
 
 def test_make_phantom_delta():
@@ -241,7 +240,7 @@ def test_rasterize_shifted_shapes_and_validation():
 
 
 def test_axis_centers_match_centers():
-    grid = VoxelGrid((4, 3, 2), (0.3, 0.7, 1.1), origin_mm=(0.1, -2.0, 5.0))
+    grid = VoxelGrid((4, 3, 2), (0.3, 0.7, 1.1))
     centers = grid.centers_mm().reshape(grid.shape + (3,))
     assert np.array_equal(centers[:, 0, 0, 0], grid.axis_centers_mm(0))
     assert np.array_equal(centers[0, :, 0, 1], grid.axis_centers_mm(1))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from robust_recon import SystemMatrix, make_phantom
 from robust_recon.acquisition import (
     BackgroundModel,
     acquisition_schedule,
@@ -11,6 +10,7 @@ from robust_recon.acquisition import (
     draw_phantom_measurement,
 )
 from robust_recon.errors import NumericalError
+from robust_recon.model import SystemMatrix, make_phantom
 from robust_recon.preprocess import (
     ReducedSystem,
     assemble_reduced_system,

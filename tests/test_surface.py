@@ -2,11 +2,15 @@
 
 Every ``__all__`` entry must resolve: the benchmark tracer wraps each one
 by name, so a stale entry left behind by a deletion breaks every traced run.
-And no module reads another module's private names.
+Each public name has one home: the package root exports the layer modules
+and nothing else, and no name sits in two modules' ``__all__``. And no
+module reads another module's private names.
 """
 
 import ast
 import importlib
+import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,20 @@ def test_every_all_entry_resolves(name):
     assert module.__all__, f"{name} exports nothing"
     missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
     assert missing == []
+
+
+def test_package_root_exports_the_layer_modules_only():
+    layers = [p.stem for p in SOURCES if p.stem not in ("__init__", "__main__", "cli")]
+    assert sorted(robust_recon.__all__) == layers
+    bound = [name for name, value in vars(robust_recon).items()
+             if inspect.isfunction(value) or inspect.isclass(value)]
+    assert bound == []
+
+
+def test_no_name_is_exported_by_two_modules():
+    counts = Counter(entry for name in MODULES
+                     for entry in importlib.import_module(name).__all__)
+    assert [entry for entry, n in counts.items() if n > 1] == []
 
 
 def _is_private(name: str) -> bool:
