@@ -12,9 +12,12 @@ one empty scan, then a bracket of ``scans_per_bracket`` calibration scans,
 then the next empty scan, and so on, with a final empty scan after the last
 bracket. Global scan indices feed the drift term.
 
-Every draw adds its drift and noise terms into the one array it returns,
-_BLOCK_SCANS scans at a time, so a draw holds no full-size temporary: at
-40x40 voxels the calibration draw peaks at its own 52 MB output.
+Every draw builds its scans _BLOCK_SCANS at a time, one code path for
+all three: signal plus mean, then drift, then noise, added into a new
+block. calibration_scan_blocks yields those blocks in scan order, so a
+writer can store the calibration set (52 MB at 40x40 voxels) without ever
+holding it; the draw_* functions copy the blocks into the one array they
+return.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "make_background",
     "acquisition_schedule",
     "draw_empty_scans",
+    "calibration_scan_blocks",
     "draw_calibration_scans",
     "draw_phantom_measurement",
     "background_mean",
@@ -167,13 +171,16 @@ def acquisition_schedule(voxel_count: int, scans_per_bracket: int):
     return calib, empty
 
 
-def _add_drift_and_noise(out: np.ndarray, bg: BackgroundModel, scan_indices,
-                         seed: int, repetitions: int) -> None:
-    """Add drift * scan_indices[i] and then complex noise to each scan out[i]
-    of a (scans, coils, freqs) array, _BLOCK_SCANS scans at a time.
+def _scan_blocks(base, count: int, bg: BackgroundModel, scan_indices, seed: int,
+                 repetitions: int):
+    """Scans 0..count-1 as a generator of blocks of _BLOCK_SCANS, in scan
+    order: each block is base(lo, hi), a new writable (hi - lo, coils,
+    freqs) array, plus drift * scan_indices[i] and then complex noise, added
+    in place. Raises ValueError when repetitions < 1 at once; nothing is
+    drawn before the first block is asked for.
 
     The noise is (re + 1j*im) * std/sqrt(repetitions), where the stream of
-    ``seed`` draws every real part of the whole array before any imaginary
+    ``seed`` draws every real part of all count scans before any imaginary
     part. A second generator from the same seed, advanced past the real
     draws, yields the imaginary parts block by block; chunked draws give the
     values of one draw. A standard normal draw is never +-0, so setting the
@@ -183,20 +190,35 @@ def _add_drift_and_noise(out: np.ndarray, bg: BackgroundModel, scan_indices,
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     std = bg.noise_std() / np.sqrt(repetitions)
-    re_rng = np.random.default_rng(seed)
-    im_rng = np.random.default_rng(seed)
-    part = np.empty((_BLOCK_SCANS,) + out.shape[1:])
-    noise = np.empty(part.shape, dtype=np.complex128)
-    for lo in range(0, out.shape[0], _BLOCK_SCANS):
-        im_rng.standard_normal(out=part[:out.shape[0] - lo])
-    for lo in range(0, out.shape[0], _BLOCK_SCANS):
-        block = out[lo:lo + _BLOCK_SCANS]
-        n = block.shape[0]
-        block += bg.drift * scan_indices[lo:lo + n, None, None]
-        noise.real[:n] = re_rng.standard_normal(out=part[:n])
-        noise.imag[:n] = im_rng.standard_normal(out=part[:n])
-        noise[:n] *= std
-        block += noise[:n]
+
+    def blocks():
+        re_rng = np.random.default_rng(seed)
+        im_rng = np.random.default_rng(seed)
+        part = np.empty((_BLOCK_SCANS,) + bg.shape)
+        noise = np.empty(part.shape, dtype=np.complex128)
+        for lo in range(0, count, _BLOCK_SCANS):
+            im_rng.standard_normal(out=part[:count - lo])
+        for lo in range(0, count, _BLOCK_SCANS):
+            block = base(lo, min(lo + _BLOCK_SCANS, count))
+            n = block.shape[0]
+            block += bg.drift * scan_indices[lo:lo + n, None, None]
+            noise.real[:n] = re_rng.standard_normal(out=part[:n])
+            noise.imag[:n] = im_rng.standard_normal(out=part[:n])
+            noise[:n] *= std
+            block += noise[:n]
+            yield block
+
+    return blocks()
+
+
+def _collect(blocks, count: int, bg: BackgroundModel) -> np.ndarray:
+    """The blocks of _scan_blocks copied into one (count, coils, freqs) array."""
+    out = np.empty((count,) + bg.shape, dtype=np.complex128)
+    lo = 0
+    for block in blocks:
+        out[lo:lo + block.shape[0]] = block
+        lo += block.shape[0]
+    return out
 
 
 def draw_empty_scans(bg: BackgroundModel, count: int, seed: int,
@@ -211,21 +233,26 @@ def draw_empty_scans(bg: BackgroundModel, count: int, seed: int,
     schedule = np.asarray(schedule, dtype=np.int64)
     if schedule.shape != (count,):
         raise ValueError("schedule must give one scan index per empty scan")
-    out = np.repeat(bg.mean_spectrum[None], count, axis=0)
-    _add_drift_and_noise(out, bg, schedule, seed, repetitions)
-    return out
+
+    def mean(lo, hi):
+        return np.repeat(bg.mean_spectrum[None], hi - lo, axis=0)
+
+    return _collect(_scan_blocks(mean, count, bg, schedule, seed, repetitions), count, bg)
 
 
-def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
-                           concentration: float, seed: int,
-                           scan_indices, repetitions: int = 1) -> np.ndarray:
-    """Noisy delta-sample spectra, one scan per voxel: (voxels, coils, freqs).
+def calibration_scan_blocks(system: SystemMatrix, bg: BackgroundModel,
+                            concentration: float, seed: int,
+                            scan_indices, repetitions: int = 1):
+    """Noisy delta-sample spectra, one scan per voxel, as a generator of new
+    C-contiguous (n, coils, freqs) blocks of _BLOCK_SCANS scans in scan
+    order, so a writer can store them as they are drawn.
 
     Scan i measures a point sample of the given concentration in voxel i at
     global scan index scan_indices[i]: concentration * S[:, :, i] + mean +
-    drift * scan_indices[i] + noise, added in that order into one
-    C-contiguous array, so the artifact writer stores it without a copy.
-    Raises ValueError when repetitions < 1.
+    drift * scan_indices[i] + noise, added in that order. The arguments are
+    checked here, before the first block: ValueError on a nonpositive
+    concentration, repetitions < 1, or a schedule or background that does
+    not fit the system matrix.
     """
     if concentration <= 0:
         raise ValueError("calibration concentration must be positive")
@@ -234,10 +261,24 @@ def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
         raise ValueError("need one scan index per voxel")
     if bg.shape != (system.coils, system.freq_count):
         raise ValueError("background shape does not match the system matrix")
-    out = np.multiply(concentration, system.data.transpose(2, 0, 1), order="C")
-    out += bg.mean_spectrum
-    _add_drift_and_noise(out, bg, scan_indices, seed, repetitions)
-    return out
+
+    def signal(lo, hi):
+        block = np.multiply(concentration, system.data[:, :, lo:hi].transpose(2, 0, 1),
+                            order="C")
+        block += bg.mean_spectrum
+        return block
+
+    return _scan_blocks(signal, system.voxel_count, bg, scan_indices, seed, repetitions)
+
+
+def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
+                           concentration: float, seed: int,
+                           scan_indices, repetitions: int = 1) -> np.ndarray:
+    """The blocks of calibration_scan_blocks in one C-contiguous (voxels,
+    coils, freqs) array. Raises ValueError as that function does."""
+    blocks = calibration_scan_blocks(system, bg, concentration, seed, scan_indices,
+                                     repetitions)
+    return _collect(blocks, system.voxel_count, bg)
 
 
 def draw_phantom_measurement(system: SystemMatrix, phantom: Phantom,
@@ -246,9 +287,13 @@ def draw_phantom_measurement(system: SystemMatrix, phantom: Phantom,
     """One noisy phantom measurement: S*x + mean + drift*scan_index + noise."""
     if bg.shape != (system.coils, system.freq_count):
         raise ValueError("background shape does not match the system matrix")
-    out = (system.apply(phantom.flat()) + bg.mean_spectrum)[None]
-    _add_drift_and_noise(out, bg, np.array([scan_index], dtype=np.int64), seed, repetitions)
-    return Measurement(out[0])
+
+    def signal(lo, hi):
+        return (system.apply(phantom.flat()) + bg.mean_spectrum)[None]
+
+    blocks = _scan_blocks(signal, 1, bg, np.array([scan_index], dtype=np.int64), seed,
+                          repetitions)
+    return Measurement(_collect(blocks, 1, bg)[0])
 
 
 def background_mean(scans: np.ndarray) -> np.ndarray:

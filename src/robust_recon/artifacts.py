@@ -17,7 +17,9 @@ reads it (read_verified); verify_manifest checks every recorded file of a
 run directory at once.
 
 All writes go through a temp file and os.replace, so a crash cannot leave
-a half-written artifact under the final name.
+a half-written artifact under the final name. write_artifact_blocks writes
+an array from its blocks as they are made, so the array need never exist
+whole; write_artifact is its one-block case.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "KIND_SPECTRUM_SET",
     "KIND_IMAGE",
     "write_artifact",
+    "write_artifact_blocks",
     "read_artifact",
     "read_verified",
     "atomic_write_bytes",
@@ -66,6 +69,13 @@ def atomic_write_bytes(path, *chunks) -> str:
     """Write the concatenated chunks (bytes-like objects, e.g. a header
     and a memoryview of a payload) via a temp file in the same directory,
     then rename over. Returns the sha256 hex digest of the bytes written."""
+    return _write_chunks(path, chunks)
+
+
+def _write_chunks(path, chunks) -> str:
+    """atomic_write_bytes over an iterable of chunks, taken one at a time as
+    they are written. An exception raised while the iterable yields removes
+    the temp file, so nothing is left under the final name or beside it."""
     path = Path(path)
     digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -87,25 +97,48 @@ def atomic_write_text(path, text: str) -> str:
 
 
 def write_artifact(path, kind: int, array: np.ndarray) -> str:
-    """Serialize one array; returns the sha256 hex digest of the file.
-    The kind fixes both rank and realness. A C-contiguous array already
-    in the payload dtype is written and hashed straight from its memory;
-    any other array is converted once."""
+    """Serialize one array; returns the sha256 hex digest of the file. The
+    one-block case of write_artifact_blocks."""
+    array = np.asarray(array)
+    return write_artifact_blocks(path, kind, array.shape, [array])
+
+
+def write_artifact_blocks(path, kind: int, shape, blocks) -> str:
+    """Serialize an array of the given shape from an iterable of its blocks
+    along the first axis, in order, writing each block as it is taken, so
+    the whole array never needs to exist. Returns the sha256 hex digest of
+    the file. The kind fixes both rank and realness. A C-contiguous block
+    already in the payload dtype is written and hashed straight from its
+    memory; any other block is converted once. Raises ValueError, and
+    leaves no file, when a block does not fit the shape or the kind, or the
+    blocks do not fill the shape; an exception raised by the iterable
+    leaves no file either."""
     if kind not in _KIND_NDIM:
         raise ValueError(f"unknown artifact kind {kind}")
-    array = np.asarray(array)
-    if array.ndim != _KIND_NDIM[kind]:
+    shape = tuple(int(d) for d in shape)
+    if len(shape) != _KIND_NDIM[kind]:
         raise ValueError(
-            f"kind {kind} stores {_KIND_NDIM[kind]}-d arrays, got {array.ndim}-d")
-    if kind == KIND_SPECTRUM_SET:
-        payload = np.ascontiguousarray(array, dtype="<c16")
-    else:
-        if np.iscomplexobj(array):
-            raise ValueError(f"kind {kind} stores real arrays")
-        payload = np.ascontiguousarray(array, dtype="<f8")
-    header = MAGIC + struct.pack("<B", kind) + struct.pack("<Q", array.ndim)
-    header += struct.pack(f"<{array.ndim}Q", *array.shape)
-    return atomic_write_bytes(path, header, memoryview(payload))
+            f"kind {kind} stores {_KIND_NDIM[kind]}-d arrays, got {len(shape)}-d")
+    dtype = "<c16" if kind == KIND_SPECTRUM_SET else "<f8"
+    header = MAGIC + struct.pack("<B", kind) + struct.pack("<Q", len(shape))
+    header += struct.pack(f"<{len(shape)}Q", *shape)
+
+    def chunks():
+        yield header
+        rows = 0
+        for block in blocks:
+            block = np.asarray(block)
+            if kind != KIND_SPECTRUM_SET and np.iscomplexobj(block):
+                raise ValueError(f"kind {kind} stores real arrays")
+            if (block.ndim != len(shape) or block.shape[1:] != shape[1:]
+                    or rows + block.shape[0] > shape[0]):
+                raise ValueError(f"block of shape {block.shape} does not fit {shape}")
+            rows += block.shape[0]
+            yield memoryview(np.ascontiguousarray(block, dtype=dtype))
+        if rows != shape[0]:
+            raise ValueError(f"blocks fill {rows} of the {shape[0]} rows of {shape}")
+
+    return _write_chunks(path, chunks())
 
 
 def read_artifact(path):

@@ -88,7 +88,12 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
     system_matrix.rrc holds the raw calibration scans (one delta sample per
     voxel, in scan order); the background-corrected matrix is derived by
     preprocess. The clean forward operator is regenerated from the config
-    whenever needed, so it is not persisted.
+    whenever needed, so it is not persisted. The empty scans and the
+    measurement are drawn first (each draw has its own seed, so the order
+    changes no bit); the calibration scans are then written as they are
+    drawn, so simulate holds the system matrix and never the calibration
+    set. The spectra are checked for non-finite values in artifact order,
+    calibration blocks first, all before any file is renamed into place.
     """
     run_dir.mkdir(parents=True, exist_ok=True)
     scanner = cfg.scanner
@@ -116,17 +121,28 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
         calib_idx, empty_idx = acquisition.acquisition_schedule(m, q)
         empties = acquisition.draw_empty_scans(bg, empty_idx.size, b.noise_seed + 1,
                                                schedule=empty_idx)
-        calib = acquisition.draw_calibration_scans(system, bg, b.calibration_concentration,
-                                                   b.noise_seed + 2, calib_idx,
-                                                   b.calibration_repetitions)
         meas_index = int(empty_idx[-1]) + 1
         meas = acquisition.draw_phantom_measurement(system, phantom, bg, b.noise_seed + 3,
                                                     meas_index, b.measurement_repetitions)
-    spectra = {SYSTEM_MATRIX: calib, EMPTY_SCANS: empties, MEASUREMENT: meas.spectrum[None]}
+        spectra = {EMPTY_SCANS: empties, MEASUREMENT: meas.spectrum[None]}
+        calib = acquisition.calibration_scan_blocks(system, bg, b.calibration_concentration,
+                                                    b.noise_seed + 2, calib_idx,
+                                                    b.calibration_repetitions)
+
+        def checked_calibration():
+            for block in calib:
+                _require_finite(SYSTEM_MATRIX, block)
+                yield block
+            # still inside the writer: a failure here leaves no system matrix
+            for name, array in spectra.items():
+                _require_finite(name, array)
+
+        digests = {SYSTEM_MATRIX: artifacts.write_artifact_blocks(
+            run_dir / SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET,
+            (m, scanner.coils, scanner.freq_count), checked_calibration())}
     for name, array in spectra.items():
-        _require_finite(name, array)
-    digests = {name: artifacts.write_artifact(run_dir / name, artifacts.KIND_SPECTRUM_SET, array)
-               for name, array in spectra.items()}
+        digests[name] = artifacts.write_artifact(run_dir / name, artifacts.KIND_SPECTRUM_SET,
+                                                 array)
     digests[PHANTOM] = artifacts.write_artifact(run_dir / PHANTOM, artifacts.KIND_IMAGE,
                                                 phantom.values)
     _update_manifest(run_dir, digests)

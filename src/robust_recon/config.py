@@ -17,7 +17,9 @@ tuple as ConfigError("<section>.<key>: must be finite"), except
 preprocess.b2_khz = inf (an open band), and checks the rest (solver method,
 alpha and epsilon; the phantom, background, preprocess, metrics scoring and
 sweep keys, and a bound of 2^24 sample points on voxels x subsamples^3) as
-ConfigError("<section>.<key>: <precondition>").
+ConfigError("<section>.<key>: <precondition>"); the same bound on shifts x
+voxels, the reference stack that evaluate and sweep build, is
+ConfigError("metrics: ...").
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ __all__ = ["PipelineConfig", "load_config", "parse_config", "apply_overrides"]
 
 PHANTOM_KINDS = ("delta", "shape-cone", "resolution-tubes")
 # The most sample points, voxels x subsamples^3, that one rasterization of
-# the grid may test: 655x the default grid's 25,600.
+# the grid may test: 655x the default grid's 25,600. It also bounds the
+# reference stack, shifts x voxels, at 128 MB of float64.
 _MAX_SAMPLE_POINTS = 1 << 24
 
 
@@ -279,6 +282,10 @@ def validate_config(cfg: PipelineConfig) -> None:
         _require(voxels * n**3 <= _MAX_SAMPLE_POINTS,
                  f"{key}: {voxels} voxels x {n}^3 samples exceed the limit of "
                  f"{_MAX_SAMPLE_POINTS} sample points")
+    _require(cfg.shift_grid().count * voxels <= _MAX_SAMPLE_POINTS,
+             f"metrics: the shifts of extents {m.shift_extent_mm} mm at step "
+             f"{m.shift_step_mm:g} mm times {voxels} voxels exceed the limit of "
+             f"{_MAX_SAMPLE_POINTS} sample points")
 
     sw = cfg.sweep
     _require(sw.alpha_max_exp >= sw.alpha_min_exp,

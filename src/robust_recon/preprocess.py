@@ -42,6 +42,8 @@ __all__ = [
 
 # calibration scans per block of the SNR numerator
 _SCORE_BLOCK = 64
+# components per block of the copy into A: a (64, voxels) gather temporary
+_ASSEMBLE_BLOCK = 64
 
 
 def band_pass(freq_count: int, period_ms: float, b1_khz: float, b2_khz: float) -> np.ndarray:
@@ -273,10 +275,11 @@ def assemble_reduced_system(system: np.ndarray, y_spectrum: np.ndarray,
     """Stack selected components into real row pairs and normalize.
 
     ``system`` is a (coils, freqs, voxels) complex array; ``y_spectrum`` the
-    background-subtracted measurement. Optional whitening weights (one per
-    row, as whitening_weights returns them) multiply rows and data entries
-    before the operator norm of the stacked matrix is estimated and divided
-    out of both A and y.
+    background-subtracted measurement. The rows are copied in blocks of
+    _ASSEMBLE_BLOCK components, so the copy makes no temporary the size of
+    A. Optional whitening weights (one per row, as whitening_weights returns
+    them) multiply rows and data entries before the operator norm of the
+    stacked matrix is estimated and divided out of both A and y.
     """
     data = np.asarray(system, dtype=np.complex128)
     if data.ndim != 3:
@@ -291,8 +294,11 @@ def assemble_reduced_system(system: np.ndarray, y_spectrum: np.ndarray,
     coil = np.repeat(np.arange(selection.coils), [s.size for s in selection.selected])
     freq = np.concatenate(selection.selected)
     a = np.empty((n, data.shape[2]))
-    a[0::2] = data.real[coil, freq]
-    a[1::2] = data.imag[coil, freq]
+    for lo in range(0, n // 2, _ASSEMBLE_BLOCK):
+        rows = slice(2 * lo, 2 * (lo + _ASSEMBLE_BLOCK))
+        block = (coil[lo:lo + _ASSEMBLE_BLOCK], freq[lo:lo + _ASSEMBLE_BLOCK])
+        a[rows][0::2] = data.real[block]
+        a[rows][1::2] = data.imag[block]
     y = np.empty(n)
     y[0::2] = y_spectrum.real[coil, freq]
     y[1::2] = y_spectrum.imag[coil, freq]

@@ -7,6 +7,7 @@ from robust_recon.acquisition import (
     Measurement,
     acquisition_schedule,
     background_mean,
+    calibration_scan_blocks,
     draw_calibration_scans,
     draw_empty_scans,
     draw_phantom_measurement,
@@ -248,6 +249,11 @@ def test_calibration_scans_validation(system_1d):
     with pytest.raises(ValueError):
         draw_calibration_scans(system_1d, quiet_background((2, 7)), 80.0, seed=0,
                                scan_indices=np.arange(5))
+    # the generator checks its arguments when called, before any block
+    with pytest.raises(ValueError):
+        calibration_scan_blocks(system_1d, bg, 0.0, seed=0, scan_indices=np.arange(5))
+    with pytest.raises(ValueError):
+        calibration_scan_blocks(system_1d, bg, 80.0, seed=0, scan_indices=np.arange(4))
 
 
 def _noise_reference(rng, shape, std, repetitions):
@@ -354,6 +360,13 @@ def test_blocked_noise_matches_whole_array_noise(scanner_2d, base_std, drift_sca
     want += bg.drift * idx[:, None, None]
     want += _whole_array_noise(np.random.default_rng(7), want.shape, std, repetitions)
     assert scans.tobytes() == want.tobytes()
+    # the streamed blocks: new C-contiguous arrays in scan order, 16 scans
+    # each but the last, with the bits of the whole-array reference
+    blocks = list(calibration_scan_blocks(system, bg, 80.0, seed=7, scan_indices=idx,
+                                          repetitions=repetitions))
+    assert [b.shape[0] for b in blocks] == [16, 16, 3]
+    assert all(b.flags.c_contiguous and b.flags.owndata for b in blocks)
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
 
     empties = draw_empty_scans(bg, idx.size, seed=8, schedule=idx, repetitions=repetitions)
     want = (bg.mean_spectrum[None, :, :] + bg.drift[None, :, :] * idx[:, None, None]
@@ -378,5 +391,9 @@ def test_draws_reject_repetitions_below_one(system_1d, repetitions):
     with pytest.raises(ValueError, match="repetitions must be >= 1"):
         draw_calibration_scans(system_1d, bg, 80.0, seed=0, scan_indices=np.arange(5),
                                repetitions=repetitions)
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        # at the call, not at the first block
+        calibration_scan_blocks(system_1d, bg, 80.0, seed=0, scan_indices=np.arange(5),
+                                repetitions=repetitions)
     with pytest.raises(ValueError, match="repetitions must be >= 1"):
         draw_phantom_measurement(system_1d, phantom, bg, seed=0, repetitions=repetitions)

@@ -24,6 +24,7 @@ from robust_recon.artifacts import (
     sha256_file,
     verify_manifest,
     write_artifact,
+    write_artifact_blocks,
     write_manifest,
 )
 
@@ -86,6 +87,7 @@ def test_write_rejects_bad_rank_and_dtype(tmp_path):
         write_artifact(tmp_path / "b.rrc", KIND_VECTOR, np.zeros(3, dtype=np.complex128))
     with pytest.raises(ValueError):
         write_artifact(tmp_path / "c.rrc", 9, np.zeros((2, 2)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_integrity_errors(tmp_path):
@@ -291,3 +293,54 @@ def test_atomic_write_bytes_joins_chunks(tmp_path):
     digest = atomic_write_bytes(tmp_path / "c.bin", b"ab", memoryview(b"cd"), bytearray(b""))
     assert (tmp_path / "c.bin").read_bytes() == b"abcd"
     assert digest == hashlib.sha256(b"abcd").hexdigest()
+
+
+@pytest.mark.parametrize("kind, array, sizes", [
+    (KIND_SPECTRUM_SET, (np.arange(70.0) - 1.5j).reshape(7, 2, 5), [3, 0, 3, 1]),
+    (KIND_SPECTRUM_SET, (np.arange(70.0) + 2j).reshape(7, 5, 2).transpose(0, 2, 1), [7]),
+    (KIND_MATRIX, np.arange(12.0).reshape(3, 4).T, [1, 1, 2]),
+    (KIND_VECTOR, np.arange(5.0).astype(">f8"), [2, 3]),
+    (KIND_IMAGE, np.zeros((0, 2, 3)), []),
+])
+def test_blocks_write_the_bytes_of_the_whole_array(tmp_path, kind, array, sizes):
+    # the same file and digest as write_artifact on the concatenated blocks,
+    # whatever their sizes, layout or byte order
+    whole = write_artifact(tmp_path / "whole.rrc", kind, array)
+    cuts = np.cumsum([0] + sizes)
+    blocks = (array[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:]))
+    digest = write_artifact_blocks(tmp_path / "blocks.rrc", kind, array.shape, blocks)
+    raw = (tmp_path / "blocks.rrc").read_bytes()
+    assert raw == (tmp_path / "whole.rrc").read_bytes()
+    assert digest == whole == hashlib.sha256(raw).hexdigest()
+
+
+def _spectra(*rows):
+    return [np.ones((n, 2, 3), dtype=np.complex128) for n in rows]
+
+
+@pytest.mark.parametrize("blocks", [
+    _spectra(2, 1),          # 3 of the 4 rows
+    _spectra(2, 3),          # past the last row
+    [np.ones((2, 3, 2))],    # another trailing shape
+    [np.ones((4, 6))],       # another rank
+])
+def test_blocks_that_miss_the_shape_leave_no_file(tmp_path, blocks):
+    with pytest.raises(ValueError):
+        write_artifact_blocks(tmp_path / "a.rrc", KIND_SPECTRUM_SET, (4, 2, 3), blocks)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failing_block_source_leaves_no_file(tmp_path):
+    # a check inside the iterable, as simulate makes one per calibration
+    # block: the error surfaces and neither the final name nor a temp file
+    # is left, though a first block was already written
+    def checked():
+        yield np.ones((2, 2, 3), dtype=np.complex128)
+        block = np.full((2, 2, 3), np.inf, dtype=np.complex128)
+        if not np.isfinite(block).all():
+            raise ArithmeticError("non-finite block")
+        yield block
+
+    with pytest.raises(ArithmeticError, match="non-finite block"):
+        write_artifact_blocks(tmp_path / "a.rrc", KIND_SPECTRUM_SET, (4, 2, 3), checked())
+    assert list(tmp_path.iterdir()) == []

@@ -436,6 +436,9 @@ def test_config_value_overflow_exits_4(command, key, value, message, pipeline,
 @pytest.mark.parametrize("key, value, named, message", [
     ("metrics.shift_extent_mm", "1e308,0,0", "metrics", "must be finite"),
     ("metrics.shift_step_mm", "1e-309", "metrics", "must be finite"),  # 1.5 mm / 1e-309 = inf
+    # 1.5 mm / 1e-308 is finite: about 1e617 shifts; 1e-4 gives 30001^2 of them
+    ("metrics.shift_step_mm", "1e-308", "metrics", "times 36 voxels exceed the limit"),
+    ("metrics.shift_step_mm", "1e-4", "metrics", "times 36 voxels exceed the limit"),
     ("scanner.period_ms", "1e308", "scanner", "must be finite"),
     ("phantom.subsamples", "2000", "phantom.subsamples", "16777216 sample points"),
     ("metrics.subsamples", "2000", "metrics.subsamples", "16777216 sample points"),

@@ -2,8 +2,9 @@
 
 tracemalloc sees numpy's buffers, so its peak is the most a stage holds at
 once. The calibration array (voxels, coils, freqs) sets the scale: simulate
-may hold the system matrix and that array plus small blocks, preprocess its
-read buffer plus one band-sized array.
+may hold the system matrix plus small blocks (it writes the calibration
+scans as they are drawn), preprocess its read buffer plus the reduced
+matrix.
 """
 
 import tracemalloc
@@ -23,10 +24,10 @@ def traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
-def test_simulate_and_preprocess_hold_no_full_size_temporary(tmp_path):
-    # the default 20x20 pipeline: 400 voxels x 2 coils x 1025 bins
+def peak_ratios(tmp_path, config_text):
+    """Traced peaks of simulate and preprocess over the calibration bytes."""
     cfg = tmp_path / "pipeline.cfg"
-    cfg.write_text("")
+    cfg.write_text(config_text)
     conf = load_config(cfg)
     scanner = conf.scanner
     calib_bytes = (conf.grid.voxel_count * scanner.coils * scanner.freq_count
@@ -34,6 +35,22 @@ def test_simulate_and_preprocess_hold_no_full_size_temporary(tmp_path):
     run = str(tmp_path / "run")
     simulate = traced_peak(["simulate", "--config", str(cfg), "--out", run])
     preprocess = traced_peak(["preprocess", "--config", str(cfg), "--out", run])
-    # 3.6x and 3.9x with whole-array noise and full-band preprocessing
-    assert simulate / calib_bytes <= 2.5
-    assert preprocess / calib_bytes <= 2.0
+    return simulate / calib_bytes, preprocess / calib_bytes
+
+
+def test_simulate_and_preprocess_hold_no_full_size_temporary(tmp_path):
+    # the default 20x20 pipeline: 400 voxels x 2 coils x 1025 bins. Measured
+    # 1.82x and 1.67x; 2.19x and 1.86x with the whole calibration array in
+    # simulate and a full-size gather in the assembly of A
+    simulate, preprocess = peak_ratios(tmp_path, "")
+    assert simulate <= 2.0
+    assert preprocess <= 1.8
+
+
+def test_simulate_streams_the_calibration_scans_at_40x40(tmp_path):
+    # 1600 voxels: the 52 MB calibration set. Measured 1.21x and 1.65x;
+    # 2.09x and 1.85x when simulate held the whole set before writing it
+    simulate, preprocess = peak_ratios(
+        tmp_path, "grid.shape = 40,40,1\ngrid.spacing_mm = 0.5,0.5,1.0\n")
+    assert simulate <= 1.4
+    assert preprocess <= 1.8
