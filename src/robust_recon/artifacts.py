@@ -14,7 +14,11 @@ with sorted keys and no timestamps, so reruns with the same seed produce
 byte-identical bytes. Wall-clock timing lives in sidecar files that are
 deliberately not part of the manifest. A stage checks each input as it
 reads it (read_verified); verify_manifest checks every recorded file of a
-run directory at once.
+run directory at once. read_verified can also keep only some bins of the
+last axis, reading the file in chunks, so a caller that needs a frequency
+band never holds the whole payload; nothing is returned before the whole
+file's digest has matched. read_header gives the kind and dims without the
+payload. All three readers share one header parser.
 
 All writes go through a temp file and os.replace, so a crash cannot leave
 a half-written artifact under the final name. write_artifact_blocks writes
@@ -33,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import IntegrityError, NumericalError
 
 __all__ = [
     "KIND_MATRIX",
@@ -43,6 +47,7 @@ __all__ = [
     "write_artifact",
     "write_artifact_blocks",
     "read_artifact",
+    "read_header",
     "read_verified",
     "atomic_write_bytes",
     "atomic_write_text",
@@ -61,6 +66,10 @@ KIND_IMAGE = 4
 
 _KIND_NDIM = {KIND_MATRIX: 2, KIND_VECTOR: 1, KIND_SPECTRUM_SET: 3, KIND_IMAGE: 3}
 _MAX_NDIM = 8
+_MAX_HEADER = 13 + 8 * _MAX_NDIM
+# entries of the first axis per chunk of a read_verified(bins=...) read:
+# 2 MB of a 2-coil, 1025-bin spectrum set
+_CHUNK_ROWS = 64
 
 MANIFEST_NAME = "manifest.json"
 
@@ -119,7 +128,7 @@ def write_artifact_blocks(path, kind: int, shape, blocks) -> str:
     if len(shape) != _KIND_NDIM[kind]:
         raise ValueError(
             f"kind {kind} stores {_KIND_NDIM[kind]}-d arrays, got {len(shape)}-d")
-    dtype = "<c16" if kind == KIND_SPECTRUM_SET else "<f8"
+    dtype = _payload_dtype(kind)
     header = MAGIC + struct.pack("<B", kind) + struct.pack("<Q", len(shape))
     header += struct.pack(f"<{len(shape)}Q", *shape)
 
@@ -149,23 +158,83 @@ def read_artifact(path):
     return _parse_artifact(_read_buffer(path), os.fspath(path))
 
 
-def read_verified(run_dir, name: str, kind: int) -> np.ndarray:
+def read_header(path):
+    """(kind, dims) of an artifact, from its header alone, so a caller can
+    check the shape before the payload is read. Raises IntegrityError on a
+    malformed header or a payload of the wrong length, and OSError when the
+    file is missing."""
+    with open(path, "rb") as fh:
+        kind, dims, _ = _parse_header(fh.read(_MAX_HEADER), os.fspath(path),
+                                      os.fstat(fh.fileno()).st_size)
+    return kind, dims
+
+
+def read_verified(run_dir, name: str, kind: int, bins=None) -> np.ndarray:
     """Read artifact ``name`` of a run directory once: check the sha256 of
     its bytes against the manifest, then parse those same bytes. Returns
     the writable array. Raises IntegrityError on a missing manifest entry,
     a digest mismatch, a malformed file or another kind, and OSError when
-    the file or the manifest is missing."""
+    the file or the manifest is missing.
+
+    With ``bins``, an index of the last axis (the frequency bins of a
+    spectrum set, as preprocess.band_pass gives them), returns a new array
+    equal to ``read_verified(...)[..., bins]`` and never holds the whole
+    payload: the file is read _CHUNK_ROWS entries of the first axis at a
+    time into one reused buffer, every byte is hashed and only the bins are
+    copied out. The chunks are the only sight of the other bins, so every
+    value is checked as it passes: once the digest has matched, a NaN or inf
+    in any bin raises NumericalError. A digest mismatch wins over non-finite
+    values; a malformed header is reported before the digest is known.
+    """
     run_dir = Path(run_dir)
     entries = load_manifest(run_dir)
     if name not in entries:
         raise IntegrityError(f"{name}: not recorded in manifest")
-    data = _read_buffer(run_dir / name)
-    if hashlib.sha256(data).hexdigest() != entries[name]:
+    path = run_dir / name
+    finite = True
+    if bins is None:
+        data = _read_buffer(path)
+        digest = hashlib.sha256(data).hexdigest()
+    else:  # the header is parsed first, to size the chunks
+        digest, found, array, finite = _read_bins(path, bins)
+    if digest != entries[name]:
         raise IntegrityError(f"{name}: sha256 mismatch, file was modified")
-    found, array = _parse_artifact(data, os.fspath(run_dir / name))
+    if bins is None:
+        found, array = _parse_artifact(data, os.fspath(path))
     if found != kind:
         raise IntegrityError(f"{name}: expected artifact kind {kind}, found {found}")
+    if not finite:
+        raise NumericalError(f"{name}: spectra hold non-finite values")
     return array
+
+
+def _read_bins(path, bins):
+    """(sha256 hex digest, kind, array[..., bins], whether every value is
+    finite) of an artifact, read in chunks of _CHUNK_ROWS along the first
+    axis. The chunk buffer is allocated in the payload dtype, so it is
+    aligned for numpy's fast loops."""
+    name = os.fspath(path)
+    with open(path, "rb") as fh:
+        head = fh.read(_MAX_HEADER)
+        kind, dims, offset = _parse_header(head, name, os.fstat(fh.fileno()).st_size)
+        digest = hashlib.sha256(head[:offset])
+        fh.seek(offset)
+        dtype = _payload_dtype(kind)
+        width = np.arange(dims[-1])[bins].size
+        out = np.empty(dims[:-1] + (width,), dtype=dtype.newbyteorder("="))
+        buf = np.empty((min(_CHUNK_ROWS, dims[0]),) + dims[1:], dtype=dtype)
+        finite = True
+        for lo in range(0, dims[0], _CHUNK_ROWS):
+            chunk = buf[:dims[0] - lo]
+            raw = chunk.reshape(-1).view(np.uint8)
+            if fh.readinto(raw) != raw.size:
+                raise IntegrityError(f"{name}: short read of the payload")
+            digest.update(raw)
+            finite = finite and bool(np.isfinite(chunk).all())
+            out[lo:lo + chunk.shape[0]] = chunk[..., bins]
+        if fh.read(1):
+            raise IntegrityError(f"{name}: bytes past the payload")
+    return digest.hexdigest(), kind, out, finite
 
 
 def _read_buffer(path) -> memoryview:
@@ -182,7 +251,14 @@ def _read_buffer(path) -> memoryview:
         return data[:fh.readinto(data)]
 
 
-def _parse_artifact(data, name: str):
+def _payload_dtype(kind: int) -> np.dtype:
+    return np.dtype("<c16" if kind == KIND_SPECTRUM_SET else "<f8")
+
+
+def _parse_header(data, name: str, size: int):
+    """Check the header at the start of ``data``, the first bytes of a file
+    of ``size`` bytes: magic, kind, dimension count, dimensions and the
+    exact payload length. Returns (kind, dims, payload offset)."""
     if len(data) < 13:
         raise IntegrityError(f"{name}: too short for an artifact header")
     if data[:4] != MAGIC:
@@ -201,14 +277,19 @@ def _parse_artifact(data, name: str):
     count = 1
     for d in dims:
         count *= d
-    itemsize = 16 if kind == KIND_SPECTRUM_SET else 8
-    if len(data) - offset != count * itemsize:
+    itemsize = _payload_dtype(kind).itemsize
+    if size - offset != count * itemsize:
         raise IntegrityError(
-            f"{name}: payload is {len(data) - offset} bytes, expected {count * itemsize}")
-    dtype = "<c16" if kind == KIND_SPECTRUM_SET else "<f8"
-    array = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(dims)
-    return kind, array.astype(np.complex128 if kind == KIND_SPECTRUM_SET else np.float64,
-                              copy=False)
+            f"{name}: payload is {size - offset} bytes, expected {count * itemsize}")
+    return kind, dims, offset
+
+
+def _parse_artifact(data, name: str):
+    kind, dims, offset = _parse_header(data, name, len(data))
+    dtype = _payload_dtype(kind)
+    array = np.frombuffer(data, dtype=dtype, count=(len(data) - offset) // dtype.itemsize,
+                          offset=offset).reshape(dims)
+    return kind, array.astype(dtype.newbyteorder("="), copy=False)
 
 
 def sha256_file(path) -> str:

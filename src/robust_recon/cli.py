@@ -20,13 +20,15 @@ lines are one table, _COMMANDS; the override flags and the config keys they
 set are another, _FLAGS. Every CSV is written by _write_csv. Wall-clock
 timing goes to a timing_*.json sidecar that is intentionally absent from
 the manifest: with a fixed seed, rerunning a stage must reproduce every
-hashed byte.
+hashed byte. A stage whose stdout is closed (robust-recon ... | head -1)
+still exits 0, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -158,16 +160,23 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
 
 def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     """Score, select, correct, whiten (optionally) and scale: raw scans in,
-    reduced real system out, through preprocess.reduce_scans, which works
-    on the band's bins of the calibration read buffer in place."""
-    calib = artifacts.read_verified(run_dir, SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET)
-    empties = artifacts.read_verified(run_dir, EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET)
-    meas = artifacts.read_verified(run_dir, MEASUREMENT, artifacts.KIND_SPECTRUM_SET)
+    reduced real system out, through preprocess.reduce_scans. Of the
+    calibration scans only the band's bins are kept: read_verified reads
+    system_matrix.rrc in chunks, hashes and finite-checks every bin and
+    copies out the band, which reduce_scans corrects in place. Its shape is
+    checked against the config from the header, before the payload is
+    read."""
     scanner = cfg.scanner
     m = cfg.grid.voxel_count
-    if calib.shape != (m, scanner.coils, scanner.freq_count):
+    pre = cfg.preprocess
+    band = preprocess.band_pass(scanner.freq_count, scanner.period_ms,
+                                pre.b1_khz, pre.b2_khz)
+    _, dims = artifacts.read_header(run_dir / SYSTEM_MATRIX)
+    empties = artifacts.read_verified(run_dir, EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET)
+    meas = artifacts.read_verified(run_dir, MEASUREMENT, artifacts.KIND_SPECTRUM_SET)
+    if dims != (m, scanner.coils, scanner.freq_count):
         raise IntegrityError(
-            f"{SYSTEM_MATRIX}: shape {calib.shape} does not match the config "
+            f"{SYSTEM_MATRIX}: shape {dims} does not match the config "
             f"({m} voxels, {scanner.coils} coils, {scanner.freq_count} bins)")
     if meas.shape != (1, scanner.coils, scanner.freq_count):
         raise IntegrityError(f"{MEASUREMENT}: unexpected shape {meas.shape}")
@@ -177,16 +186,15 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
         raise IntegrityError(
             f"{EMPTY_SCANS}: shape {empties.shape} does not match the "
             f"schedule ({empty_idx.size} scans expected)")
-    for name, spectra in ((SYSTEM_MATRIX, calib), (EMPTY_SCANS, empties), (MEASUREMENT, meas)):
+    calib_band = artifacts.read_verified(run_dir, SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET,
+                                         bins=band)
+    for name, spectra in ((EMPTY_SCANS, empties), (MEASUREMENT, meas)):
         _require_finite(name, spectra)
-    pre = cfg.preprocess
-    band = preprocess.band_pass(scanner.freq_count, scanner.period_ms,
-                                pre.b1_khz, pre.b2_khz)
     # an overflow is reported as NumericalError by the checks in
     # reduce_scans, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         reduced, selection = preprocess.reduce_scans(
-            calib, empties, meas[0], q, band, pre.tau,
+            calib_band, empties, meas[0], q, band, pre.tau,
             cfg.background.calibration_concentration, pre.whiten)
     digests = {
         name: artifacts.write_artifact(run_dir / name, kind, array)
@@ -478,8 +486,16 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
     _write_json(run_dir / f"timing_{args.command}.json",
                 {"command": args.command, "wall_time_s": elapsed})
-    for key, value in info.items():
-        print(f"{key}: {value}")
+    try:
+        for key, value in info.items():
+            print(f"{key}: {value}")
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader has gone and the stage's files are written: send what
+        # is left, and Python's flush at exit, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

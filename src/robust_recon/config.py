@@ -12,6 +12,11 @@ validated by the object it configures: ScannerConfig, VoxelGrid, and the
 metrics.ShiftGrid and solvers.SolverConfig that the metrics and solver
 sections build, whose ValueError becomes ConfigError("<section>:
 <message>"), e.g. "scanner: drive amplitudes must be nonnegative".
+The background, metrics and sweep sections compute the derived values
+their stages will use (the noise variance, the SSIM constants, the largest
+regularization weight) and reject a value whose derived value is not
+finite, as ScannerConfig does with its Langevin beta, e.g. "sweep:
+alpha_max_exp gives a non-finite weight 2^alpha_max_exp".
 validate_config then rejects NaN and +-inf in every float key and float
 tuple as ConfigError("<section>.<key>: must be finite"), except
 preprocess.b2_khz = inf (an open band), and checks the rest (solver method,
@@ -49,6 +54,15 @@ class PhantomSection:
     subsamples: int = 4
 
 
+def _finite(derive) -> bool:
+    """Whether derive() gives a finite number; an ArithmeticError counts as
+    not finite (Python's float ** and / raise where numpy gives inf)."""
+    try:
+        return math.isfinite(derive())
+    except ArithmeticError:
+        return False
+
+
 @dataclass
 class BackgroundSection:
     base_std: float = 1.0
@@ -62,6 +76,11 @@ class BackgroundSection:
     calibration_concentration: float = 100.0
     calibration_repetitions: int = 1
     measurement_repetitions: int = 1
+
+    def __post_init__(self):
+        # acquisition.make_background squares it into the noise variance
+        if not _finite(lambda: self.base_std ** 2):
+            raise ValueError("base_std squared, the noise variance, must be finite")
 
 
 @dataclass
@@ -95,6 +114,11 @@ class MetricsSection:
     shift_step_mm: float = 0.5
     subsamples: int = 4
 
+    def __post_init__(self):
+        # metrics.ssim_table's larger stabilizing constant
+        if not _finite(lambda: (0.03 * self.dynamic_range) ** 2):
+            raise ValueError("dynamic_range gives a non-finite SSIM constant (0.03 L)^2")
+
 
 @dataclass
 class SweepSection:
@@ -102,6 +126,11 @@ class SweepSection:
     alpha_min_exp: int = -20
     max_sweeps: int = 200
     jobs: int = 1
+
+    def __post_init__(self):
+        # cmd_sweep's largest regularization weight
+        if not _finite(lambda: 2.0 ** self.alpha_max_exp):
+            raise ValueError("alpha_max_exp gives a non-finite weight 2^alpha_max_exp")
 
 
 @dataclass

@@ -171,6 +171,13 @@ class ScannerConfig:
             raise ValueError("selection gradient is degenerate (zero on a driven axis)")
         if self.particle_diameter_nm <= 0 or self.temperature_k <= 0:
             raise ValueError("particle diameter and temperature must be positive")
+        try:
+            beta = self.langevin_beta()
+        except ArithmeticError:  # d**3 overflows, or k_B T underflows to 0
+            beta = np.inf
+        if not np.isfinite(beta):
+            raise ValueError("particle diameter and temperature give a non-finite "
+                             "Langevin beta")
         if self.receiver_gain <= 0:
             raise ValueError("receiver_gain must be positive")
         if not all(np.isfinite(self.drive_frequencies_khz)):

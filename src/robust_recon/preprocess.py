@@ -11,9 +11,10 @@ Row order is canonical throughout: coil-major, then selected frequency
 index, with the real row immediately before the imaginary row of each
 component.
 
-reduce_scans runs the whole chain, as the pipeline does. It touches only
-the band's run of bins, corrects the calibration set's band in place, and
-gives the bits of the steps composed on the full arrays.
+reduce_scans runs the whole chain, as the pipeline does. It takes only
+the band's run of bins of the calibration scans (the pipeline reads no
+other bins of them), corrects that band in place, and gives the bits of the
+steps composed on the full arrays.
 """
 
 from __future__ import annotations
@@ -318,37 +319,46 @@ def assemble_reduced_system(system: np.ndarray, y_spectrum: np.ndarray,
     return ReducedSystem(a, y, row_index, scale, weights is not None)
 
 
-def reduce_scans(calib_scans: np.ndarray, empty_scans: np.ndarray, spectrum: np.ndarray,
+def reduce_scans(calib_band: np.ndarray, empty_scans: np.ndarray, spectrum: np.ndarray,
                  scans_per_bracket: int, band: np.ndarray, tau: float, concentration: float,
                  whiten: bool = False) -> tuple[ReducedSystem, FrequencySelection]:
     """Raw scans to the reduced system and its selection: bit for bit the
     steps above composed on the full arrays (whitening_weights if whiten),
-    but computed on the band's run of bins only (band as band_pass returns
-    it). The band of calib_scans, a (voxels, coils, freqs) complex128 array,
-    is overwritten with its background-corrected spectra divided by the
-    concentration; its other bins are not touched. Raises ValueError when
-    no component reaches tau.
+    computed on the band's run of bins only (band as band_pass returns it).
+
+    calib_band is the band of the calibration scans, calib[:, :, band], a
+    (voxels, coils, band size) complex128 array; it is overwritten with its
+    background-corrected spectra divided by the concentration. empty_scans
+    (count, coils, freqs) and spectrum (coils, freqs) span every bin. The
+    row_index and the selection count bins from 0 of the full spectra, as
+    the steps above do. Raises ValueError when no component reaches tau.
     """
-    if calib_scans.dtype != np.complex128:
-        raise ValueError("calib_scans must be a complex128 array; its band is overwritten")
+    if calib_band.dtype != np.complex128:
+        raise ValueError("calib_band must be a complex128 array; it is overwritten")
     if concentration <= 0:
         raise ValueError("calibration concentration must be positive")
-    bins = slice(band[0], band[-1] + 1) if len(band) else slice(0)
-    if not np.array_equal(band, np.arange(calib_scans.shape[2])[bins]):
+    first = int(band[0]) if len(band) else 0
+    bins = slice(first, first + len(band))
+    if not np.array_equal(band, np.arange(empty_scans.shape[2])[bins]):
         raise ValueError("the band must be one run of consecutive bins of the spectra")
+    if calib_band.shape[2] != len(band):
+        raise ValueError("calib_band must hold the band's bins only")
     q = int(scans_per_bracket)
     if q < 2:
         raise ValueError("scans_per_bracket must be >= 2")
-    corrected = calib_scans[:, :, bins]  # a view: the band is corrected in place
-    for b, first in enumerate(range(0, corrected.shape[0], q)):
-        rows = corrected[first:first + q]
-        rows -= interp_backgrounds(empty_scans[b:b + 2, :, bins], rows.shape[0], q)
-    zero = np.broadcast_to(np.complex128(0), calib_scans.shape)  # already subtracted
-    selection = select_frequencies(snr_scores(calib_scans, zero, empty_scans, band), tau, band)
+    empties = empty_scans[:, :, bins]
+    for b, lo in enumerate(range(0, calib_band.shape[0], q)):
+        rows = calib_band[lo:lo + q]
+        rows -= interp_backgrounds(empties[b:b + 2], rows.shape[0], q)
+    zero = np.broadcast_to(np.complex128(0), calib_band.shape)  # already subtracted
+    local = np.arange(len(band))
+    selection = select_frequencies(snr_scores(calib_band, zero, empties, local), tau, local)
     if selection.row_count == 0:
         raise ValueError(f"no components reach tau={tau:g}, nothing to reconstruct from")
-    corrected /= concentration
-    y = subtract_background(spectrum, background_mean(empty_scans))
-    weights = whitening_weights(empty_scans, selection) if whiten else None
-    measured = np.transpose(calib_scans, (1, 2, 0))
-    return assemble_reduced_system(measured, y, selection, weights), selection
+    calib_band /= concentration
+    y = subtract_background(spectrum[:, bins], background_mean(empties))
+    weights = whitening_weights(empties, selection) if whiten else None
+    reduced = assemble_reduced_system(np.transpose(calib_band, (1, 2, 0)), y, selection,
+                                      weights)
+    reduced.row_index[:, 1] += first
+    return reduced, FrequencySelection([s + first for s in selection.selected])

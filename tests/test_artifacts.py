@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,12 @@ from robust_recon.artifacts import (
     MAGIC,
     MANIFEST_NAME,
     IntegrityError,
+    NumericalError,
     atomic_write_bytes,
     atomic_write_text,
     load_manifest,
     read_artifact,
+    read_header,
     read_verified,
     sha256_file,
     verify_manifest,
@@ -218,6 +221,89 @@ def test_read_verified_errors(tmp_path):
         read_verified(tmp_path, "a.rrc", KIND_VECTOR)
     with pytest.raises(OSError):
         read_verified(tmp_path / "absent", "a.rrc", KIND_VECTOR)
+
+
+def spectrum_run(tmp_path, scans, bins=40):
+    """A run directory holding one spectrum set of random complex values."""
+    rng = np.random.default_rng(scans)
+    spectra = rng.standard_normal((scans, 2, bins)) + 1j * rng.standard_normal((scans, 2, bins))
+    path = tmp_path / "s.rrc"
+    write_manifest(tmp_path, {"s.rrc": write_artifact(path, KIND_SPECTRUM_SET, spectra)})
+    return path, spectra
+
+
+@pytest.mark.parametrize("scans", [1, 64, 130])  # 130 leaves a last chunk of 2
+@pytest.mark.parametrize("bins", [slice(5, 23), np.arange(5, 23), np.arange(40),
+                                  np.arange(0), [39, 0, 7]])
+def test_read_verified_bins_is_the_full_read_indexed(tmp_path, scans, bins):
+    path, spectra = spectrum_run(tmp_path, scans)
+    got = read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET, bins=bins)
+    want = read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET)[..., bins]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes() == spectra[..., bins].tobytes()
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert read_header(path) == (KIND_SPECTRUM_SET, spectra.shape)
+
+
+def test_read_verified_bins_never_holds_the_payload(tmp_path):
+    spectrum_run(tmp_path, 2000)  # a 2.56 MB payload, 82 kB chunks
+    tracemalloc.start()
+    try:
+        got = read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET, bins=slice(0, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes == 256_000 and peak < 2 * got.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("scan, bin_", [(0, 10), (129, 39), (70, 0)])
+def test_read_verified_bins_checks_every_bin(tmp_path, bad, scan, bin_):
+    # in the bins or out of them: the file's other bins are seen only here
+    path, spectra = spectrum_run(tmp_path, 130)
+    spectra[scan, 1, bin_] = bad
+    write_manifest(tmp_path, {"s.rrc": write_artifact(path, KIND_SPECTRUM_SET, spectra)})
+    with pytest.raises(NumericalError, match="^s.rrc: spectra hold non-finite values$"):
+        read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET, bins=slice(20, 30))
+    # the whole-file path leaves the finite check to its caller
+    read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET)
+
+
+def test_read_verified_bins_integrity_wins(tmp_path):
+    path, _ = spectrum_run(tmp_path, 130)
+    header = 13 + 8 * 3
+    raw = bytearray(path.read_bytes())
+    raw[header + 6:header + 8] = b"\xf8\xff"  # the first real part becomes NaN
+    path.write_bytes(bytes(raw))
+    with pytest.raises(IntegrityError, match="^s.rrc: sha256 mismatch"):
+        read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET, bins=slice(20, 30))
+    # a flipped header byte is found before the digest: 130 scans become 131
+    raw = bytearray(spectrum_run(tmp_path, 130)[0].read_bytes())
+    raw[13] ^= 0x01
+    path.write_bytes(bytes(raw))
+    for read in (lambda: read_header(path),
+                 lambda: read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET, bins=slice(9))):
+        with pytest.raises(IntegrityError, match="s.rrc: payload is 166400 bytes, expected 167680"):
+            read()
+
+
+@pytest.mark.parametrize("edit", [lambda raw: raw[:-16], lambda raw: raw[:-1],
+                                  lambda raw: raw + b"\0" * 16, lambda raw: raw + b"\0"])
+def test_read_verified_bins_rejects_a_payload_of_the_wrong_length(tmp_path, edit):
+    # re-hashed into the manifest, so the length check is what fails
+    path, _ = spectrum_run(tmp_path, 130)
+    path.write_bytes(edit(path.read_bytes()))
+    write_manifest(tmp_path, {"s.rrc": sha256_file(path)})
+    with pytest.raises(IntegrityError, match="s.rrc: payload is"):
+        read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET, bins=slice(20, 30))
+
+
+def test_read_verified_bins_errors(tmp_path):
+    spectrum_run(tmp_path, 3)
+    with pytest.raises(IntegrityError, match="expected artifact kind 4, found 3"):
+        read_verified(tmp_path, "s.rrc", KIND_IMAGE, bins=slice(2))
+    with pytest.raises(IntegrityError, match="not recorded in manifest"):
+        read_verified(tmp_path, "other.rrc", KIND_SPECTRUM_SET, bins=slice(2))
 
 
 def test_writers_return_sha256_of_the_file(tmp_path):

@@ -368,6 +368,61 @@ def test_preprocess_non_finite_spectra_exit_4(pipeline, tmp_path, capsys, name, 
     assert (run / "reduced_A.rrc").read_bytes() == before
 
 
+@pytest.mark.parametrize("bad", [np.inf, complex(np.nan, 0.0)])
+def test_preprocess_out_of_band_non_finite_calibration_exits_4(pipeline, tmp_path, capsys,
+                                                               bad):
+    # bin 10 lies below the 80 kHz band edge: preprocess never uses it, but
+    # the reader checks every bin it reads past
+    cfg, run = clone(pipeline, tmp_path)
+    kind, spectra = artifacts.read_artifact(run / "system_matrix.rrc")
+    spectra[3, 0, 10] = bad
+    replace_artifact(run, "system_matrix.rrc", kind, spectra)
+    before = (run / "reduced_A.rrc").read_bytes()
+    assert main(["preprocess", "--config", str(cfg), "--tau", "0", "--out", str(run)]) == 4
+    assert capsys.readouterr().err == (
+        "error: preprocess: system_matrix.rrc: spectra hold non-finite values\n")
+    assert (run / "reduced_A.rrc").read_bytes() == before
+
+
+def test_preprocess_byte_flip_to_nan_exits_3(pipeline, tmp_path, capsys):
+    # the digest is compared before the values are: a modified file, not bad data
+    cfg, run = clone(pipeline, tmp_path)
+    path = run / "system_matrix.rrc"
+    raw = bytearray(path.read_bytes())
+    payload = 13 + 8 * 3
+    raw[payload + 6:payload + 8] = b"\xf8\xff"  # the first real part becomes NaN
+    path.write_bytes(bytes(raw))
+    assert np.isnan(artifacts.read_artifact(path)[1][0, 0, 0])
+    before = (run / "reduced_A.rrc").read_bytes()
+    assert main(["preprocess", "--config", str(cfg), "--tau", "0", "--out", str(run)]) == 3
+    assert "system_matrix.rrc: sha256 mismatch" in capsys.readouterr().err
+    assert (run / "reduced_A.rrc").read_bytes() == before
+
+
+@pytest.mark.parametrize("edit", [lambda raw: raw[:-16], lambda raw: raw + b"\0" * 16])
+def test_preprocess_calibration_of_wrong_length_exits_3(pipeline, tmp_path, capsys, edit):
+    # a truncated payload or trailing bytes, re-hashed into the manifest
+    cfg, run = clone(pipeline, tmp_path)
+    path = run / "system_matrix.rrc"
+    path.write_bytes(edit(path.read_bytes()))
+    entries = artifacts.load_manifest(run)
+    entries["system_matrix.rrc"] = artifacts.sha256_file(path)
+    artifacts.write_manifest(run, entries)
+    assert main(["preprocess", "--config", str(cfg), "--tau", "0", "--out", str(run)]) == 3
+    assert "system_matrix.rrc: payload is" in capsys.readouterr().err
+
+
+def test_preprocess_empty_band_exits_2(pipeline, tmp_path, capsys):
+    # 0.01 to 0.02 kHz holds no bin of a 1.024 ms period
+    _, run = clone(pipeline, tmp_path)
+    cfg = write_config(tmp_path, {"preprocess.b1_khz": "0.01", "preprocess.b2_khz": "0.02"})
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert main(["preprocess", "--config", str(cfg), "--out", str(run)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no components reach tau=3, nothing to reconstruct from\n")
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 @pytest.mark.parametrize("key, value, flags, message", [
     ("background.mean_peak", "1e308", [], "non-finite Rayleigh quotient"),
     ("background.mean_peak", "1e308", ["--whiten"], "no usable operator norm"),
@@ -410,26 +465,19 @@ def test_reconstruct_kaczmarz_overflow_exits_4(tmp_path, capsys):
     assert not (run / "reconstruction.rrc").exists()
 
 
-@pytest.mark.parametrize("command, key, value, message", [
-    ("simulate", "scanner.particle_diameter_nm", "1e308", "out of range"),
-    ("simulate", "background.base_std", "1e308", "out of range"),
-    ("simulate", "scanner.temperature_k", "1e-308", "division by zero"),
-    ("evaluate", "metrics.dynamic_range", "1e308", "out of range"),
-    ("sweep", "sweep.alpha_max_exp", "2000", "out of range"),
-])
-def test_config_value_overflow_exits_4(command, key, value, message, pipeline,
-                                       tmp_path, capsys):
-    # the stage that raises the ArithmeticError, on a run directory that
-    # holds its inputs; nothing is written
-    _, run = clone(pipeline, tmp_path)
-    if command == "simulate":
-        run = tmp_path / "fresh"
-        run.mkdir()
+def test_arithmetic_error_in_a_stage_exits_4(pipeline, tmp_path, capsys, monkeypatch):
+    # an ArithmeticError that escapes a stage step names the command and the
+    # error type; nothing is written
+    cfg, run = clone(pipeline, tmp_path)
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(metrics, "quality_report", overflow)
     before = {p.name: p.read_bytes() for p in run.iterdir()}
-    cfg = write_config(tmp_path, {key: value})
-    assert main([command, "--config", str(cfg), "--out", str(run)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {command}: ") and message in err
+    assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 4
+    assert capsys.readouterr().err == (
+        "error: evaluate: OverflowError: (34, 'Numerical result out of range')\n")
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
@@ -442,6 +490,12 @@ def test_config_value_overflow_exits_4(command, key, value, message, pipeline,
     ("scanner.period_ms", "1e308", "scanner", "must be finite"),
     ("phantom.subsamples", "2000", "phantom.subsamples", "16777216 sample points"),
     ("metrics.subsamples", "2000", "metrics.subsamples", "16777216 sample points"),
+    # finite values whose derived quantities overflow in the stage that uses them
+    ("scanner.particle_diameter_nm", "1e308", "scanner", "non-finite Langevin beta"),
+    ("background.base_std", "1e308", "background", "noise variance, must be finite"),
+    ("scanner.temperature_k", "1e-308", "scanner", "non-finite Langevin beta"),
+    ("metrics.dynamic_range", "1e308", "metrics", "non-finite SSIM constant"),
+    ("sweep.alpha_max_exp", "2000", "sweep", "non-finite weight 2^alpha_max_exp"),
 ])
 def test_config_value_bound_exits_2_at_load(key, value, named, message, tmp_path, capsys):
     # values whose derived quantities overflow or whose rasterization would
@@ -782,3 +836,22 @@ def test_pipeline_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "run" / "quality_summary.json").is_file()
+
+
+def test_closed_stdout_exits_0_quietly(pipeline, tmp_path):
+    # `robust-recon evaluate ... | head -1` with the reader already gone: the
+    # pipe's read end is closed before the stage starts, so its first print
+    # finds no reader
+    cfg, run = clone(pipeline, tmp_path)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "robust_recon", "evaluate", "--config",
+                               str(cfg), "--out", str(run)],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert (run / "quality_summary.json").is_file()
