@@ -13,12 +13,13 @@ manifest.json maps artifact names to sha256 hex digests. It is written
 with sorted keys and no timestamps, so reruns with the same seed produce
 byte-identical bytes. Wall-clock timing lives in sidecar files that are
 deliberately not part of the manifest. A stage checks each input as it
-reads it (read_verified); verify_manifest checks every recorded file of a
-run directory at once. read_verified can also keep only some bins of the
-last axis, reading the file in chunks, so a caller that needs a frequency
-band never holds the whole payload; nothing is returned before the whole
-file's digest has matched. read_header gives the kind and dims without the
-payload. All three readers share one header parser.
+reads it (read_verified): kind and shape from the header before the
+payload, then the digest of every byte, then the finiteness of a spectrum
+set; nothing is returned before the digest has matched. verify_manifest
+checks every recorded file of a run directory at once. Both readers run one
+chunked loop, which reads the payload straight into the returned array, or
+keeps only some bins of the last axis, so a caller that needs a frequency
+band never holds the whole payload.
 
 All writes go through a temp file and os.replace, so a crash cannot leave
 a half-written artifact under the final name. write_artifact_blocks writes
@@ -47,7 +48,6 @@ __all__ = [
     "write_artifact",
     "write_artifact_blocks",
     "read_artifact",
-    "read_header",
     "read_verified",
     "atomic_write_bytes",
     "atomic_write_text",
@@ -67,8 +67,8 @@ KIND_IMAGE = 4
 _KIND_NDIM = {KIND_MATRIX: 2, KIND_VECTOR: 1, KIND_SPECTRUM_SET: 3, KIND_IMAGE: 3}
 _MAX_NDIM = 8
 _MAX_HEADER = 13 + 8 * _MAX_NDIM
-# entries of the first axis per chunk of a read_verified(bins=...) read:
-# 2 MB of a 2-coil, 1025-bin spectrum set
+# entries of the first axis per chunk of a read: 2 MB of a 2-coil,
+# 1025-bin spectrum set
 _CHUNK_ROWS = 64
 
 MANIFEST_NAME = "manifest.json"
@@ -151,104 +151,84 @@ def write_artifact_blocks(path, kind: int, shape, blocks) -> str:
 
 
 def read_artifact(path):
-    """Read one artifact; returns (kind, array). The array is writable and
-    lies in the buffer the file was read into, without a copy. Raises
-    IntegrityError on a malformed or truncated file and OSError when the
-    file is missing."""
-    return _parse_artifact(_read_buffer(path), os.fspath(path))
+    """Read one artifact; returns (kind, array), a new writable array.
+    Raises IntegrityError on a malformed or truncated file and OSError when
+    the file is missing. Non-finite values are returned as they are."""
+    _, kind, array, _ = _read(path, os.fspath(path))
+    return kind, array
 
 
-def read_header(path):
-    """(kind, dims) of an artifact, from its header alone, so a caller can
-    check the shape before the payload is read. Raises IntegrityError on a
-    malformed header or a payload of the wrong length, and OSError when the
-    file is missing."""
-    with open(path, "rb") as fh:
-        kind, dims, _ = _parse_header(fh.read(_MAX_HEADER), os.fspath(path),
-                                      os.fstat(fh.fileno()).st_size)
-    return kind, dims
+def read_verified(run_dir, name: str, kind: int, shape=None, bins=None) -> np.ndarray:
+    """Read artifact ``name`` of a run directory once, check the sha256 of
+    its bytes against the manifest, and return the writable array.
 
-
-def read_verified(run_dir, name: str, kind: int, bins=None) -> np.ndarray:
-    """Read artifact ``name`` of a run directory once: check the sha256 of
-    its bytes against the manifest, then parse those same bytes. Returns
-    the writable array. Raises IntegrityError on a missing manifest entry,
-    a digest mismatch, a malformed file or another kind, and OSError when
-    the file or the manifest is missing.
+    The header is checked first, before any payload byte is read: a
+    malformed header, another kind, or dims other than ``shape`` (a tuple;
+    None skips the check) raise IntegrityError. Every byte is hashed as it
+    is read, and nothing is returned before the digest has matched; a
+    mismatch raises IntegrityError, and wins over non-finite values. A
+    spectrum set holding NaN or inf in any bin then raises NumericalError.
+    A missing manifest entry raises IntegrityError, a missing file or
+    manifest OSError.
 
     With ``bins``, an index of the last axis (the frequency bins of a
     spectrum set, as preprocess.band_pass gives them), returns a new array
     equal to ``read_verified(...)[..., bins]`` and never holds the whole
     payload: the file is read _CHUNK_ROWS entries of the first axis at a
-    time into one reused buffer, every byte is hashed and only the bins are
-    copied out. The chunks are the only sight of the other bins, so every
-    value is checked as it passes: once the digest has matched, a NaN or inf
-    in any bin raises NumericalError. A digest mismatch wins over non-finite
-    values; a malformed header is reported before the digest is known.
+    time into one reused buffer and only the bins are copied out.
     """
     run_dir = Path(run_dir)
     entries = load_manifest(run_dir)
     if name not in entries:
         raise IntegrityError(f"{name}: not recorded in manifest")
-    path = run_dir / name
-    finite = True
-    if bins is None:
-        data = _read_buffer(path)
-        digest = hashlib.sha256(data).hexdigest()
-    else:  # the header is parsed first, to size the chunks
-        digest, found, array, finite = _read_bins(path, bins)
+    digest, _, array, finite = _read(run_dir / name, name, kind, shape, bins)
     if digest != entries[name]:
         raise IntegrityError(f"{name}: sha256 mismatch, file was modified")
-    if bins is None:
-        found, array = _parse_artifact(data, os.fspath(path))
-    if found != kind:
-        raise IntegrityError(f"{name}: expected artifact kind {kind}, found {found}")
     if not finite:
         raise NumericalError(f"{name}: spectra hold non-finite values")
     return array
 
 
-def _read_bins(path, bins):
-    """(sha256 hex digest, kind, array[..., bins], whether every value is
-    finite) of an artifact, read in chunks of _CHUNK_ROWS along the first
-    axis. The chunk buffer is allocated in the payload dtype, so it is
-    aligned for numpy's fast loops."""
-    name = os.fspath(path)
+def _read(path, name: str, kind=None, shape=None, bins=None):
+    """(sha256 hex digest, kind, array, whether a spectrum set is finite) of
+    an artifact, the one payload reader. The header is parsed and checked
+    against ``kind`` and ``shape`` (None skips either), then the payload is
+    read _CHUNK_ROWS entries of the first axis at a time: straight into the
+    returned array, or with ``bins`` into one reused buffer whose bins are
+    copied out. Both are allocated by numpy in the payload dtype, so they
+    are aligned for numpy's fast (and BLAS) loops."""
     with open(path, "rb") as fh:
         head = fh.read(_MAX_HEADER)
-        kind, dims, offset = _parse_header(head, name, os.fstat(fh.fileno()).st_size)
+        found, dims, offset = _parse_header(head, name, os.fstat(fh.fileno()).st_size)
+        if kind is not None and found != kind:
+            raise IntegrityError(f"{name}: expected artifact kind {kind}, found {found}")
+        if shape is not None and dims != tuple(shape):
+            raise IntegrityError(
+                f"{name}: shape {dims} does not match the config's {tuple(shape)}")
         digest = hashlib.sha256(head[:offset])
         fh.seek(offset)
-        dtype = _payload_dtype(kind)
-        width = np.arange(dims[-1])[bins].size
-        out = np.empty(dims[:-1] + (width,), dtype=dtype.newbyteorder("="))
-        buf = np.empty((min(_CHUNK_ROWS, dims[0]),) + dims[1:], dtype=dtype)
+        dtype = _payload_dtype(found)
+        buf = None
+        if bins is None:
+            out = np.empty(dims, dtype=dtype)
+        else:
+            out = np.empty(dims[:-1] + (np.arange(dims[-1])[bins].size,), dtype=dtype)
+            buf = np.empty((min(_CHUNK_ROWS, dims[0]),) + dims[1:], dtype=dtype)
         finite = True
         for lo in range(0, dims[0], _CHUNK_ROWS):
-            chunk = buf[:dims[0] - lo]
+            hi = min(lo + _CHUNK_ROWS, dims[0])
+            chunk = out[lo:hi] if buf is None else buf[:hi - lo]
             raw = chunk.reshape(-1).view(np.uint8)
             if fh.readinto(raw) != raw.size:
                 raise IntegrityError(f"{name}: short read of the payload")
             digest.update(raw)
-            finite = finite and bool(np.isfinite(chunk).all())
-            out[lo:lo + chunk.shape[0]] = chunk[..., bins]
+            if found == KIND_SPECTRUM_SET:
+                finite = finite and bool(np.isfinite(chunk).all())
+            if buf is not None:
+                out[lo:hi] = chunk[..., bins]
         if fh.read(1):
             raise IntegrityError(f"{name}: bytes past the payload")
-    return digest.hexdigest(), kind, out, finite
-
-
-def _read_buffer(path) -> memoryview:
-    """The whole file, read once into a writable buffer that parsed arrays
-    share instead of copying. A header is 13 + 8*ndim bytes, 5 past a
-    multiple of 8, so the file starts 3 bytes past an 8-byte boundary and
-    the payload lies aligned: numpy takes its fast (and BLAS) loops only on
-    aligned data."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        buf = np.empty(size + 7, dtype=np.uint8)
-        start = (3 - buf.ctypes.data) % 8
-        data = memoryview(buf)[start:start + size]
-        return data[:fh.readinto(data)]
+    return digest.hexdigest(), found, out.astype(dtype.newbyteorder("="), copy=False), finite
 
 
 def _payload_dtype(kind: int) -> np.dtype:
@@ -282,14 +262,6 @@ def _parse_header(data, name: str, size: int):
         raise IntegrityError(
             f"{name}: payload is {size - offset} bytes, expected {count * itemsize}")
     return kind, dims, offset
-
-
-def _parse_artifact(data, name: str):
-    kind, dims, offset = _parse_header(data, name, len(data))
-    dtype = _payload_dtype(kind)
-    array = np.frombuffer(data, dtype=dtype, count=(len(data) - offset) // dtype.itemsize,
-                          offset=offset).reshape(dims)
-    return kind, array.astype(dtype.newbyteorder("="), copy=False)
 
 
 def sha256_file(path) -> str:

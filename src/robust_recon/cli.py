@@ -4,9 +4,11 @@ Five subcommands share one run directory (--out): simulate writes the raw
 scanner artifacts, preprocess turns them into a reduced real system,
 reconstruct solves it, evaluate scores the image against the generating
 geometry, sweep maps quality over the regularization grid. Each stage
-verifies the sha256 manifest entries of the artifacts it reads and extends
-the manifest with what it writes, so a corrupted or hand-edited run
-directory fails loudly instead of producing plausible images.
+reads its inputs through artifacts.read_verified, which checks each one's
+shape against the config and its sha256 against the manifest, and then
+extends the manifest with what it writes. So a corrupted, hand-edited or
+mismatched run directory fails loudly instead of producing plausible
+images.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 I/O or integrity
 failure, 4 numerical failure: a NumericalError, or an ArithmeticError such
@@ -160,36 +162,25 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
 
 def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     """Score, select, correct, whiten (optionally) and scale: raw scans in,
-    reduced real system out, through preprocess.reduce_scans. Of the
-    calibration scans only the band's bins are kept: read_verified reads
-    system_matrix.rrc in chunks, hashes and finite-checks every bin and
-    copies out the band, which reduce_scans corrects in place. Its shape is
-    checked against the config from the header, before the payload is
-    read."""
+    reduced real system out, through preprocess.reduce_scans. Each input is
+    read by read_verified against the shape the config and the schedule
+    give it, hashed and finite-checked in every bin. Of the calibration
+    scans only the band's bins are kept: system_matrix.rrc is read in
+    chunks and only the band is copied out, which reduce_scans corrects in
+    place."""
     scanner = cfg.scanner
+    coils, freqs = scanner.coils, scanner.freq_count
     m = cfg.grid.voxel_count
     pre = cfg.preprocess
-    band = preprocess.band_pass(scanner.freq_count, scanner.period_ms,
-                                pre.b1_khz, pre.b2_khz)
-    _, dims = artifacts.read_header(run_dir / SYSTEM_MATRIX)
-    empties = artifacts.read_verified(run_dir, EMPTY_SCANS, artifacts.KIND_SPECTRUM_SET)
-    meas = artifacts.read_verified(run_dir, MEASUREMENT, artifacts.KIND_SPECTRUM_SET)
-    if dims != (m, scanner.coils, scanner.freq_count):
-        raise IntegrityError(
-            f"{SYSTEM_MATRIX}: shape {dims} does not match the config "
-            f"({m} voxels, {scanner.coils} coils, {scanner.freq_count} bins)")
-    if meas.shape != (1, scanner.coils, scanner.freq_count):
-        raise IntegrityError(f"{MEASUREMENT}: unexpected shape {meas.shape}")
+    band = preprocess.band_pass(freqs, scanner.period_ms, pre.b1_khz, pre.b2_khz)
     q = cfg.scans_per_bracket(m)
     _, empty_idx = acquisition.acquisition_schedule(m, q)
-    if empties.shape != (empty_idx.size, scanner.coils, scanner.freq_count):
-        raise IntegrityError(
-            f"{EMPTY_SCANS}: shape {empties.shape} does not match the "
-            f"schedule ({empty_idx.size} scans expected)")
-    calib_band = artifacts.read_verified(run_dir, SYSTEM_MATRIX, artifacts.KIND_SPECTRUM_SET,
-                                         bins=band)
-    for name, spectra in ((EMPTY_SCANS, empties), (MEASUREMENT, meas)):
-        _require_finite(name, spectra)
+    spectrum_set = artifacts.KIND_SPECTRUM_SET
+    empties = artifacts.read_verified(run_dir, EMPTY_SCANS, spectrum_set,
+                                      (empty_idx.size, coils, freqs))
+    meas = artifacts.read_verified(run_dir, MEASUREMENT, spectrum_set, (1, coils, freqs))
+    calib_band = artifacts.read_verified(run_dir, SYSTEM_MATRIX, spectrum_set,
+                                         (m, coils, freqs), bins=band)
     # an overflow is reported as NumericalError by the checks in
     # reduce_scans, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,12 +218,9 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
 
 
 def _load_reduced(run_dir: Path, voxel_count: int) -> preprocess.ReducedSystem:
-    a = artifacts.read_verified(run_dir, REDUCED_A, artifacts.KIND_MATRIX)
     y = artifacts.read_verified(run_dir, REDUCED_Y, artifacts.KIND_VECTOR)
-    if a.shape[1] != voxel_count:
-        raise IntegrityError(
-            f"{REDUCED_A}: {a.shape[1]} columns but the config grid has "
-            f"{voxel_count} voxels; rerun preprocess with this config")
+    a = artifacts.read_verified(run_dir, REDUCED_A, artifacts.KIND_MATRIX,
+                                (y.size, voxel_count))
     return preprocess.ReducedSystem(a, y)
 
 
@@ -275,11 +263,9 @@ def _reference_setup(cfg: PipelineConfig):
 
 
 def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> dict:
-    image = artifacts.read_verified(run_dir, RECONSTRUCTION, artifacts.KIND_IMAGE)
+    image = artifacts.read_verified(run_dir, RECONSTRUCTION, artifacts.KIND_IMAGE,
+                                    cfg.grid.shape)
     grid, support, shift_grid = _reference_setup(cfg)
-    if image.shape != grid.shape:
-        raise IntegrityError(
-            f"{RECONSTRUCTION}: shape {image.shape} does not match the config grid")
     psnr, ssim = metrics.quality_report(
         image, support, grid, shift_grid,
         concentration=cfg.phantom.concentration,

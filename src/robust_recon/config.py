@@ -131,6 +131,9 @@ class SweepSection:
         # cmd_sweep's largest regularization weight
         if not _finite(lambda: 2.0 ** self.alpha_max_exp):
             raise ValueError("alpha_max_exp gives a non-finite weight 2^alpha_max_exp")
+        # and its smallest: below about 2^-1074 the weight underflows to 0
+        if not 2.0 ** self.alpha_min_exp > 0:
+            raise ValueError("alpha_min_exp gives a zero weight 2^alpha_min_exp")
 
 
 @dataclass

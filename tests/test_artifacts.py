@@ -22,7 +22,6 @@ from robust_recon.artifacts import (
     atomic_write_text,
     load_manifest,
     read_artifact,
-    read_header,
     read_verified,
     sha256_file,
     verify_manifest,
@@ -223,6 +222,25 @@ def test_read_verified_errors(tmp_path):
         read_verified(tmp_path / "absent", "a.rrc", KIND_VECTOR)
 
 
+@pytest.mark.parametrize("kind, shape, message", [
+    (KIND_VECTOR, None, "expected artifact kind 2, found 1"),
+    (KIND_MATRIX, (3, 5), r"shape \(3, 4\) does not match the config's \(3, 5\)"),
+    (KIND_MATRIX, (4,), r"shape \(3, 4\) does not match the config's \(4,\)"),
+])
+def test_read_verified_checks_kind_and_shape_before_the_payload(tmp_path, kind, shape,
+                                                                message):
+    # the payload is modified and unread: the header's error comes first
+    path = tmp_path / "a.rrc"
+    write_manifest(tmp_path, {"a.rrc": write_artifact(path, KIND_MATRIX, np.ones((3, 4)))})
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(IntegrityError, match=f"^a.rrc: {message}$"):
+        read_verified(tmp_path, "a.rrc", kind, shape)
+    with pytest.raises(IntegrityError, match="^a.rrc: sha256 mismatch"):
+        read_verified(tmp_path, "a.rrc", KIND_MATRIX, (3, 4))
+
+
 def spectrum_run(tmp_path, scans, bins=40):
     """A run directory holding one spectrum set of random complex values."""
     rng = np.random.default_rng(scans)
@@ -242,7 +260,8 @@ def test_read_verified_bins_is_the_full_read_indexed(tmp_path, scans, bins):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes() == spectra[..., bins].tobytes()
     assert got.flags.writeable and got.flags.c_contiguous
-    assert read_header(path) == (KIND_SPECTRUM_SET, spectra.shape)
+    kind, whole = read_artifact(path)
+    assert kind == KIND_SPECTRUM_SET and whole.tobytes() == spectra.tobytes()
 
 
 def test_read_verified_bins_never_holds_the_payload(tmp_path):
@@ -263,10 +282,9 @@ def test_read_verified_bins_checks_every_bin(tmp_path, bad, scan, bin_):
     path, spectra = spectrum_run(tmp_path, 130)
     spectra[scan, 1, bin_] = bad
     write_manifest(tmp_path, {"s.rrc": write_artifact(path, KIND_SPECTRUM_SET, spectra)})
-    with pytest.raises(NumericalError, match="^s.rrc: spectra hold non-finite values$"):
-        read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET, bins=slice(20, 30))
-    # the whole-file path leaves the finite check to its caller
-    read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET)
+    for bins in (slice(20, 30), None):
+        with pytest.raises(NumericalError, match="^s.rrc: spectra hold non-finite values$"):
+            read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET, bins=bins)
 
 
 def test_read_verified_bins_integrity_wins(tmp_path):
@@ -281,7 +299,8 @@ def test_read_verified_bins_integrity_wins(tmp_path):
     raw = bytearray(spectrum_run(tmp_path, 130)[0].read_bytes())
     raw[13] ^= 0x01
     path.write_bytes(bytes(raw))
-    for read in (lambda: read_header(path),
+    for read in (lambda: read_artifact(path),
+                 lambda: read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET),
                  lambda: read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET, bins=slice(9))):
         with pytest.raises(IntegrityError, match="s.rrc: payload is 166400 bytes, expected 167680"):
             read()

@@ -412,6 +412,34 @@ def test_preprocess_calibration_of_wrong_length_exits_3(pipeline, tmp_path, caps
     assert "system_matrix.rrc: payload is" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, grid, edit, named", [
+    ("preprocess", "5,5,1", None, "system_matrix.rrc"),  # 25 voxels, still 3 empty scans
+    ("preprocess", None, ("empty_scans.rrc", lambda s: s[1:]), "empty_scans.rrc"),
+    ("preprocess", None, ("measurement.rrc", lambda s: np.concatenate([s, s])),
+     "measurement.rrc"),
+    ("reconstruct", "5,5,1", None, "reduced_A.rrc"),
+    ("sweep", "5,5,1", None, "reduced_A.rrc"),
+    ("evaluate", "5,5,1", None, "reconstruction.rrc"),
+    # A's rows are checked against y's length
+    ("reconstruct", None, ("reduced_y.rrc", lambda y: y[:-1]), "reduced_A.rrc"),
+])
+def test_input_of_another_shape_exits_3(pipeline, tmp_path, capsys, command, grid, edit,
+                                        named):
+    # re-hashed into the manifest, or read under another grid: the shape
+    # check fails before the payload is read, and the stage writes nothing
+    _, run = clone(pipeline, tmp_path)
+    cfg = write_config(tmp_path, grid and {"grid.shape": grid})
+    if edit:
+        name, change = edit
+        kind, array = artifacts.read_artifact(run / name)
+        replace_artifact(run, name, kind, change(array))
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert main([command, "--config", str(cfg), "--out", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: shape (") and "does not match the config's" in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_preprocess_empty_band_exits_2(pipeline, tmp_path, capsys):
     # 0.01 to 0.02 kHz holds no bin of a 1.024 ms period
     _, run = clone(pipeline, tmp_path)
@@ -496,6 +524,7 @@ def test_arithmetic_error_in_a_stage_exits_4(pipeline, tmp_path, capsys, monkeyp
     ("scanner.temperature_k", "1e-308", "scanner", "non-finite Langevin beta"),
     ("metrics.dynamic_range", "1e308", "metrics", "non-finite SSIM constant"),
     ("sweep.alpha_max_exp", "2000", "sweep", "non-finite weight 2^alpha_max_exp"),
+    ("sweep.alpha_min_exp", "-1075", "sweep", "zero weight 2^alpha_min_exp"),
 ])
 def test_config_value_bound_exits_2_at_load(key, value, named, message, tmp_path, capsys):
     # values whose derived quantities overflow or whose rasterization would
