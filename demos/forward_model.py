@@ -31,7 +31,7 @@ def main():
     for xi in (0.1, 0.5, 1.0, 5.0, 20.0):
         print(f"  L({xi:5.1f}) = {langevin(np.array(xi)):.4f}")
     section("1-D scan")
-    scanner = ScannerConfig(dims=1, drive_frequencies_khz=(15.625,),
+    scanner = ScannerConfig(drive_frequencies_khz=(15.625,),
                             drive_amplitudes_mt=(12.0,), gradient_t_per_m=(1.0,),
                             samples_per_period=512)
     beta = scanner.langevin_beta()

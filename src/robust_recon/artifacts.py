@@ -171,11 +171,11 @@ def read_verified(run_dir, name: str, kind: int, shape=None, bins=None) -> np.nd
     A missing manifest entry raises IntegrityError, a missing file or
     manifest OSError.
 
-    With ``bins``, an index of the last axis (the frequency bins of a
-    spectrum set, as preprocess.band_pass gives them), returns a new array
-    equal to ``read_verified(...)[..., bins]`` and never holds the whole
-    payload: the file is read _CHUNK_ROWS entries of the first axis at a
-    time into one reused buffer and only the bins are copied out.
+    With ``bins``, an index or slice of the last axis (the frequency bins of
+    a spectrum set; cli passes band_pass's run of bins as a slice), returns
+    a new array equal to ``read_verified(...)[..., bins]`` and never holds
+    the whole payload: the file is read _CHUNK_ROWS entries of the first
+    axis at a time into one reused buffer and only the bins are copied out.
     """
     run_dir = Path(run_dir)
     entries = load_manifest(run_dir)

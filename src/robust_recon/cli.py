@@ -121,7 +121,7 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
             outlier_scale=b.outlier_scale, drift_scale=b.drift_scale,
             seed=b.structure_seed)
         m = grid.voxel_count
-        q = cfg.scans_per_bracket(m)
+        q = b.scans_per_bracket
         calib_idx, empty_idx = acquisition.acquisition_schedule(m, q)
         empties = acquisition.draw_empty_scans(bg, empty_idx.size, b.noise_seed + 1,
                                                schedule=empty_idx)
@@ -173,14 +173,16 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     m = cfg.grid.voxel_count
     pre = cfg.preprocess
     band = preprocess.band_pass(freqs, scanner.period_ms, pre.b1_khz, pre.b2_khz)
-    q = cfg.scans_per_bracket(m)
+    q = cfg.background.scans_per_bracket
     _, empty_idx = acquisition.acquisition_schedule(m, q)
     spectrum_set = artifacts.KIND_SPECTRUM_SET
     empties = artifacts.read_verified(run_dir, EMPTY_SCANS, spectrum_set,
                                       (empty_idx.size, coils, freqs))
     meas = artifacts.read_verified(run_dir, MEASUREMENT, spectrum_set, (1, coils, freqs))
+    # band_pass gives one run of bins, which a slice copies faster than an index
+    bins = slice(band[0], band[-1] + 1) if band.size else slice(0)
     calib_band = artifacts.read_verified(run_dir, SYSTEM_MATRIX, spectrum_set,
-                                         (m, coils, freqs), bins=band)
+                                         (m, coils, freqs), bins=bins)
     # an overflow is reported as NumericalError by the checks in
     # reduce_scans, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,7 +271,7 @@ def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> dict:
     psnr, ssim = metrics.quality_report(
         image, support, grid, shift_grid,
         concentration=cfg.phantom.concentration,
-        subsamples=cfg.metrics.subsamples,
+        subsamples=cfg.phantom.subsamples,
         peak=cfg.metrics.psnr_peak,
         dynamic_range=cfg.metrics.dynamic_range)
     rows = np.column_stack([psnr.shifts, psnr.per_shift, ssim.per_shift]).tolist()
@@ -340,7 +342,7 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
     reduced = _load_reduced(run_dir, grid.voxel_count)
     stack = metrics.reference_stack(support, grid, shift_grid,
                                     cfg.phantom.concentration,
-                                    cfg.metrics.subsamples)
+                                    cfg.phantom.subsamples)
     sw = cfg.sweep
     sol = cfg.solver
     exps = list(range(sw.alpha_max_exp, sw.alpha_min_exp - 1, -1))

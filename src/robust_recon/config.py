@@ -13,18 +13,18 @@ metrics.ShiftGrid and solvers.SolverConfig that the metrics and solver
 sections build, whose ValueError becomes ConfigError("<section>:
 <message>"), e.g. "scanner: drive amplitudes must be nonnegative".
 The background, metrics and sweep sections compute the derived values
-their stages will use (the noise variance, the SSIM constants, the largest
-regularization weight) and reject a value whose derived value is not
+their stages will use (the noise variance, the SSIM constants, the
+regularization weights) and reject a value whose derived value is not
 finite, as ScannerConfig does with its Langevin beta, e.g. "sweep:
 alpha_max_exp gives a non-finite weight 2^alpha_max_exp".
 validate_config then rejects NaN and +-inf in every float key and float
 tuple as ConfigError("<section>.<key>: must be finite"), except
 preprocess.b2_khz = inf (an open band), and checks the rest (solver method,
 alpha and epsilon; the phantom, background, preprocess, metrics scoring and
-sweep keys, and a bound of 2^24 sample points on voxels x subsamples^3) as
-ConfigError("<section>.<key>: <precondition>"); the same bound on shifts x
-voxels, the reference stack that evaluate and sweep build, is
-ConfigError("metrics: ...").
+sweep keys, and a bound of 2^24 sample points on voxels x
+phantom.subsamples^3) as ConfigError("<section>.<key>: <precondition>"); the
+same bound on shifts x voxels, the reference stack that evaluate and sweep
+build, is ConfigError("metrics: ...").
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ class BackgroundSection:
     calibration_concentration: float = 100.0
     calibration_repetitions: int = 1
     measurement_repetitions: int = 1
+    scans_per_bracket: int = 19
 
     def __post_init__(self):
         # acquisition.make_background squares it into the noise variance
@@ -89,7 +90,6 @@ class PreprocessSection:
     b2_khz: float = 625.0
     tau: float = 3.0
     whiten: bool = False
-    empty_scans: int = 0  # 0 picks ceil(m / 19) + 1
 
 
 @dataclass
@@ -112,7 +112,6 @@ class MetricsSection:
     dynamic_range: float = 100.0
     shift_extent_mm: tuple = (3.0, 3.0, 0.0)
     shift_step_mm: float = 0.5
-    subsamples: int = 4
 
     def __post_init__(self):
         # metrics.ssim_table's larger stabilizing constant
@@ -128,10 +127,11 @@ class SweepSection:
     jobs: int = 1
 
     def __post_init__(self):
-        # cmd_sweep's largest regularization weight
-        if not _finite(lambda: 2.0 ** self.alpha_max_exp):
-            raise ValueError("alpha_max_exp gives a non-finite weight 2^alpha_max_exp")
-        # and its smallest: below about 2^-1074 the weight underflows to 0
+        # cmd_sweep's regularization weights 2^e, largest and smallest
+        for name in ("alpha_max_exp", "alpha_min_exp"):
+            if not _finite(lambda: 2.0 ** getattr(self, name)):
+                raise ValueError(f"{name} gives a non-finite weight 2^{name}")
+        # below about 2^-1074 the smallest weight underflows to 0
         if not 2.0 ** self.alpha_min_exp > 0:
             raise ValueError("alpha_min_exp gives a zero weight 2^alpha_min_exp")
 
@@ -146,13 +146,6 @@ class PipelineConfig:
     solver: SolverSection = field(default_factory=SolverSection)
     metrics: MetricsSection = field(default_factory=MetricsSection)
     sweep: SweepSection = field(default_factory=SweepSection)
-
-    def scans_per_bracket(self, voxel_count: int) -> int:
-        """Calibration scans between consecutive empty scans."""
-        k = self.preprocess.empty_scans
-        if k == 0:
-            return 19
-        return math.ceil(voxel_count / (k - 1))
 
     def shift_grid(self) -> ShiftGrid:
         return ShiftGrid(self.metrics.shift_extent_mm, self.metrics.shift_step_mm)
@@ -223,8 +216,8 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> None:
 
     Each value is coerced to its key's type first. Then every section with
     changes is replaced once, with all of them, so the frozen scanner
-    section checks them together: scanner.dims = 1 is only valid beside
-    one-entry drive tuples.
+    section checks them together: a one-axis scanner sets its three drive
+    tuples to one entry each, in any order.
     """
     changes: dict = {}
     for dotted, raw in overrides.items():
@@ -289,16 +282,16 @@ def validate_config(cfg: PipelineConfig) -> None:
              "background.measurement_repetitions: must be at least 1")
     _require(b.structure_seed >= 0, "background.structure_seed: must be nonnegative")
     _require(b.noise_seed >= 0, "background.noise_seed: must be nonnegative")
+    # one bracket of the whole grid is the widest; the default 19 stays legal
+    # on smaller grids
+    _require(2 <= b.scans_per_bracket <= max(19, voxels),
+             f"background.scans_per_bracket: must be in [2, max(19, voxels)] "
+             f"({voxels} voxels)")
 
     pre = cfg.preprocess
     _require(0 <= pre.b1_khz < pre.b2_khz,
              "preprocess.b1_khz/b2_khz: need 0 <= b1 < b2")
     _require(pre.tau >= 0, "preprocess.tau: must be nonnegative")
-    _require(pre.empty_scans == 0 or pre.empty_scans >= 2,
-             "preprocess.empty_scans: at least 2 empty scans are required "
-             "(0 selects the default schedule)")
-    _require(pre.empty_scans <= voxels,
-             f"preprocess.empty_scans: at most one per voxel ({voxels} voxels)")
 
     sol = cfg.solver
     _require(sol.method in METHODS,
@@ -309,11 +302,9 @@ def validate_config(cfg: PipelineConfig) -> None:
     m = cfg.metrics
     _require(m.psnr_peak > 0, "metrics.psnr_peak: must be positive")
     _require(m.dynamic_range > 0, "metrics.dynamic_range: must be positive")
-    _require(m.subsamples >= 1, "metrics.subsamples: must be at least 1")
-    for key, n in (("phantom.subsamples", p.subsamples), ("metrics.subsamples", m.subsamples)):
-        _require(voxels * n**3 <= _MAX_SAMPLE_POINTS,
-                 f"{key}: {voxels} voxels x {n}^3 samples exceed the limit of "
-                 f"{_MAX_SAMPLE_POINTS} sample points")
+    _require(voxels * p.subsamples**3 <= _MAX_SAMPLE_POINTS,
+             f"phantom.subsamples: {voxels} voxels x {p.subsamples}^3 samples exceed "
+             f"the limit of {_MAX_SAMPLE_POINTS} sample points")
     _require(cfg.shift_grid().count * voxels <= _MAX_SAMPLE_POINTS,
              f"metrics: the shifts of extents {m.shift_extent_mm} mm at step "
              f"{m.shift_step_mm:g} mm times {voxels} voxels exceed the limit of "

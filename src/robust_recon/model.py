@@ -136,13 +136,15 @@ class VoxelGrid:
 class ScannerConfig:
     """Drive, selection-field and particle parameters of the scanner.
 
-    One receive coil per driven axis. Drive frequencies must be integer
+    One receive coil per driven axis; ``dims``, 1 or 2, is the common
+    length of the three drive tuples. Drive frequencies must be integer
     harmonics of 1/period so the trajectory closes after one period; the
     default 2-D setting uses the 16:17 frequency ratio that yields a dense
-    Lissajous figure.
+    Lissajous figure. Per axis |B| stays below twice the drive amplitude
+    (simulate_system_matrix's reach check), so those bounds' squares must
+    sum to a finite number.
     """
 
-    dims: int = 2
     drive_frequencies_khz: tuple[float, ...] = (15.625, 16.6015625)
     drive_amplitudes_mt: tuple[float, ...] = (12.0, 12.0)
     gradient_t_per_m: tuple[float, ...] = (1.0, 1.0)
@@ -153,13 +155,12 @@ class ScannerConfig:
     receiver_gain: float = 1.0
 
     def __post_init__(self):
-        if self.dims not in (1, 2):
-            raise ValueError("dims must be 1 or 2")
-        for name in ("drive_frequencies_khz", "drive_amplitudes_mt", "gradient_t_per_m"):
-            vals = getattr(self, name)
-            if len(vals) != self.dims:
-                raise ValueError(f"{name} must have one entry per driven axis")
-            object.__setattr__(self, name, tuple(float(v) for v in vals))
+        names = ("drive_frequencies_khz", "drive_amplitudes_mt", "gradient_t_per_m")
+        if len({len(getattr(self, name)) for name in names}) != 1 or self.dims not in (1, 2):
+            raise ValueError("drive frequencies, amplitudes and gradients need one "
+                             "entry per driven axis, 1 or 2 axes")
+        for name in names:
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if not 0 < self.period_ms < np.inf:
             raise ValueError("period_ms must be positive and finite")
         n = self.samples_per_period
@@ -167,6 +168,9 @@ class ScannerConfig:
             raise ValueError("samples_per_period must be a power of two >= 4")
         if any(a < 0 for a in self.drive_amplitudes_mt):
             raise ValueError("drive amplitudes must be nonnegative")
+        # x * x gives inf where x ** 2 would raise
+        if not np.isfinite(sum((2e-3 * a) * (2e-3 * a) for a in self.drive_amplitudes_mt)):
+            raise ValueError("drive amplitudes give a non-finite squared field norm")
         if any(g == 0 for g in self.gradient_t_per_m):
             raise ValueError("selection gradient is degenerate (zero on a driven axis)")
         if self.particle_diameter_nm <= 0 or self.temperature_k <= 0:
@@ -190,6 +194,10 @@ class ScannerConfig:
                 raise ValueError(
                     "drive frequency %g kHz is not an integer harmonic of 1/period" % f
                 )
+
+    @property
+    def dims(self) -> int:
+        return len(self.drive_frequencies_khz)
 
     @property
     def coils(self) -> int:

@@ -431,11 +431,11 @@ def kaczmarz_reg(system: ReducedSystem, alpha: float,
 
 # The reconstruction methods. Each row gives the Objective kind lbfgsb
 # minimizes (None: regularized Kaczmarz) and the solver-section settings a
-# run records beside its weight.
+# run records beside its weight: exactly those its solver reads.
 METHODS = {
-    "l1-L": ("l1s", ("epsilon",)),
-    "l2-L": ("l2", ("epsilon",)),
-    "l2-K": (None, ("sweeps", "projection", "row_order")),
+    "l1-L": ("l1s", ("epsilon", "memory", "pgtol", "max_iterations")),
+    "l2-L": ("l2", ("memory", "pgtol", "max_iterations")),
+    "l2-K": (None, ("sweeps", "projection", "row_order", "seed")),
 }
 
 

@@ -7,7 +7,6 @@ from robust_recon.model import ScannerConfig, VoxelGrid, simulate_system_matrix
 @pytest.fixture(scope="session")
 def scanner_1d():
     return ScannerConfig(
-        dims=1,
         drive_frequencies_khz=(25.0,),
         drive_amplitudes_mt=(12.0,),
         gradient_t_per_m=(1.0,),
@@ -29,7 +28,7 @@ def system_1d(scanner_1d, grid_1d):
 @pytest.fixture(scope="session")
 def scanner_2d():
     # 16:17 drive on a shortened sample count keeps simulation fast
-    return ScannerConfig(dims=2, samples_per_period=256)
+    return ScannerConfig(samples_per_period=256)
 
 
 @pytest.fixture(scope="session")

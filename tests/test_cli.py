@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from robust_recon import acquisition, artifacts, cli, metrics, preprocess, solvers
 from robust_recon.cli import main
-from robust_recon.config import load_config
+from robust_recon.config import PipelineConfig, load_config
 from robust_recon.metrics import ShiftGrid, psnr, ssim
 from robust_recon.model import VoxelGrid, make_phantom
 
@@ -181,7 +183,7 @@ def test_band_only_preprocess_matches_full_array_composition(pipeline, tmp_path,
     calib, empties, meas = (artifacts.read_artifact(run / name)[1] for name in
                             ("system_matrix.rrc", "empty_scans.rrc", "measurement.rrc"))
     m = calib.shape[0]
-    mu = preprocess.interp_backgrounds(empties, m, conf.scans_per_bracket(m))
+    mu = preprocess.interp_backgrounds(empties, m, conf.background.scans_per_bracket)
     band = preprocess.band_pass(scanner.freq_count, scanner.period_ms, pre.b1_khz, pre.b2_khz)
     scores = preprocess.snr_scores(calib, mu, empties, band)
     selection = preprocess.select_frequencies(scores, pre.tau, band)
@@ -517,14 +519,17 @@ def test_arithmetic_error_in_a_stage_exits_4(pipeline, tmp_path, capsys, monkeyp
     ("metrics.shift_step_mm", "1e-4", "metrics", "times 36 voxels exceed the limit"),
     ("scanner.period_ms", "1e308", "scanner", "must be finite"),
     ("phantom.subsamples", "2000", "phantom.subsamples", "16777216 sample points"),
-    ("metrics.subsamples", "2000", "metrics.subsamples", "16777216 sample points"),
     # finite values whose derived quantities overflow in the stage that uses them
     ("scanner.particle_diameter_nm", "1e308", "scanner", "non-finite Langevin beta"),
     ("background.base_std", "1e308", "background", "noise variance, must be finite"),
     ("scanner.temperature_k", "1e-308", "scanner", "non-finite Langevin beta"),
+    # |B|^2 would overflow to inf and zero the magnetization without a message
+    ("scanner.drive_amplitudes_mt", "1e308,1e308", "scanner",
+     "drive amplitudes give a non-finite squared field norm"),
     ("metrics.dynamic_range", "1e308", "metrics", "non-finite SSIM constant"),
     ("sweep.alpha_max_exp", "2000", "sweep", "non-finite weight 2^alpha_max_exp"),
     ("sweep.alpha_min_exp", "-1075", "sweep", "zero weight 2^alpha_min_exp"),
+    ("sweep.alpha_min_exp", "1100", "sweep", "non-finite weight 2^alpha_min_exp"),
 ])
 def test_config_value_bound_exits_2_at_load(key, value, named, message, tmp_path, capsys):
     # values whose derived quantities overflow or whose rasterization would
@@ -569,9 +574,9 @@ def test_flags_reach_their_config_keys(flag, value, message, pipeline, tmp_path,
 
 
 def test_one_dimensional_scanner_runs_every_stage(tmp_path):
-    # dims = 1 comes before its one-entry tuples; the section is checked whole
+    # one-entry drive tuples make a one-axis scanner; the section is checked whole
     cfg = write_config(tmp_path, {
-        "scanner.dims": "1", "scanner.drive_frequencies_khz": "15.625",
+        "scanner.drive_frequencies_khz": "15.625",
         "scanner.drive_amplitudes_mt": "12", "scanner.gradient_t_per_m": "1",
         "grid.shape": "20,1,1", "solver.method": "l2-K"})
     run = tmp_path / "run"
@@ -786,10 +791,11 @@ def test_damaged_reduced_system_exits_3(pipeline, tmp_path, capsys, damage, mess
     assert (run / "reconstruction.rrc").read_bytes() == before
 
 
-def test_config_rejects_single_empty_scan(pipeline, tmp_path, capsys):
-    cfg = write_config(tmp_path, {"preprocess.empty_scans": "1"})
+def test_config_rejects_brackets_of_one_scan(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"background.scans_per_bracket": "1"})
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-    assert "at least 2 empty scans" in capsys.readouterr().err
+    assert ("error: background.scans_per_bracket: must be in [2, max(19, voxels)]"
+            in capsys.readouterr().err)
 
 
 def test_invalid_config_value_exits_2(tmp_path, capsys):
@@ -884,3 +890,46 @@ def test_closed_stdout_exits_0_quietly(pipeline, tmp_path):
         os.close(write_end)
     assert (done.returncode, done.stderr) == (0, b"")
     assert (run / "quality_summary.json").is_file()
+
+
+
+# Every numeric key and numeric tuple, read from the section dataclasses, so
+# a new key is fuzzed without editing this list; a tuple gets the value in
+# every entry. Booleans and strings are not fuzzed.
+FUZZ_VALUES = {float: ("0", "-1", "1e308", "1e-308"), int: ("0", "-1", "2", "1000000")}
+# an 8x8 grid at 256 samples, with a short solve and a two-weight sweep
+FUZZ_BASE = {"scanner.samples_per_period": "256", "grid.shape": "8,8,1",
+             "solver.max_iterations": "20", "metrics.shift_extent_mm": "0.5,0.5,0",
+             "sweep.alpha_min_exp": "-1", "sweep.max_sweeps": "2"}
+
+
+def _fuzz_keys():
+    cfg = PipelineConfig()
+    for section in fields(cfg):
+        values = getattr(cfg, section.name)
+        for f in fields(values):
+            default = getattr(values, f.name)
+            entries = default if isinstance(default, tuple) else (default,)
+            if type(entries[0]) in FUZZ_VALUES:
+                yield f"{section.name}.{f.name}", type(entries[0]), len(entries)
+
+
+@pytest.mark.parametrize("key, elem, length", list(_fuzz_keys()))
+def test_config_fuzz_exits_0_2_or_4(key, elem, length, tmp_path, capsys):
+    # simulate -> sweep up to the first nonzero exit: an extreme value is a
+    # config error (2) or a numerical failure (4), never a traceback or a
+    # warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for value in FUZZ_VALUES[elem]:
+            cfg = write_config(tmp_path, {**FUZZ_BASE, key: ",".join([value] * length)})
+            for command in cli._COMMANDS:
+                code = main([command, "--config", str(cfg), "--out", str(tmp_path / value)])
+                err = capsys.readouterr().err
+                assert code in (0, 2, 4), (value, command, err)
+                # a numerical failure names its artifact or step; a bare
+                # ArithmeticError is a value that load let through
+                assert not re.match(r"error: \w+: \w+Error: ", err), (value, command, err)
+                if code:
+                    break
+    assert not caught, [str(w.message) for w in caught]

@@ -3,6 +3,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robust_recon.acquisition import acquisition_schedule
@@ -94,15 +95,15 @@ def test_overrides_are_validated():
 
 def test_validation_messages_name_the_precondition():
     cfg = parse_config("")
-    cfg.preprocess.empty_scans = 1
-    with pytest.raises(ConfigError, match="at least 2 empty scans"):
+    cfg.background.scans_per_bracket = 1
+    with pytest.raises(ConfigError, match=r"^background\.scans_per_bracket: must be in \[2, "):
         validate_config(cfg)
 
 
 @pytest.mark.parametrize(
     "dotted,value",
     [
-        ("scanner.dims", "3"),
+        ("scanner.dims", "3"),  # the tuples' length: an unknown key
         ("scanner.samples_per_period", "100"),
         ("grid.shape", "0, 4, 1"),
         ("grid.spacing_mm", "1, -1, 1"),
@@ -124,7 +125,8 @@ def test_validation_messages_name_the_precondition():
         ("metrics.dynamic_range", "0"),
         ("metrics.shift_step_mm", "0"),
         ("metrics.shift_extent_mm", "1, 1, 0.3"),
-        ("metrics.subsamples", "0"),
+        ("metrics.subsamples", "0"),  # phantom.subsamples: an unknown key
+        ("background.scans_per_bracket", "1"),
         ("sweep.max_sweeps", "0"),
         ("sweep.jobs", "0"),
         ("sweep.alpha_max_exp", "-30"),
@@ -188,56 +190,64 @@ def test_custom_phantom_kind_rejected_in_files():
 
 
 def test_default_schedule_is_every_19_scans():
-    cfg = PipelineConfig()
-    assert cfg.scans_per_bracket(400) == 19
-    _, empty = acquisition_schedule(400, cfg.scans_per_bracket(400))
+    q = PipelineConfig().background.scans_per_bracket
+    assert q == 19
+    _, empty = acquisition_schedule(400, q)
     assert empty.size == math.ceil(400 / 19) + 1
 
 
-def test_explicit_empty_scan_count_spreads_brackets():
-    cfg = parse_config("preprocess.empty_scans = 5")
-    m = 100
-    q = cfg.scans_per_bracket(m)
-    assert q == math.ceil(m / 4)
-    _, empty = acquisition_schedule(m, q)
-    assert empty.size == 5
-    # the schedule must cover every calibration scan with q per bracket
-    assert (empty.size - 1) * q >= m
+@pytest.mark.parametrize("q", [2, 5, 22, 300, 400])
+def test_scans_per_bracket_sets_the_bracket_exactly(q):
+    cfg = parse_config(f"background.scans_per_bracket = {q}")
+    calib, empty = acquisition_schedule(400, cfg.background.scans_per_bracket)
+    # every bracket but the last holds exactly q calibration scans
+    counts = [np.count_nonzero((calib > lo) & (calib < hi)) for lo, hi in zip(empty, empty[1:])]
+    assert counts[:-1] == [q] * (len(counts) - 1) and 1 <= counts[-1] <= q
+    assert sum(counts) == 400 and empty.size == math.ceil(400 / q) + 1
 
 
-@pytest.mark.parametrize("k, used", [(22, 21), (300, 201), (400, 201)])
-def test_schedule_may_hold_fewer_empty_scans_than_requested(k, used):
-    # brackets of ceil(m / (k - 1)) scans can cover the grid with fewer than k
-    cfg = parse_config(f"preprocess.empty_scans = {k}")
-    _, empty = acquisition_schedule(400, cfg.scans_per_bracket(400))
-    assert empty.size == used
+def test_scans_per_bracket_bounds():
+    # at most one bracket of the whole grid, and the default stays legal on
+    # grids of fewer than 19 voxels
+    parse_config("grid.shape = 5,5,1\nbackground.scans_per_bracket = 25")
+    parse_config("grid.shape = 2,2,1")
+    parse_config("grid.shape = 2,2,1\nbackground.scans_per_bracket = 19")
+    for text in ("grid.shape = 5,5,1\nbackground.scans_per_bracket = 26",
+                 "grid.shape = 2,2,1\nbackground.scans_per_bracket = 20",
+                 "background.scans_per_bracket = 401",
+                 "background.scans_per_bracket = 1",
+                 "background.scans_per_bracket = -5"):
+        with pytest.raises(ConfigError, match=r"^background\.scans_per_bracket: .* voxels\)$"):
+            parse_config(text)
 
 
-def test_empty_scans_above_voxel_count_rejected():
-    parse_config("grid.shape = 4,4,1\npreprocess.empty_scans = 16")
-    with pytest.raises(ConfigError, match=r"^preprocess\.empty_scans: .*16 voxels"):
-        parse_config("grid.shape = 4,4,1\npreprocess.empty_scans = 17")
-    with pytest.raises(ConfigError, match=r"^preprocess\.empty_scans"):
-        parse_config("preprocess.empty_scans = 401")
+def test_derived_keys_are_unknown():
+    # two follow from other keys; the third did not set the count it named
+    for dotted in ("scanner.dims", "metrics.subsamples", "preprocess.empty_scans"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(dotted)}: unknown key$"):
+            parse_config(f"{dotted} = 2")
+    assert not hasattr(PipelineConfig(), "scans_per_bracket")
+    assert len([f for section in fields(PipelineConfig)
+                for f in fields(getattr(PipelineConfig(), section.name))]) == 47
 
 
-ONE_D = {"scanner.dims": "1", "scanner.drive_frequencies_khz": "15.625",
+ONE_D = {"scanner.drive_frequencies_khz": "15.625",
          "scanner.drive_amplitudes_mt": "12", "scanner.gradient_t_per_m": "1",
          "grid.shape": "20,1,1"}
 
 
 @pytest.mark.parametrize("order", [list(ONE_D), list(reversed(ONE_D))])
 def test_scanner_keys_are_checked_together(order):
-    # dims = 1 is valid only beside one-entry tuples, in either order
+    # one-entry tuples are valid only together, in either order
     cfg = parse_config("".join(f"{key} = {ONE_D[key]}\n" for key in order))
-    assert cfg.scanner == ScannerConfig(dims=1, drive_frequencies_khz=(15.625,),
+    assert cfg.scanner == ScannerConfig(drive_frequencies_khz=(15.625,),
                                         drive_amplitudes_mt=(12.0,),
                                         gradient_t_per_m=(1.0,))
     cfg = parse_config("")
     apply_overrides(cfg, {key: ONE_D[key] for key in order})
     assert cfg.scanner.dims == 1
-    with pytest.raises(ConfigError, match="^scanner: drive_frequencies_khz must have one"):
-        parse_config("scanner.dims = 1")
+    with pytest.raises(ConfigError, match="^scanner: .* need one entry per driven axis"):
+        parse_config("scanner.drive_frequencies_khz = 15.625")
 
 
 FLOAT_KEYS = [f"{section.name}.{f.name}"

@@ -259,16 +259,31 @@ def test_support_geometry_validation():
 
 
 def test_scanner_config_validation():
-    with pytest.raises(ValueError):
-        ScannerConfig(dims=3)
-    with pytest.raises(ValueError):
-        ScannerConfig(dims=1, drive_frequencies_khz=(25.0, 30.0))
+    # the axis count is the common length of the drive tuples, not a field
+    assert ScannerConfig().dims == 2
+    with pytest.raises(TypeError):
+        ScannerConfig(dims=1)
+    def axes(n):
+        return {"drive_frequencies_khz": (25.0,) * n, "drive_amplitudes_mt": (12.0,) * n,
+                "gradient_t_per_m": (1.0,) * n, "period_ms": 1.0}
+
+    assert ScannerConfig(**axes(1)).dims == 1
+    for n in (0, 3):
+        with pytest.raises(ValueError, match="one entry per driven axis, 1 or 2 axes"):
+            ScannerConfig(**axes(n))
+    with pytest.raises(ValueError, match="one entry per driven axis"):
+        ScannerConfig(drive_frequencies_khz=(25.0,), period_ms=1.0)  # two amplitudes
     with pytest.raises(ValueError):
         ScannerConfig(samples_per_period=100)
     with pytest.raises(ValueError):
         ScannerConfig(gradient_t_per_m=(0.0, 1.0))
     with pytest.raises(ValueError):
         ScannerConfig(drive_amplitudes_mt=(-1.0, 12.0))
+    # |B| stays below twice the amplitude, so sum (2e-3 a)^2 T^2 must be finite
+    ScannerConfig(drive_amplitudes_mt=(4.7e156, 4.7e156))
+    for amplitudes in [(5e156, 5e156), (1e308, 1e308), (12.0, math.nan)]:
+        with pytest.raises(ValueError, match="non-finite squared field norm"):
+            ScannerConfig(drive_amplitudes_mt=amplitudes)
     with pytest.raises(ValueError):
         # 15 kHz over 1.024 ms is not an integer number of cycles
         ScannerConfig(drive_frequencies_khz=(15.0, 16.6015625))
@@ -296,7 +311,6 @@ def test_langevin_beta_matches_first_principles(scanner_1d):
 
 def test_simulate_zero_drive_gives_zero_row():
     cfg = ScannerConfig(
-        dims=1,
         drive_frequencies_khz=(25.0,),
         drive_amplitudes_mt=(0.0,),
         gradient_t_per_m=(1.0,),
@@ -442,7 +456,7 @@ def test_langevin_matches_masked_branches_bitwise(shape):
 def test_simulate_matches_reference_bitwise(case):
     scanner, grid = {
         "default-2d": (ScannerConfig(), VoxelGrid((20, 20, 1), (1.0, 1.0, 1.0))),
-        "dims-1": (ScannerConfig(dims=1, drive_frequencies_khz=(15.625,),
+        "dims-1": (ScannerConfig(drive_frequencies_khz=(15.625,),
                                  drive_amplitudes_mt=(12.0,), gradient_t_per_m=(1.0,)),
                    VoxelGrid((23, 1, 1), (1.0, 1.0, 1.0))),
         "partial-chunk": (ScannerConfig(samples_per_period=512),
