@@ -8,22 +8,25 @@ reads its inputs through artifacts.read_verified, which checks each one's
 shape against the config and its sha256 against the manifest, and then
 extends the manifest with what it writes. So a corrupted, hand-edited or
 mismatched run directory fails loudly instead of producing plausible
-images.
+images. A stage returns the record it wrote, which main prints as one
+"key: value" line per top-level key; simulate, which writes no summary,
+prints its scan counts.
 
-Exit codes: 0 success, 2 invalid config or arguments, 3 I/O or integrity
-failure, 4 numerical failure: a NumericalError, or an ArithmeticError such
-as the overflow of a config value whose derived quantities leave the float
-range. A numerical failure prints "error: <command>: <message>", with the
-exception type before the message of an ArithmeticError; simulate checks
-its spectra before writing, so it never writes non-finite artifacts, and
-simulate and preprocess silence numpy's overflow warnings, so an overflow
-surfaces as that error. The subcommands, their stage functions and help
-lines are one table, _COMMANDS; the override flags and the config keys they
-set are another, _FLAGS. Every CSV is written by _write_csv. Wall-clock
-timing goes to a timing_*.json sidecar that is intentionally absent from
-the manifest: with a fixed seed, rerunning a stage must reproduce every
-hashed byte. A stage whose stdout is closed (robust-recon ... | head -1)
-still exits 0, with nothing on stderr.
+Exit codes: 0 success, 2 invalid config or arguments (a ValueError, such as
+ConfigError), 3 I/O or integrity failure, 4 numerical failure: a
+NumericalError, or an ArithmeticError such as the overflow of a config
+value whose derived quantities leave the float range. A numerical failure
+prints "error: <command>: <message>", with the exception type before the
+message of an ArithmeticError; simulate checks its spectra before writing,
+so it never writes non-finite artifacts, and simulate and preprocess
+silence numpy's overflow warnings, so an overflow surfaces as that error.
+The subcommands, their stage functions and help lines are one table,
+_COMMANDS; the override flags and the config keys they set are another,
+_FLAGS. Every CSV is written by _write_csv. Wall-clock timing goes to a
+timing_*.json sidecar that is intentionally absent from the manifest: with
+a fixed seed, rerunning a stage must reproduce every hashed byte. A stage
+whose stdout is closed (robust-recon ... | head -1) still exits 0, with
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import acquisition, artifacts, metrics, model, preprocess, solvers
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, IntegrityError, NumericalError
+from .errors import IntegrityError, NumericalError
 
 __all__ = ["main"]
 
@@ -104,15 +107,9 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
     grid = cfg.grid
     # an overflow is reported as NumericalError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            system = model.simulate_system_matrix(scanner, grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        system = model.simulate_system_matrix(scanner, grid)
         p = cfg.phantom
-        try:
-            phantom = model.make_phantom(p.kind, grid, p.concentration, p.subsamples)
-        except ValueError as exc:
-            raise ConfigError(f"phantom: {exc}") from exc
+        phantom = model.make_phantom(p.kind, grid, p.concentration, p.subsamples)
         b = cfg.background
         bg = acquisition.make_background(
             scanner.coils, scanner.freq_count, scanner.period_ms,
@@ -210,13 +207,7 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
     }
     digests[SELECTION_REPORT] = _write_json(run_dir / SELECTION_REPORT, report)
     _update_manifest(run_dir, digests)
-    return {
-        "rows": reduced.rows,
-        "voxels": reduced.voxels,
-        "tau": pre.tau,
-        "whitened": reduced.whitened,
-        "scale": reduced.scale,
-    }
+    return report
 
 
 def _load_reduced(run_dir: Path, voxel_count: int) -> preprocess.ReducedSystem:
@@ -250,13 +241,7 @@ def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> dict:
         RECONSTRUCTION: image_digest,
         RECON_SUMMARY: _write_json(run_dir / RECON_SUMMARY, summary),
     })
-    return {
-        "method": sol.method,
-        "alpha": sol.alpha,
-        "iterations": result.iterations,
-        "converged": bool(result.converged),
-        "objective_value": result.objective_value,
-    }
+    return summary
 
 
 def _reference_setup(cfg: PipelineConfig):
@@ -290,12 +275,7 @@ def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> dict:
         QUALITY_CSV: csv_digest,
         QUALITY_SUMMARY: _write_json(run_dir / QUALITY_SUMMARY, summary),
     })
-    return {
-        "eps_psnr_db": psnr.value,
-        "eps_ssim": ssim.value,
-        "argmax_shift_psnr_mm": psnr.argmax_shift,
-        "argmax_shift_ssim_mm": ssim.argmax_shift,
-    }
+    return summary
 
 
 def _sweep_task(reduced: preprocess.ReducedSystem, stack: np.ndarray,
@@ -390,13 +370,7 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
     }
     written[SWEEP_SUMMARY] = _write_json(run_dir / SWEEP_SUMMARY, summary)
     _update_manifest(run_dir, written)
-    return {
-        "cells": int(psnr_table.size),
-        "best_psnr_db": float(psnr_table[best_p]),
-        "best_psnr_alpha": alphas[best_p[0]],
-        "best_ssim": float(ssim_table[best_s]),
-        "best_ssim_alpha": alphas[best_s[0]],
-    }
+    return summary
 
 
 # The subcommands: the stage function each one runs and its --help line.
@@ -416,8 +390,8 @@ _FLAGS = {
                  "solver.method"),
     "--alpha": ({"type": float, "help": "regularization weight"}, "solver.alpha"),
     "--sweeps": ({"type": int, "help": "Kaczmarz sweep count"}, "solver.sweeps"),
-    "--whiten": ({"action": "store_true", "help": "whiten rows by empty-scan noise levels"},
-                 "preprocess.whiten"),
+    "--whiten": ({"action": "store_true", "default": None,
+                  "help": "whiten rows by empty-scan noise levels"}, "preprocess.whiten"),
     "--seed": ({"type": int, "help": "noise seed override"}, "background.noise_seed"),
     "--jobs": ({"type": int, "help": "parallel workers for sweep"}, "sweep.jobs"),
 }
@@ -439,13 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    over = {}
-    for flag, (_, key) in _FLAGS.items():
-        value = getattr(args, flag[2:])
-        # unset is None (False for --whiten); `in (None, False)` would drop 0
-        if value is not None and value is not False:
-            over[key] = str(value)
-    return over
+    values = {key: getattr(args, flag[2:]) for flag, (_, key) in _FLAGS.items()}
+    return {key: str(value) for key, value in values.items() if value is not None}
 
 
 def main(argv=None) -> int:
@@ -455,10 +424,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, _overrides(args))
         stage, _ = _COMMANDS[args.command]
-        info = stage(cfg, run_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        record = stage(cfg, run_dir)
     except (IntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -475,7 +441,7 @@ def main(argv=None) -> int:
     _write_json(run_dir / f"timing_{args.command}.json",
                 {"command": args.command, "wall_time_s": elapsed})
     try:
-        for key, value in info.items():
+        for key, value in record.items():
             print(f"{key}: {value}")
         sys.stdout.flush()  # a closed pipe raises here, not at exit
     except BrokenPipeError:

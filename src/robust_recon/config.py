@@ -20,9 +20,9 @@ alpha_max_exp gives a non-finite weight 2^alpha_max_exp".
 validate_config then rejects NaN and +-inf in every float key and float
 tuple as ConfigError("<section>.<key>: must be finite"), except
 preprocess.b2_khz = inf (an open band), and checks the rest (solver method,
-alpha and epsilon; the phantom, background, preprocess, metrics scoring and
-sweep keys, and a bound of 2^24 sample points on voxels x
-phantom.subsamples^3) as ConfigError("<section>.<key>: <precondition>"); the
+alpha, and epsilon with its square; the phantom, background, preprocess,
+metrics scoring and sweep keys, and a bound of 2^24 sample points on voxels
+x phantom.subsamples^3) as ConfigError("<section>.<key>: <precondition>"); the
 same bound on shifts x voxels, the reference stack that evaluate and sweep
 build, is ConfigError("metrics: ...").
 """
@@ -97,13 +97,13 @@ class SolverSection:
     method: str = "l1-L"
     alpha: float = 1e-3
     epsilon: float = 1e-12
-    sweeps: int = 50
-    memory: int = 20
-    pgtol: float = 1e-10
-    max_iterations: int = 10000
-    row_order: str = "sequential"
-    seed: int = 0
-    projection: str = "sweep"
+    sweeps: int = SolverConfig.sweeps
+    memory: int = SolverConfig.memory
+    pgtol: float = SolverConfig.pgtol
+    max_iterations: int = SolverConfig.max_iterations
+    row_order: str = SolverConfig.row_order
+    seed: int = SolverConfig.seed
+    projection: str = SolverConfig.projection
 
 
 @dataclass
@@ -297,7 +297,10 @@ def validate_config(cfg: PipelineConfig) -> None:
     _require(sol.method in METHODS,
              f"solver.method: must be one of {', '.join(METHODS)}")
     _require(sol.alpha > 0, "solver.alpha: must be positive")
-    _require(sol.epsilon > 0, "solver.epsilon: must be positive")
+    # solvers.Objective squares it; a square of 0 makes a zero residual 0/0
+    _require(sol.epsilon > 0 and _finite(lambda: sol.epsilon * sol.epsilon)
+             and sol.epsilon * sol.epsilon > 0,
+             "solver.epsilon: must be positive, with a finite nonzero square")
 
     m = cfg.metrics
     _require(m.psnr_peak > 0, "metrics.psnr_peak: must be positive")

@@ -328,7 +328,7 @@ def lbfgsb(objective, cfg: SolverConfig | None = None,
             break  # no feasible movement along a descent direction
         a, f_new, g_new, _, ok = _wolfe_search(fun, x, d, f, g, slope, amax)
         if not ok:
-            if g_new is not None and f_new < f:
+            if f_new < f:
                 x = np.clip(x + a * d, lower, upper)
                 f, g = f_new, g_new
             break  # line-search failure: report the best iterate

@@ -530,6 +530,9 @@ def test_arithmetic_error_in_a_stage_exits_4(pipeline, tmp_path, capsys, monkeyp
     ("sweep.alpha_max_exp", "2000", "sweep", "non-finite weight 2^alpha_max_exp"),
     ("sweep.alpha_min_exp", "-1075", "sweep", "zero weight 2^alpha_min_exp"),
     ("sweep.alpha_min_exp", "1100", "sweep", "non-finite weight 2^alpha_min_exp"),
+    # the smoothed l1 term squares it: 1e-300 underflows to 0, 1e308 overflows
+    ("solver.epsilon", "1e-300", "solver.epsilon", "with a finite nonzero square"),
+    ("solver.epsilon", "1e308", "solver.epsilon", "with a finite nonzero square"),
 ])
 def test_config_value_bound_exits_2_at_load(key, value, named, message, tmp_path, capsys):
     # values whose derived quantities overflow or whose rasterization would
@@ -630,6 +633,36 @@ def parse_sweep_csv(path):
     rows = [[float(c) for c in line.split(",")] for line in lines[1:]]
     table = np.array(rows)
     return head, table[:, 0], table[:, 1:]
+
+
+@pytest.mark.parametrize("value", ["1e-300", "1e308"])
+def test_epsilon_square_bound_exits_2_in_every_stage(value, pipeline, tmp_path, capsys):
+    _, run = clone(pipeline, tmp_path)
+    cfg = write_config(tmp_path, {"solver.epsilon": value})
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    for command in cli._COMMANDS:
+        assert main([command, "--config", str(cfg), "--out", str(run)]) == 2, command
+        assert capsys.readouterr().err.startswith("error: solver.epsilon: "), command
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_stage_stdout_is_the_record_it_wrote(tmp_path, capsys):
+    # one "key: value" line per top-level key of the summary the stage wrote;
+    # simulate writes no summary and prints its scan counts
+    cfg = write_config(tmp_path, SWEEP_EXTRA)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 0
+    assert "voxels: 36" in capsys.readouterr().out.splitlines()
+    records = {"preprocess": "selection_report.json",
+               "reconstruct": "reconstruction_summary.json",
+               "evaluate": "quality_summary.json", "sweep": "sweep_summary.json"}
+    for command, name in records.items():
+        assert main([command, "--config", str(cfg), "--method", "l2-K",
+                     "--out", str(run)]) == 0, command
+        lines = capsys.readouterr().out.splitlines()
+        record = read_json(run / name)
+        assert sorted(line.split(": ", 1)[0] for line in lines) == sorted(record), command
+        assert sorted(lines) == sorted(f"{key}: {value}" for key, value in record.items())
 
 
 def test_sweep_tables_and_summary(pipeline, tmp_path):

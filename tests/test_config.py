@@ -168,8 +168,8 @@ def test_builders_return_the_configured_objects():
 
 def test_section_defaults_match_the_objects_they_configure():
     # the scanner and grid sections are the ScannerConfig and VoxelGrid
-    # themselves; the solver section keeps its own copy of the SolverConfig
-    # fields it shares
+    # themselves; the solver section takes the defaults of the fields it
+    # shares with SolverConfig from SolverConfig
     solver, section = SolverConfig(), SolverSection()
     shared = [f.name for f in fields(SolverConfig) if hasattr(section, f.name)]
     assert len(shared) == 7
