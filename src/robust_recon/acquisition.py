@@ -107,7 +107,8 @@ def make_background(coils: int, freq_count: int, period_ms: float,
     odd harmonics (1, 3, 5, ...) of every drive frequency, with random phases
     drawn from ``seed``. A fraction of all components (rounded) is flagged as
     outliers. ``drift_scale`` expresses the per-scan drift magnitude in units
-    of base_std.
+    of base_std. A drive frequency below one bin, round(f * period_ms) < 1,
+    raises ValueError.
     """
     if base_std < 0 or mean_peak < 0 or not 0 <= outlier_fraction <= 1:
         raise ValueError("invalid background profile parameters")
@@ -115,15 +116,12 @@ def make_background(coils: int, freq_count: int, period_ms: float,
     mean = np.zeros((coils, freq_count), dtype=np.complex128)
     for f in drive_frequencies_khz:
         base_bin = round(f * period_ms)
-        k = 0
-        while True:
-            h = 2 * k + 1
-            j = h * base_bin
-            if j >= freq_count:
-                break
+        if base_bin < 1:
+            raise ValueError(f"drive frequency {f} kHz is below one frequency bin")
+        # harmonic 2k + 1 sits at bin (2k + 1) * base_bin
+        for k, j in enumerate(range(base_bin, freq_count, 2 * base_bin)):
             phase = rng.uniform(0.0, 2.0 * np.pi, size=coils)
             mean[:, j] += mean_peak * mean_decay**k * np.exp(1j * phase)
-            k += 1
     total = coils * freq_count
     n_out = int(round(outlier_fraction * total))
     mask = np.zeros(total, dtype=bool)

@@ -9,13 +9,15 @@ element as (re, im); all other kinds are real. Readers validate magic,
 kind, dimension count and exact payload length and raise IntegrityError
 on any mismatch, so a truncated or bit-flipped file never parses.
 
-manifest.json maps artifact names to sha256 hex digests. It is written
-with sorted keys and no timestamps, so reruns with the same seed produce
-byte-identical bytes. Wall-clock timing lives in sidecar files that are
-deliberately not part of the manifest. A stage checks each input as it
-reads it (read_verified): kind and shape from the header before the
-payload, then the digest of every byte, then the finiteness of a spectrum
-set; nothing is returned before the digest has matched. verify_manifest
+manifest.json maps artifact names to sha256 hex digests. write_json writes
+it, the stage records and the timing sidecars in one format (sorted keys,
+two-space indent, final newline); the manifest and the records hold no
+timestamps, so reruns with the same seed produce byte-identical bytes.
+Wall-clock timing lives in sidecar files that are deliberately not part of
+the manifest. A stage checks each input as it reads it (read_verified):
+kind and shape from the header before the payload, then the digest of
+every byte, then the finiteness of a spectrum set; nothing is returned
+before the digest has matched. verify_manifest
 checks every recorded file of a run directory at once. Both readers run one
 chunked loop, which reads the payload straight into the returned array, or
 keeps only some bins of the last axis, so a caller that needs a frequency
@@ -51,6 +53,7 @@ __all__ = [
     "read_verified",
     "atomic_write_bytes",
     "atomic_write_text",
+    "write_json",
     "sha256_file",
     "MANIFEST_NAME",
     "write_manifest",
@@ -65,8 +68,7 @@ KIND_SPECTRUM_SET = 3
 KIND_IMAGE = 4
 
 _KIND_NDIM = {KIND_MATRIX: 2, KIND_VECTOR: 1, KIND_SPECTRUM_SET: 3, KIND_IMAGE: 3}
-_MAX_NDIM = 8
-_MAX_HEADER = 13 + 8 * _MAX_NDIM
+_MAX_HEADER = 13 + 8 * max(_KIND_NDIM.values())
 # entries of the first axis per chunk of a read: 2 MB of a 2-coil,
 # 1025-bin spectrum set
 _CHUNK_ROWS = 64
@@ -103,6 +105,13 @@ def _write_chunks(path, chunks) -> str:
 
 def atomic_write_text(path, text: str) -> str:
     return atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_json(path, payload) -> str:
+    """Write ``payload`` as JSON with sorted keys, two-space indent and a
+    final newline, the one format of every JSON file in a run directory.
+    Returns the sha256 hex digest of the file."""
+    return atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_artifact(path, kind: int, array: np.ndarray) -> str:
@@ -247,7 +256,7 @@ def _parse_header(data, name: str, size: int):
     if kind not in _KIND_NDIM:
         raise IntegrityError(f"{name}: unknown artifact kind {kind}")
     (ndim,) = struct.unpack_from("<Q", data, 5)
-    if ndim != _KIND_NDIM[kind] or ndim > _MAX_NDIM:
+    if ndim != _KIND_NDIM[kind]:
         raise IntegrityError(f"{name}: kind {kind} with {ndim} dims")
     offset = 13
     if len(data) < offset + 8 * ndim:
@@ -272,14 +281,9 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _manifest_bytes(entries: dict) -> bytes:
-    return (json.dumps({"files": dict(sorted(entries.items()))}, indent=2,
-                       sort_keys=True) + "\n").encode("utf-8")
-
-
 def write_manifest(directory, entries: dict) -> None:
     """Write {name: sha256} for a run directory, deterministically."""
-    atomic_write_bytes(Path(directory) / MANIFEST_NAME, _manifest_bytes(entries))
+    write_json(Path(directory) / MANIFEST_NAME, {"files": entries})
 
 
 def load_manifest(directory) -> dict:

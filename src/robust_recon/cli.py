@@ -5,12 +5,14 @@ scanner artifacts, preprocess turns them into a reduced real system,
 reconstruct solves it, evaluate scores the image against the generating
 geometry, sweep maps quality over the regularization grid. Each stage
 reads its inputs through artifacts.read_verified, which checks each one's
-shape against the config and its sha256 against the manifest, and then
-extends the manifest with what it writes. So a corrupted, hand-edited or
-mismatched run directory fails loudly instead of producing plausible
-images. A stage returns the record it wrote, which main prints as one
-"key: value" line per top-level key; simulate, which writes no summary,
-prints its scan counts.
+shape against the config and its sha256 against the manifest. So a
+corrupted, hand-edited or mismatched run directory fails loudly instead of
+producing plausible images. A stage writes its artifacts and returns
+(record, {name: sha256} of what it wrote); main is the one bookkeeper of
+the run directory: it writes the record to the stage's file in _COMMANDS
+(simulate has none), extends the manifest with the stage's digests and the
+record's, writes the timing sidecar and prints the record as one
+"key: value" line per top-level key.
 
 Exit codes: 0 success, 2 invalid config or arguments (a ValueError, such as
 ConfigError), 3 I/O or integrity failure, 4 numerical failure: a
@@ -20,19 +22,19 @@ prints "error: <command>: <message>", with the exception type before the
 message of an ArithmeticError; simulate checks its spectra before writing,
 so it never writes non-finite artifacts, and simulate and preprocess
 silence numpy's overflow warnings, so an overflow surfaces as that error.
-The subcommands, their stage functions and help lines are one table,
-_COMMANDS; the override flags and the config keys they set are another,
-_FLAGS. Every CSV is written by _write_csv. Wall-clock timing goes to a
-timing_*.json sidecar that is intentionally absent from the manifest: with
-a fixed seed, rerunning a stage must reproduce every hashed byte. A stage
-whose stdout is closed (robust-recon ... | head -1) still exits 0, with
-nothing on stderr.
+The subcommands, their stage functions, record files and help lines are
+one table, _COMMANDS; the override flags and the config keys they set are
+another, _FLAGS. Every CSV is written by _write_csv and every JSON file by
+artifacts.write_json. Wall-clock timing goes to a timing_*.json sidecar
+that is intentionally absent from the manifest: with a fixed seed,
+rerunning a stage must reproduce every hashed byte. A stage whose stdout
+is closed (robust-recon ... | head -1) still exits 0, with nothing on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -62,23 +64,11 @@ QUALITY_SUMMARY = "quality_summary.json"
 SWEEP_SUMMARY = "sweep_summary.json"
 
 
-def _write_json(path, payload) -> str:
-    return artifacts.atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _write_csv(path, header, rows) -> str:
     """Comma-joined str() of each cell, header first. Cells are Python
     values (ndarray.tolist()), whose str() of a float is its repr."""
     lines = [",".join(str(cell) for cell in row) for row in [header, *rows]]
     return artifacts.atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _update_manifest(run_dir: Path, digests: dict) -> None:
-    """Record {name: sha256} of the files a stage has just written."""
-    manifest = run_dir / artifacts.MANIFEST_NAME
-    entries = artifacts.load_manifest(run_dir) if manifest.exists() else {}
-    entries.update(digests)
-    artifacts.write_manifest(run_dir, entries)
 
 
 def _require_finite(name: str, spectra: np.ndarray) -> None:
@@ -89,7 +79,7 @@ def _require_finite(name: str, spectra: np.ndarray) -> None:
             raise NumericalError(f"{name}: spectra hold non-finite values")
 
 
-def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
+def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
     """Simulate the scanner and write the four raw artifacts.
 
     system_matrix.rrc holds the raw calibration scans (one delta sample per
@@ -146,7 +136,6 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
                                                  array)
     digests[PHANTOM] = artifacts.write_artifact(run_dir / PHANTOM, artifacts.KIND_IMAGE,
                                                 phantom.values)
-    _update_manifest(run_dir, digests)
     return {
         "voxels": m,
         "calibration_scans": int(calib_idx.size),
@@ -154,10 +143,10 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> dict:
         "scans_per_bracket": q,
         "coils": scanner.coils,
         "frequency_bins": scanner.freq_count,
-    }
+    }, digests
 
 
-def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
+def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
     """Score, select, correct, whiten (optionally) and scale: raw scans in,
     reduced real system out, through preprocess.reduce_scans. Each input is
     read by read_verified against the shape the config and the schedule
@@ -205,9 +194,7 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> dict:
         "empty_scans": int(empty_idx.size),
         "calibration_concentration": cfg.background.calibration_concentration,
     }
-    digests[SELECTION_REPORT] = _write_json(run_dir / SELECTION_REPORT, report)
-    _update_manifest(run_dir, digests)
-    return report
+    return report, digests
 
 
 def _load_reduced(run_dir: Path, voxel_count: int) -> preprocess.ReducedSystem:
@@ -217,7 +204,7 @@ def _load_reduced(run_dir: Path, voxel_count: int) -> preprocess.ReducedSystem:
     return preprocess.ReducedSystem(a, y)
 
 
-def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> dict:
+def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
     grid = cfg.grid
     reduced = _load_reduced(run_dir, grid.voxel_count)
     sol = cfg.solver
@@ -237,11 +224,7 @@ def cmd_reconstruct(cfg: PipelineConfig, run_dir: Path) -> dict:
     }
     _, settings = solvers.METHODS[sol.method]
     summary.update((key, getattr(sol, key)) for key in settings)
-    _update_manifest(run_dir, {
-        RECONSTRUCTION: image_digest,
-        RECON_SUMMARY: _write_json(run_dir / RECON_SUMMARY, summary),
-    })
-    return summary
+    return summary, {RECONSTRUCTION: image_digest}
 
 
 def _reference_setup(cfg: PipelineConfig):
@@ -249,7 +232,7 @@ def _reference_setup(cfg: PipelineConfig):
     return grid, model.phantom_support(cfg.phantom.kind, grid), cfg.shift_grid()
 
 
-def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> dict:
+def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
     image = artifacts.read_verified(run_dir, RECONSTRUCTION, artifacts.KIND_IMAGE,
                                     cfg.grid.shape)
     grid, support, shift_grid = _reference_setup(cfg)
@@ -271,11 +254,7 @@ def cmd_evaluate(cfg: PipelineConfig, run_dir: Path) -> dict:
         "dynamic_range": cfg.metrics.dynamic_range,
         "shifts": len(rows),
     }
-    _update_manifest(run_dir, {
-        QUALITY_CSV: csv_digest,
-        QUALITY_SUMMARY: _write_json(run_dir / QUALITY_SUMMARY, summary),
-    })
-    return summary
+    return summary, {QUALITY_CSV: csv_digest}
 
 
 def _sweep_task(reduced: preprocess.ReducedSystem, stack: np.ndarray,
@@ -310,7 +289,7 @@ def _sweep_worker_task(alpha: float):
     return _sweep_task(*_worker_inputs, alpha)
 
 
-def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
+def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
     """Quality over the regularization grid.
 
     For Kaczmarz the table is (weights x sweep counts) from per-sweep
@@ -328,7 +307,8 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
     exps = list(range(sw.alpha_max_exp, sw.alpha_min_exp - 1, -1))
     alphas = [2.0 ** e for e in exps]
     # the pool starts every worker up front, so never more than the weights
-    jobs = min(sw.jobs, len(alphas))
+    # or the CPUs
+    jobs = min(sw.jobs, len(alphas), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_sweep_worker_init,
                                  initargs=(reduced, stack, cfg)) as pool:
@@ -344,7 +324,7 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
         col_name, columns = "sweeps", list(range(1, sw.max_sweeps + 1))
     else:
         col_name, columns = "column", ["value"]
-    written = {}
+    digests = {}
     for metric_name, table in (("psnr", psnr_table), ("ssim", ssim_table)):
         best = f"max_{metric_name}"
         files = {
@@ -356,7 +336,7 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
                 [col_name, best], zip(columns, table.max(axis=0).tolist())),
         }
         for name, (header, rows) in files.items():
-            written[name] = _write_csv(run_dir / name, header, rows)
+            digests[name] = _write_csv(run_dir / name, header, rows)
 
     def _best(table, at):
         return {"alpha": alphas[at[0]], col_name: columns[at[1]], "value": float(table[at])}
@@ -368,18 +348,19 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> dict:
         "best_psnr": _best(psnr_table, best_p),
         "best_ssim": _best(ssim_table, best_s),
     }
-    written[SWEEP_SUMMARY] = _write_json(run_dir / SWEEP_SUMMARY, summary)
-    _update_manifest(run_dir, written)
-    return summary
+    return summary, digests
 
 
-# The subcommands: the stage function each one runs and its --help line.
+# The subcommands: the stage function each one runs, the file main writes
+# its record to (None: simulate's record is printed only) and its --help line.
 _COMMANDS = {
-    "simulate": (cmd_simulate, "simulate scanner artifacts for one phantom"),
-    "preprocess": (cmd_preprocess, "select components and assemble the reduced system"),
-    "reconstruct": (cmd_reconstruct, "solve the reduced system for an image"),
-    "evaluate": (cmd_evaluate, "score a reconstruction against the phantom geometry"),
-    "sweep": (cmd_sweep, "map quality over the regularization grid"),
+    "simulate": (cmd_simulate, None, "simulate scanner artifacts for one phantom"),
+    "preprocess": (cmd_preprocess, SELECTION_REPORT,
+                   "select components and assemble the reduced system"),
+    "reconstruct": (cmd_reconstruct, RECON_SUMMARY, "solve the reduced system for an image"),
+    "evaluate": (cmd_evaluate, QUALITY_SUMMARY,
+                 "score a reconstruction against the phantom geometry"),
+    "sweep": (cmd_sweep, SWEEP_SUMMARY, "map quality over the regularization grid"),
 }
 
 
@@ -403,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulated scanner pipeline: robust image reconstruction "
                     "from frequency-component measurements")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="pipeline config file")
         for flag, (keywords, _) in _FLAGS.items():
@@ -423,8 +404,13 @@ def main(argv=None) -> int:
     run_dir = Path(args.out)
     try:
         cfg = load_config(args.config, _overrides(args))
-        stage, _ = _COMMANDS[args.command]
-        record = stage(cfg, run_dir)
+        stage, record_name, _ = _COMMANDS[args.command]
+        record, digests = stage(cfg, run_dir)
+        if record_name is not None:
+            digests[record_name] = artifacts.write_json(run_dir / record_name, record)
+        manifest = run_dir / artifacts.MANIFEST_NAME
+        entries = artifacts.load_manifest(run_dir) if manifest.exists() else {}
+        artifacts.write_manifest(run_dir, {**entries, **digests})
     except (IntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -438,8 +424,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start
-    _write_json(run_dir / f"timing_{args.command}.json",
-                {"command": args.command, "wall_time_s": elapsed})
+    artifacts.write_json(run_dir / f"timing_{args.command}.json",
+                         {"command": args.command, "wall_time_s": elapsed})
     try:
         for key, value in record.items():
             print(f"{key}: {value}")

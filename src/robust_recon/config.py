@@ -35,12 +35,11 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .metrics import ShiftGrid
-from .model import ScannerConfig, VoxelGrid
+from .model import PHANTOM_KINDS, ScannerConfig, VoxelGrid
 from .solvers import METHODS, SolverConfig
 
 __all__ = ["PipelineConfig", "load_config", "parse_config", "apply_overrides"]
 
-PHANTOM_KINDS = ("delta", "shape-cone", "resolution-tubes")
 # The most sample points, voxels x subsamples^3, that one rasterization of
 # the grid may test: 655x the default grid's 25,600. It also bounds the
 # reference stack, shifts x voxels, at 128 MB of float64.

@@ -42,6 +42,7 @@ __all__ = [
     "langevin",
     "rasterize_support",
     "rasterize_shifted",
+    "PHANTOM_KINDS",
     "phantom_support",
     "make_phantom",
     "simulate_system_matrix",
@@ -412,6 +413,10 @@ class Phantom:
 
     def flat(self) -> np.ndarray:
         return self.values.ravel()
+
+
+# The stock phantoms that phantom_support builds.
+PHANTOM_KINDS = ("delta", "shape-cone", "resolution-tubes")
 
 
 def phantom_support(kind: str, grid: VoxelGrid):

@@ -49,6 +49,13 @@ def test_make_background_harmonic_peaks():
     assert np.all(quiet == 0.0)
 
 
+@pytest.mark.parametrize("khz", [0.2, -15.625])
+def test_make_background_rejects_drive_frequency_below_one_bin(khz):
+    # such a frequency has no harmonic bin to stop at: it must raise, not hang
+    with pytest.raises(ValueError, match=f"drive frequency {khz} kHz"):
+        make_background(2, 65, 1.0, (khz,), 1.0, 10.0)
+
+
 def test_make_background_outlier_count_and_determinism():
     a = make_background(2, 200, 1.0, (25.0,), 1.0, 5.0, outlier_fraction=0.03, seed=3)
     b = make_background(2, 200, 1.0, (25.0,), 1.0, 5.0, outlier_fraction=0.03, seed=3)

@@ -93,15 +93,20 @@ def test_simulate_artifacts_and_manifest(pipeline, capsys, tmp_path):
     artifacts.verify_manifest(run)
 
 
-def test_manifest_digests_match_files_on_disk(pipeline, tmp_path):
-    cfg, _ = pipeline
-    fresh = tmp_path / "fresh"
-    assert main(["simulate", "--config", str(cfg), "--out", str(fresh)]) == 0
-    _, run = clone(pipeline, tmp_path)
-    assert main(["evaluate", "--config", str(cfg), "--out", str(run)]) == 0
-    for directory in (fresh, run):
-        for name, digest in artifacts.load_manifest(directory).items():
-            assert digest == artifacts.sha256_file(directory / name)
+def test_manifest_digests_match_files_on_disk(tmp_path):
+    # main records every stage: each record file from _COMMANDS is in the
+    # manifest with its digest, and no timing sidecar is
+    cfg = write_config(tmp_path, SWEEP_EXTRA)
+    run = tmp_path / "run"
+    for command, (_, record_name, _) in cli._COMMANDS.items():
+        assert main([command, "--config", str(cfg), "--method", "l2-K",
+                     "--out", str(run)]) == 0, command
+        entries = artifacts.load_manifest(run)
+        for name, digest in entries.items():
+            assert digest == artifacts.sha256_file(run / name), name
+        assert record_name is None or record_name in entries, command
+        assert (run / f"timing_{command}.json").exists()
+        assert not [name for name in entries if name.startswith("timing_")]
 
 
 def test_simulate_deterministic_and_seed_sensitive(pipeline, tmp_path):
@@ -768,16 +773,18 @@ class RecordingPool:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("jobs, max_exp, workers", [
-    ("16", "0", 4),    # four weights: four workers, not sixteen
-    ("3", "-2", 2),    # two weights
-    ("4", "-3", None),  # one weight: serial, no pool
+@pytest.mark.parametrize("jobs, max_exp, cpus, workers", [
+    ("16", "0", 64, 4),    # four weights: four workers, not sixteen
+    ("3", "-2", 64, 2),    # two weights
+    ("4", "-3", 64, None),  # one weight: serial, no pool
+    ("16", "0", 2, 2),     # four weights on two CPUs: two workers
 ])
 def test_sweep_starts_at_most_one_worker_per_weight(pipeline, tmp_path, monkeypatch,
-                                                    jobs, max_exp, workers):
+                                                    jobs, max_exp, cpus, workers):
     calls = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor",
                         lambda **kw: RecordingPool(calls, **kw))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     cfg_dir = tmp_path / "cfg"
     cfg_dir.mkdir()
     cfg = write_config(cfg_dir, dict(SWEEP_EXTRA, **{"sweep.alpha_max_exp": max_exp}))
