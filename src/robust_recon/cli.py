@@ -11,8 +11,9 @@ producing plausible images. A stage writes its artifacts and returns
 (record, {name: sha256} of what it wrote); main is the one bookkeeper of
 the run directory: it writes the record to the stage's file in _COMMANDS
 (simulate has none), extends the manifest with the stage's digests and the
-record's, writes the timing sidecar and prints the record as one
-"key: value" line per top-level key.
+record's, writes the timing sidecar (inside the same error handling, so
+a failed write exits 3) and prints the record as one "key: value" line
+per top-level key.
 
 Exit codes: 0 success, 2 invalid config or arguments (a ValueError, such as
 ConfigError), 3 I/O or integrity failure, 4 numerical failure: a
@@ -263,15 +264,19 @@ def _sweep_task(reduced: preprocess.ReducedSystem, stack: np.ndarray,
 
     Solves through solvers.solve, as reconstruct does, and returns the (psnr,
     ssim) maxima over shifts of every Kaczmarz sweep snapshot or of the final
-    image. A NaN score survives the maximum, so cmd_sweep's first_argmax
-    rejects it.
+    image, and the number of SSIM cells scored exactly. Only the maxima are
+    kept, so metrics.ssim_max scores the cell at each image's PSNR-best
+    shift and then only the cells whose SSIM bound reaches it; the maxima
+    are those of the full ssim_table, bit for bit. A NaN score survives the
+    maximum, so cmd_sweep's first_argmax rejects it.
     """
     sol = cfg.solver
     scfg = cfg.solver_config(sweeps=cfg.sweep.max_sweeps, record_snapshots=True)
     result = solvers.solve(reduced, sol.method, alpha, sol.epsilon, scfg)
     images = np.stack(result.snapshots or [result.x]).reshape((-1,) + stack.shape[1:])
-    return (metrics.psnr_table(images, stack, cfg.metrics.psnr_peak).max(axis=1),
-            metrics.ssim_table(images, stack, cfg.metrics.dynamic_range).max(axis=1))
+    psnr = metrics.psnr_table(images, stack, cfg.metrics.psnr_peak)
+    ssim, scored = metrics.ssim_max(images, stack, cfg.metrics.dynamic_range, psnr)
+    return psnr.max(axis=1), ssim, scored
 
 
 # The inputs of _sweep_task in a sweep pool worker, set once per worker by
@@ -317,6 +322,7 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
         results = [_sweep_task(reduced, stack, cfg, alpha) for alpha in alphas]
     psnr_table = np.stack([r[0] for r in results])
     ssim_table = np.stack([r[1] for r in results])
+    ssim_cells_scored = sum(r[2] for r in results)
     best_p = metrics.first_argmax(psnr_table)
     best_s = metrics.first_argmax(ssim_table)
     kind, _ = solvers.METHODS[sol.method]
@@ -347,6 +353,8 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
         "columns": len(columns),
         "best_psnr": _best(psnr_table, best_p),
         "best_ssim": _best(ssim_table, best_s),
+        "ssim_cells": ssim_table.size * stack.shape[0],
+        "ssim_cells_scored": ssim_cells_scored,
     }
     return summary, digests
 
@@ -411,6 +419,9 @@ def main(argv=None) -> int:
         manifest = run_dir / artifacts.MANIFEST_NAME
         entries = artifacts.load_manifest(run_dir) if manifest.exists() else {}
         artifacts.write_manifest(run_dir, {**entries, **digests})
+        artifacts.write_json(run_dir / f"timing_{args.command}.json",
+                             {"command": args.command,
+                              "wall_time_s": time.perf_counter() - start})
     except (IntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -423,9 +434,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - start
-    artifacts.write_json(run_dir / f"timing_{args.command}.json",
-                         {"command": args.command, "wall_time_s": elapsed})
     try:
         for key, value in record.items():
             print(f"{key}: {value}")

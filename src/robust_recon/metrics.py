@@ -10,7 +10,11 @@ rasterizing its shift on its own and, at zero shift, to the phantom.
 Scores are tabulated (images x shifts) by psnr_table and ssim_table; the
 best cell is the first maximum in row-major order (ties resolve to the
 first shift in lexicographic order), and a table holding a NaN raises
-NumericalError instead of naming a best cell. shift_max_metric scores one
+NumericalError instead of naming a best cell. Where only each image's
+maximum over shifts is wanted, ssim_max returns the SSIM table's row
+maxima bit for bit but scores exactly only the cell at the image's
+PSNR-best shift and the cells whose Cauchy-Schwarz bound, computed from
+the filtered moments alone, can reach that score. shift_max_metric scores one
 image and returns its ShiftMetricResult (the best value, its shift and the
 per-shift table); quality_report returns the (psnr, ssim) pair of them
 over one reference stack.
@@ -45,6 +49,7 @@ __all__ = [
     "ssim",
     "psnr_table",
     "ssim_table",
+    "ssim_max",
     "first_argmax",
     "shift_max_metric",
     "quality_report",
@@ -225,54 +230,157 @@ def _filter3(volume: np.ndarray, window: np.ndarray, work: dict | None = None) -
     return out
 
 
-def ssim_table(images, stack, dynamic_range: float) -> np.ndarray:
-    """SSIM (see ssim) of each (nx, ny, nz) image against each reference
-    volume: an (n, k) table. Image moments are filtered once, all images in
-    one call; reference moments once per chunk of the stack (at most
-    _CHUNK_VOXELS = 2^15 reference voxels, so a chunk's arrays stay in
-    cache and are reused for every image); only the cross moment is per
-    pair. Every line is filtered on its own and every voxel's formula runs
-    in the same order, so neither chunking nor batching changes a bit."""
+def _ssim_batch(images, stack, dynamic_range: float):
+    """The checked (images, stack) batch and SSIM's (C1, C2)."""
     images, stack = _batch(images, stack)
     if stack.ndim != 4:
         raise ValueError("ssim expects (nx, ny, nz) volumes")
     if dynamic_range <= 0:
         raise ValueError("dynamic range must be positive")
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
-    mu_x = _filter3(images, _SSIM_WEIGHTS)
-    mu_x2 = mu_x * mu_x
-    var_x = _filter3(images * images, _SSIM_WEIGHTS) - mu_x2
-    twice_mu_x = 2.0 * mu_x
+    return images, stack, (0.01 * dynamic_range) ** 2, (0.03 * dynamic_range) ** 2
+
+
+def _ssim_moments(volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Filtered mean, its square and the variance of each volume, filtered
+    a chunk at a time through one work dict, so its arrays stay in cache."""
+    mu, mu2, var = (np.empty(volumes.shape) for _ in range(3))
+    work = {}
+    for part in _chunks(volumes.shape[0], volumes.shape[1:]):
+        chunk = volumes[part]
+        mu[part] = _filter3(chunk, _SSIM_WEIGHTS, work)
+        np.multiply(mu[part], mu[part], out=mu2[part])
+        var[part] = _filter3(np.multiply(chunk, chunk, out=_scratch(work, "sq", chunk.shape)),
+                             _SSIM_WEIGHTS, work)
+        var[part] -= mu2[part]
+    return mu, mu2, var
+
+
+def _ssim_cells(x, x_moments, refs, ref_moments, c1: float, c2: float,
+                work: dict) -> np.ndarray:
+    """Mean SSIM of x against each of the (count, nx, ny, nz) refs, with
+    the moments of each from _ssim_moments. x and its moments are one
+    image, broadcast against every reference, or one image per reference.
+    Every voxel's formula runs in the same order either way, so a cell's
+    bits depend only on its pair."""
+    mu_x, mu_x2, var_x = x_moments
+    mu_r, mu_r2, var_r = ref_moments
+    prod, num, den = (_scratch(work, key, refs.shape) for key in ("prod", "num", "den"))
+    # (2 mu_x mu_r + c1)(2 cov + c2) / ((mu_x^2 + mu_r^2 + c1)(var_x + var_r + c2)),
+    # each product and sum in that order, into reused arrays
+    cov = _filter3(np.multiply(x, refs, out=prod), _SSIM_WEIGHTS, work)
+    cov -= np.multiply(mu_x, mu_r, out=num)
+    cov *= 2.0
+    cov += c2
+    np.multiply(2.0 * mu_x, mu_r, out=num)
+    num += c1
+    num *= cov
+    np.add(mu_x2, mu_r2, out=den)
+    den += c1
+    np.add(var_x, var_r, out=cov)
+    cov += c2
+    den *= cov
+    num /= den
+    return num.reshape(refs.shape[0], -1).mean(axis=1)
+
+
+def _chunks(count: int, shape: tuple):
+    """Slices of count volumes of this shape, at most _CHUNK_VOXELS voxels
+    each (one volume at least)."""
+    step = max(1, _CHUNK_VOXELS // max(1, math.prod(shape)))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def ssim_table(images, stack, dynamic_range: float) -> np.ndarray:
+    """SSIM (see ssim) of each (nx, ny, nz) image against each reference
+    volume: an (n, k) table. Moments are filtered once per image and once
+    per reference; only the cross moment is per pair, computed a chunk of
+    the stack at a time (at most _CHUNK_VOXELS = 2^15 reference voxels, so
+    a chunk's arrays stay in cache and are reused for every image). Every
+    line is filtered on its own and every voxel's formula runs in the same
+    order, so neither chunking nor batching changes a bit."""
+    images, stack, c1, c2 = _ssim_batch(images, stack, dynamic_range)
+    x_moments, ref_moments = _ssim_moments(images), _ssim_moments(stack)
     table = np.empty((images.shape[0], stack.shape[0]))
-    step = max(1, _CHUNK_VOXELS // max(1, int(np.prod(stack.shape[1:]))))
-    work_mu, work_var, work = {}, {}, {}
-    for lo in range(0, stack.shape[0], step):
-        part = slice(lo, lo + step)
-        refs = stack[part]
-        mu_r = _filter3(refs, _SSIM_WEIGHTS, work_mu)
-        mu_r2 = mu_r * mu_r
-        var_r = _filter3(refs * refs, _SSIM_WEIGHTS, work_var)
-        var_r -= mu_r2
-        prod, num, den = np.empty_like(refs), np.empty_like(mu_r), np.empty_like(mu_r)
+    work = {}
+    for part in _chunks(stack.shape[0], stack.shape[1:]):
+        part_moments = [m[part] for m in ref_moments]
         for i, x in enumerate(images):
-            # (2 mu_x mu_r + c1)(2 cov + c2) / ((mu_x^2 + mu_r^2 + c1)(var_x + var_r + c2)),
-            # each product and sum in that order, into reused arrays
-            cov = _filter3(np.multiply(x, refs, out=prod), _SSIM_WEIGHTS, work)
-            cov -= np.multiply(mu_x[i], mu_r, out=num)
-            cov *= 2.0
-            cov += c2
-            np.multiply(twice_mu_x[i], mu_r, out=num)
-            num += c1
-            num *= cov
-            np.add(mu_x2[i], mu_r2, out=den)
-            den += c1
-            np.add(var_x[i], var_r, out=cov)
-            cov += c2
-            den *= cov
-            num /= den
-            table[i, part] = num.reshape(refs.shape[0], -1).mean(axis=1)
+            table[i, part] = _ssim_cells(x, [m[i] for m in x_moments], stack[part],
+                                         part_moments, c1, c2, work)
     return table
+
+
+def _ssim_bound(x_moments, ref_moments, c1: float, c2: float) -> np.ndarray:
+    """(n, k) upper bounds on the ssim_table cells, from the moments alone.
+
+    With sigma = sqrt(max(var, 0)), Cauchy-Schwarz gives |cov| <=
+    sigma_x sigma_r (Wang et al., IEEE TIP 2004), so each voxel's SSIM is
+    at most |l| (2 sigma_x sigma_r + C2) / (sigma_x^2 + sigma_r^2 + C2),
+    with l = (2 mu_x mu_r + C1) / (mu_x^2 + mu_r^2 + C1), up to rounding.
+    Computed a chunk of references at a time, into reused arrays."""
+    mu_x, mu_x2, var_x = x_moments
+    mu_r, mu_r2, var_r = ref_moments
+    twice_mu_x, lum_x = 2.0 * mu_x, mu_x2 + c1
+    var_x = np.maximum(var_x, 0.0)
+    twice_sigma_x, con_x = 2.0 * np.sqrt(var_x), var_x + c2
+    var_r = np.maximum(var_r, 0.0)
+    sigma_r = np.sqrt(var_r)
+    bound = np.empty((mu_x.shape[0], mu_r.shape[0]))
+    work = {}
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite moments give NaN
+        for part in _chunks(mu_r.shape[0], mu_r.shape[1:]):
+            shape = mu_r[part].shape
+            a, b = _scratch(work, "a", shape), _scratch(work, "b", shape)
+            for i in range(mu_x.shape[0]):
+                np.multiply(twice_mu_x[i], mu_r[part], out=a)
+                a += c1
+                np.abs(a, out=a)
+                a /= np.add(lum_x[i], mu_r2[part], out=b)
+                np.multiply(twice_sigma_x[i], sigma_r[part], out=b)
+                b += c2
+                a *= b
+                a /= np.add(con_x[i], var_r[part], out=b)
+                bound[i, part] = a.reshape(shape[0], -1).mean(axis=1)
+    return bound
+
+
+def ssim_max(images, stack, dynamic_range: float, psnr_cells) -> tuple[np.ndarray, int]:
+    """(ssim_table(images, stack, dynamic_range).max(axis=1), cells scored),
+    the maxima bit for bit, without scoring every cell.
+
+    psnr_cells is the psnr_table of the same images and stack. Per image,
+    the cell at its PSNR-best shift is scored exactly first; every other
+    cell is scored only where _ssim_bound does not rule it out, that is
+    where not (bound < that score - 1e-9). A NaN bound or score therefore
+    gets its row scored, and its NaN maximum survives. Cells are scored by
+    the one formula ssim_table runs, on the same moments, and depend on
+    nothing but their pair, so the maxima equal the full table's. The count
+    includes the per-image cells."""
+    images, stack, c1, c2 = _ssim_batch(images, stack, dynamic_range)
+    psnr_cells = np.asarray(psnr_cells)
+    n, k = images.shape[0], stack.shape[0]
+    if psnr_cells.shape != (n, k):
+        raise ValueError("psnr table does not match the images and the stack")
+    x_moments, ref_moments = _ssim_moments(images), _ssim_moments(stack)
+    # a cell left unscored is below its row's incumbent, so -inf in its
+    # place changes no maximum
+    table = np.full((n, k), -np.inf)
+    work = {}
+
+    def score(rows, cols):
+        for part in _chunks(rows.size, stack.shape[1:]):
+            i, j = rows[part], cols[part]
+            table[i, j] = _ssim_cells(images[i], [m[i] for m in x_moments], stack[j],
+                                      [m[j] for m in ref_moments], c1, c2, work)
+
+    rows, best = np.arange(n), np.argmax(psnr_cells, axis=1)
+    score(rows, best)
+    todo = ~(_ssim_bound(x_moments, ref_moments, c1, c2)
+             < table[rows, best][:, None] - 1e-9)
+    todo[rows, best] = False
+    rows, cols = np.nonzero(todo)
+    score(rows, cols)
+    return table.max(axis=1), n + rows.size
 
 
 def ssim(image: np.ndarray, reference: np.ndarray, dynamic_range: float) -> float:

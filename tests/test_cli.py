@@ -93,6 +93,21 @@ def test_simulate_artifacts_and_manifest(pipeline, capsys, tmp_path):
     artifacts.verify_manifest(run)
 
 
+def test_unwritable_timing_sidecar_exits_3(tmp_path, capsys):
+    # the sidecar is written inside the error handling: a directory in its
+    # place is an I/O failure like any other, after the stage's files
+    cfg = write_config(tmp_path)
+    run = tmp_path / "run"
+    (run / "timing_simulate.json").mkdir(parents=True)
+    assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "timing_simulate.json" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    artifacts.verify_manifest(run)
+    assert set(artifacts.load_manifest(run)) == {"system_matrix.rrc", "empty_scans.rrc",
+                                                 "measurement.rrc", "phantom.rrc"}
+
+
 def test_manifest_digests_match_files_on_disk(tmp_path):
     # main records every stage: each record file from _COMMANDS is in the
     # manifest with its digest, and no timing sidecar is
@@ -691,6 +706,10 @@ def test_sweep_tables_and_summary(pipeline, tmp_path):
     i, j = np.unravel_index(np.argmax(table), table.shape)
     assert summary["best_psnr"]["alpha"] == alphas[i]
     assert summary["best_psnr"]["sweeps"] == j + 1
+    # 4 weights x 6 snapshots x 25 shifts; each snapshot's PSNR-best cell
+    # is always scored
+    assert summary["ssim_cells"] == 4 * 6 * 25
+    assert 4 * 6 <= summary["ssim_cells_scored"] <= summary["ssim_cells"]
     manifest = artifacts.load_manifest(run)
     for name in ("sweep_psnr.csv", "sweep_psnr_row_max.csv",
                  "sweep_psnr_col_max.csv", "sweep_ssim.csv",
@@ -750,6 +769,40 @@ def test_sweep_parallel_workers_match_serial(pipeline, tmp_path):
                  "--jobs", "2", "--out", str(parallel)]) == 0
     for name in ("sweep_psnr.csv", "sweep_ssim.csv", "sweep_summary.json"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+@pytest.mark.parametrize("kind, method", [("resolution-tubes", "l2-K"),
+                                          ("shape-cone", "l2-L")])
+def test_sweep_bytes_equal_full_ssim_table_oracle(kind, method, tmp_path, monkeypatch):
+    # the pruned SSIM maxima, serial and in two workers, against the sweep
+    # scored through the full table; at this grid and these weights the
+    # bound rules out some cells
+    cfg = write_config(tmp_path, dict(SWEEP_EXTRA, **{
+        "phantom.kind": kind, "grid.shape": "10,10,1",
+        "sweep.alpha_max_exp": "-4", "sweep.alpha_min_exp": "-7"}))
+    base = tmp_path / "base"
+    for command in ("simulate", "preprocess"):
+        assert main([command, "--config", str(cfg), "--out", str(base)]) == 0
+    runs = {}
+    for name, jobs in (("oracle", "1"), ("serial", "1"), ("pooled", "2")):
+        runs[name] = tmp_path / name
+        shutil.copytree(base, runs[name])
+        with monkeypatch.context() as patch:
+            if name == "oracle":
+                patch.setattr(metrics, "ssim_max", lambda images, stack, dynamic_range, _: (
+                    metrics.ssim_table(images, stack, dynamic_range).max(axis=1),
+                    len(images) * len(stack)))
+            assert main(["sweep", "--config", str(cfg), "--method", method,
+                         "--jobs", jobs, "--out", str(runs[name])]) == 0
+    summaries = {name: read_json(run / "sweep_summary.json") for name, run in runs.items()}
+    for name in ("serial", "pooled"):
+        for path in sorted(runs["oracle"].glob("sweep_*.csv")):
+            assert (runs[name] / path.name).read_bytes() == path.read_bytes(), (name, path)
+        for key in ("best_psnr", "best_ssim", "ssim_cells"):
+            assert summaries[name][key] == summaries["oracle"][key], (name, key)
+    assert len(list(runs["oracle"].glob("sweep_*.csv"))) == 6
+    assert summaries["serial"] == summaries["pooled"]
+    assert summaries["serial"]["ssim_cells_scored"] < summaries["serial"]["ssim_cells"]
 
 
 class RecordingPool:

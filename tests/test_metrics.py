@@ -14,6 +14,7 @@ from robust_recon.metrics import (
     reference_stack,
     shift_max_metric,
     ssim,
+    ssim_max,
     ssim_table,
 )
 from robust_recon.model import BoxSupport, VoxelGrid, make_phantom
@@ -363,6 +364,71 @@ def test_ssim_table_independent_of_chunks_and_batching(monkeypatch, shape, count
             assert ssim_table(images, stack, 7.3).tobytes() == want.tobytes()
             rows = np.concatenate([ssim_table(x[None], stack, 7.3) for x in images])
             assert rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", model.PHANTOM_KINDS)
+@pytest.mark.parametrize("shape, extent", [((12, 10, 1), (1.5, 1.0, 0.0)),
+                                           ((7, 6, 5), (1.0, 0.5, 0.5))])
+def test_ssim_max_equals_full_table_row_maxima(monkeypatch, kind, shape, extent):
+    # the pruned maxima against the full table, bit for bit: noisy and
+    # shifted references, scaled, negated and flat images, a NaN and an
+    # inf voxel
+    grid = VoxelGrid(shape, (1.0, 1.0, 1.0))
+    stack = reference_stack(model.phantom_support(kind, grid), grid,
+                            ShiftGrid(extent, 0.5), 50.0)
+    rng = np.random.default_rng(len(kind) + shape[2])
+    picks = stack[rng.integers(0, len(stack), 6)]
+    images = np.concatenate([
+        np.clip(picks + rng.normal(0.0, 4.0, picks.shape), 0.0, None),
+        np.clip(picks + rng.normal(0.0, 25.0, picks.shape), 0.0, None),
+        0.5 * picks + 10.0,
+        -picks[:2],  # a negative mean turns the luminance term negative
+        rng.uniform(0.0, 100.0, (2,) + shape),
+        np.full((1,) + shape, 54.1),  # its variance rounds below 0
+        np.full((1,) + shape, 12.9),  # and this one's above
+        np.zeros((1,) + shape),
+    ])
+    var = metrics._ssim_moments(images[-3:-1])[2]
+    assert (var[0] < 0).any() and (var[1] > 0).any()
+    bad = np.repeat(images[:1], 2, axis=0)
+    bad[0, 0, 0, 0], bad[1, -1, -1, -1] = np.nan, np.inf
+    images = np.concatenate([images, bad])
+    with np.errstate(invalid="ignore"):  # inf - inf in the inf image's moments
+        cells = psnr_table(images, stack, 100.0)
+        want = ssim_table(images, stack, 7.3)
+        for chunk in (401, metrics._CHUNK_VOXELS):
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "_CHUNK_VOXELS", chunk)
+                got, scored = ssim_max(images, stack, 7.3, cells)
+                assert got.tobytes() == want.max(axis=1).tobytes()
+                assert len(images) <= scored < want.size
+        moments = [metrics._ssim_moments(v) for v in (images, stack)]
+        bound = metrics._ssim_bound(*moments, (0.01 * 7.3) ** 2, (0.03 * 7.3) ** 2)
+    finite = np.isfinite(want)
+    assert not (bound[finite] < want[finite] - 1e-9).any()
+    assert np.isnan(bound[~finite]).all() and (~finite).sum() == 2 * len(stack)
+    assert np.isnan(got[-2:]).all()
+    # the PSNR-best shift is not always the SSIM-best one
+    assert (cells.argmax(axis=1) != want.argmax(axis=1))[finite.all(axis=1)].any()
+
+
+def test_ssim_max_scores_nan_rows_in_full_and_checks_shapes():
+    grid = VoxelGrid((6, 6, 1), (1.0, 1.0, 1.0))
+    stack = reference_stack(model.phantom_support("shape-cone", grid), grid,
+                            ShiftGrid((1.0, 1.0, 0.0), 0.5), 50.0)
+    image = stack[:1].copy()
+    _, scored = ssim_max(image, stack, 100.0, psnr_table(image, stack, 100.0))
+    assert scored < len(stack)
+    image[0, 2, 2, 0] = np.nan
+    cells = psnr_table(image, stack, 100.0)
+    got, scored = ssim_max(image, stack, 100.0, cells)
+    assert np.isnan(got).all() and scored == len(stack)
+    with pytest.raises(NumericalError):
+        first_argmax(got)
+    with pytest.raises(ValueError):
+        ssim_max(image, stack, 100.0, cells[:, 1:])
+    with pytest.raises(ValueError):
+        ssim_max(image, stack, 0.0, cells)
 
 
 def cone_setup():
