@@ -29,7 +29,9 @@ def acquire(scanner, grid, system, phantom):
     meas = acquisition.draw_phantom_measurement(system, phantom, bg, 3000,
                                                 int(empty_idx[-1]) + 1, 1)
     band = preprocess.band_pass(scanner.freq_count, scanner.period_ms, 80.0, 625.0)
-    reduced, _ = preprocess.reduce_scans(calib[:, :, band], empties, meas.spectrum, q, band,
+    # the band with the scan axis last, as reduce_scans takes (and overwrites) it
+    calib_band = calib[:, :, band].transpose(1, 2, 0).copy()
+    reduced, _ = preprocess.reduce_scans(calib_band, empties, meas.spectrum, q, band,
                                          0.0, 100.0)
     return reduced, bg
 

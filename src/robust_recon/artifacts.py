@@ -182,9 +182,11 @@ def read_verified(run_dir, name: str, kind: int, shape=None, bins=None) -> np.nd
 
     With ``bins``, an index or slice of the last axis (the frequency bins of
     a spectrum set; cli passes band_pass's run of bins as a slice), returns
-    a new array equal to ``read_verified(...)[..., bins]`` and never holds
-    the whole payload: the file is read _CHUNK_ROWS entries of the first
-    axis at a time into one reused buffer and only the bins are copied out.
+    a new C-contiguous array equal to
+    ``np.moveaxis(read_verified(...)[..., bins], 0, -1)``, the first axis
+    moved last: (coils, bins, scans) for a spectrum set. It never holds the
+    whole payload: the file is read _CHUNK_ROWS entries of the first axis at
+    a time into one reused buffer and only the bins are copied out.
     """
     run_dir = Path(run_dir)
     entries = load_manifest(run_dir)
@@ -204,7 +206,8 @@ def _read(path, name: str, kind=None, shape=None, bins=None):
     against ``kind`` and ``shape`` (None skips either), then the payload is
     read _CHUNK_ROWS entries of the first axis at a time: straight into the
     returned array, or with ``bins`` into one reused buffer whose bins are
-    copied out. Both are allocated by numpy in the payload dtype, so they
+    copied out into the returned array, the first axis last. Both are
+    allocated by numpy in the payload dtype, so they
     are aligned for numpy's fast (and BLAS) loops."""
     with open(path, "rb") as fh:
         head = fh.read(_MAX_HEADER)
@@ -221,7 +224,8 @@ def _read(path, name: str, kind=None, shape=None, bins=None):
         if bins is None:
             out = np.empty(dims, dtype=dtype)
         else:
-            out = np.empty(dims[:-1] + (np.arange(dims[-1])[bins].size,), dtype=dtype)
+            out = np.empty(dims[1:-1] + (np.arange(dims[-1])[bins].size, dims[0]),
+                           dtype=dtype)
             buf = np.empty((min(_CHUNK_ROWS, dims[0]),) + dims[1:], dtype=dtype)
         finite = True
         for lo in range(0, dims[0], _CHUNK_ROWS):
@@ -234,7 +238,7 @@ def _read(path, name: str, kind=None, shape=None, bins=None):
             if found == KIND_SPECTRUM_SET:
                 finite = finite and bool(np.isfinite(chunk).all())
             if buf is not None:
-                out[lo:hi] = chunk[..., bins]
+                out[..., lo:hi] = np.moveaxis(chunk[..., bins], 0, -1)
         if fh.read(1):
             raise IntegrityError(f"{name}: bytes past the payload")
     return digest.hexdigest(), found, out.astype(dtype.newbyteorder("="), copy=False), finite

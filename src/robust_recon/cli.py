@@ -153,8 +153,8 @@ def cmd_preprocess(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
     read by read_verified against the shape the config and the schedule
     give it, hashed and finite-checked in every bin. Of the calibration
     scans only the band's bins are kept: system_matrix.rrc is read in
-    chunks and only the band is copied out, which reduce_scans corrects in
-    place."""
+    chunks and only the band is copied out, scans last, which reduce_scans
+    corrects in place and builds the reduced matrix inside."""
     scanner = cfg.scanner
     coils, freqs = scanner.coils, scanner.freq_count
     m = cfg.grid.voxel_count

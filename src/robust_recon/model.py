@@ -56,10 +56,13 @@ CORE_SATURATION_T = 0.6
 # this many points, handing support.contains _CONTAINS_POINTS per call.
 _LATTICE_POINTS = 1 << 22
 _CONTAINS_POINTS = 1 << 14
-# simulate_system_matrix samples this many voxels at a time: at 2048
-# samples per period one chunk's field arrays (about 1 MB each) stay in L2.
-# The chunk size does not change a bit of the result.
-_CHUNK_VOXELS = 64
+# simulate_system_matrix samples a chunk of this many voxel samples at a
+# time, at least one voxel: 16 voxels at 2048 samples per period. A chunk
+# holds about ten arrays of its size at once (the field components, |B|,
+# the Langevin terms and the complex spectra), 256 kB each in float64, so
+# its scratch stays near 2.7 MB at any grid size. The chunk size does not
+# change a bit of the result.
+_CHUNK_SAMPLES = 1 << 15
 
 
 def langevin(xi):
@@ -519,7 +522,7 @@ def simulate_system_matrix(cfg: ScannerConfig, grid: VoxelGrid) -> SystemMatrix:
     its one-sided Fourier coefficients form the matrix rows. Deterministic:
     no randomness enters here.
 
-    Voxels are processed _CHUNK_VOXELS at a time, one contiguous
+    Voxels are processed _CHUNK_SAMPLES // samples at a time, one contiguous
     (voxels, samples) array per field component, with |B| as
     sqrt(B_x*B_x + B_y*B_y): the sum np.linalg.norm forms over that axis.
     The returned data is C-contiguous (coils, freqs, voxels): apply's
@@ -554,8 +557,9 @@ def simulate_system_matrix(cfg: ScannerConfig, grid: VoxelGrid) -> SystemMatrix:
     freq_count = cfg.freq_count
     deriv = 1j * 2.0 * np.pi * np.arange(freq_count) * cfg.receiver_gain
     data = np.empty((cfg.dims, freq_count, m), dtype=np.complex128)
-    for start in range(0, m, _CHUNK_VOXELS):
-        stop = min(start + _CHUNK_VOXELS, m)
+    chunk = max(1, _CHUNK_SAMPLES // n)
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
         b = [static_all[start:stop, a, None] + d for a, d in enumerate(drive)]
         norm = np.sqrt(sum(b_a * b_a for b_a in b))
         ell = langevin(beta * norm)

@@ -13,8 +13,9 @@ component.
 
 reduce_scans runs the whole chain, as the pipeline does. It takes only
 the band's run of bins of the calibration scans (the pipeline reads no
-other bins of them), corrects that band in place, and gives the bits of the
-steps composed on the full arrays.
+other bins of them), corrects that band in place and builds the reduced
+matrix inside its buffer, and gives the bits of the steps composed on the
+full arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ __all__ = [
     "reduce_scans",
 ]
 
-# calibration scans per block of the SNR numerator
+# calibration scans per block of the SNR numerator; reduce_scans rounds it
+# down to whole brackets, at least one
 _SCORE_BLOCK = 64
 # components per block of the copy into A: a (64, voxels) gather temporary
 _ASSEMBLE_BLOCK = 64
@@ -114,11 +116,16 @@ def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: np.ndarray,
                           - interp_bg[lo:hi][:, :, band_indices]):
             num += row
     num /= calib.shape[0]
+    return _score_ratio(num, empty_scans, band_indices)
+
+
+def _score_ratio(num: np.ndarray, empty_scans: np.ndarray,
+                 band_indices: np.ndarray) -> np.ndarray:
+    """snr_scores from its numerator (coils, components)."""
     mu = background_mean(empty_scans)
     den = np.abs(empty_scans[:, :, band_indices] - mu[None, :, band_indices]).mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
-    return scores
+        return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
 
 
 @dataclass
@@ -291,15 +298,28 @@ def assemble_reduced_system(system: np.ndarray, y_spectrum: np.ndarray,
     n = selection.row_count
     if n == 0:
         raise ValueError("empty selection: no components retained")
-    # one (coil, frequency) pair per retained component, in row order
-    coil = np.repeat(np.arange(selection.coils), [s.size for s in selection.selected])
-    freq = np.concatenate(selection.selected)
+    coil, freq = _components(selection)
     a = np.empty((n, data.shape[2]))
     for lo in range(0, n // 2, _ASSEMBLE_BLOCK):
         rows = slice(2 * lo, 2 * (lo + _ASSEMBLE_BLOCK))
         block = (coil[lo:lo + _ASSEMBLE_BLOCK], freq[lo:lo + _ASSEMBLE_BLOCK])
         a[rows][0::2] = data.real[block]
         a[rows][1::2] = data.imag[block]
+    return _normalized_system(a, y_spectrum, coil, freq, weights)
+
+
+def _components(selection: FrequencySelection) -> tuple[np.ndarray, np.ndarray]:
+    """One (coil, frequency) pair per retained component, in row order."""
+    coil = np.repeat(np.arange(selection.coils), [s.size for s in selection.selected])
+    return coil, np.concatenate(selection.selected)
+
+
+def _normalized_system(a: np.ndarray, y_spectrum: np.ndarray, coil: np.ndarray,
+                       freq: np.ndarray, weights) -> ReducedSystem:
+    """The rest of assemble_reduced_system once A holds the real row pairs of
+    the components (coil[k], freq[k]) of y_spectrum: y, the row index, the
+    weights and the operator norm, all applied to A in place."""
+    n = a.shape[0]
     y = np.empty(n)
     y[0::2] = y_spectrum.real[coil, freq]
     y[1::2] = y_spectrum.imag[coil, freq]
@@ -326,39 +346,62 @@ def reduce_scans(calib_band: np.ndarray, empty_scans: np.ndarray, spectrum: np.n
     steps above composed on the full arrays (whitening_weights if whiten),
     computed on the band's run of bins only (band as band_pass returns it).
 
-    calib_band is the band of the calibration scans, calib[:, :, band], a
-    (voxels, coils, band size) complex128 array; it is overwritten with its
-    background-corrected spectra divided by the concentration. empty_scans
-    (count, coils, freqs) and spectrum (coils, freqs) span every bin. The
-    row_index and the selection count bins from 0 of the full spectra, as
-    the steps above do. Raises ValueError when no component reaches tau.
+    calib_band is the band of the calibration scans with the scan axis
+    last, calib[:, :, band].transpose(1, 2, 0): a C-contiguous (coils,
+    band size, voxels) complex128 array, as read_verified(..., bins=)
+    returns it. It is overwritten, and A is built inside it: the returned
+    A is a view of the buffer's first bytes, so preprocess holds no second
+    matrix. empty_scans (count, coils, freqs) and spectrum (coils, freqs)
+    span every bin. The row_index and the selection count bins from 0 of
+    the full spectra, as the steps above do. Raises ValueError when no
+    component reaches tau.
     """
-    if calib_band.dtype != np.complex128:
-        raise ValueError("calib_band must be a complex128 array; it is overwritten")
+    if calib_band.dtype != np.complex128 or not calib_band.flags.c_contiguous:
+        raise ValueError("calib_band must be a C-contiguous complex128 array; "
+                         "it is overwritten")
     if concentration <= 0:
         raise ValueError("calibration concentration must be positive")
     first = int(band[0]) if len(band) else 0
     bins = slice(first, first + len(band))
     if not np.array_equal(band, np.arange(empty_scans.shape[2])[bins]):
         raise ValueError("the band must be one run of consecutive bins of the spectra")
-    if calib_band.shape[2] != len(band):
+    if calib_band.shape[1] != len(band):
         raise ValueError("calib_band must hold the band's bins only")
     q = int(scans_per_bracket)
     if q < 2:
         raise ValueError("scans_per_bracket must be >= 2")
     empties = empty_scans[:, :, bins]
-    for b, lo in enumerate(range(0, calib_band.shape[0], q)):
-        rows = calib_band[lo:lo + q]
-        rows -= interp_backgrounds(empties[b:b + 2], rows.shape[0], q)
-    zero = np.broadcast_to(np.complex128(0), calib_band.shape)  # already subtracted
+    m = calib_band.shape[2]
+    # one pass over whole brackets: subtract the background, add each scan's
+    # magnitudes to the SNR numerator in scan order as snr_scores does, then
+    # divide by the concentration
+    step = q * max(1, _SCORE_BLOCK // q)
+    num = np.zeros(calib_band.shape[:2])
+    for lo in range(0, m, step):
+        block = calib_band[:, :, lo:lo + step]
+        block -= interp_backgrounds(empties[lo // q:(lo + step) // q + 1], block.shape[2],
+                                    q).transpose(1, 2, 0)
+        for scan in np.abs(block).transpose(2, 0, 1):
+            num += scan
+        block /= concentration
+    num /= m
     local = np.arange(len(band))
-    selection = select_frequencies(snr_scores(calib_band, zero, empties, local), tau, local)
+    selection = select_frequencies(_score_ratio(num, empties, local), tau, local)
     if selection.row_count == 0:
         raise ValueError(f"no components reach tau={tau:g}, nothing to reconstruct from")
-    calib_band /= concentration
     y = subtract_background(spectrum[:, bins], background_mean(empties))
     weights = whitening_weights(empties, selection) if whiten else None
-    reduced = assemble_reduced_system(np.transpose(calib_band, (1, 2, 0)), y, selection,
-                                      weights)
+    # component k lies in band row r = coil * len(band) + freq >= k; its row
+    # pair of A takes the bytes of band row k; one row of scratch makes the
+    # move safe where the two overlap
+    coil, freq = _components(selection)
+    rows = calib_band.reshape(-1, m)
+    a = calib_band.reshape(-1).view(np.float64)[:selection.row_count * m].reshape(-1, m)
+    scratch = np.empty(m, dtype=np.complex128)
+    for k, r in enumerate(coil * len(band) + freq):
+        scratch[:] = rows[r]
+        a[2 * k] = scratch.real
+        a[2 * k + 1] = scratch.imag
+    reduced = _normalized_system(a, y, coil, freq, weights)
     reduced.row_index[:, 1] += first
     return reduced, FrequencySelection([s + first for s in selection.selected])

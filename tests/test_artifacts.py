@@ -255,10 +255,11 @@ def spectrum_run(tmp_path, scans, bins=40):
                                   np.arange(0), [39, 0, 7]])
 def test_read_verified_bins_is_the_full_read_indexed(tmp_path, scans, bins):
     path, spectra = spectrum_run(tmp_path, scans)
+    # the band comes transposed, (coils, bins, scans)
     got = read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET, bins=bins)
-    want = read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET)[..., bins]
+    want = read_verified(tmp_path, "s.rrc", KIND_SPECTRUM_SET)[..., bins].transpose(1, 2, 0)
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes() == spectra[..., bins].tobytes()
+    assert got.tobytes() == want.tobytes() == spectra[..., bins].transpose(1, 2, 0).tobytes()
     assert got.flags.writeable and got.flags.c_contiguous
     kind, whole = read_artifact(path)
     assert kind == KIND_SPECTRUM_SET and whole.tobytes() == spectra.tobytes()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from robust_recon import model
 from robust_recon.model import (
     BoxSupport,
     ConeSupport,
@@ -453,7 +454,7 @@ def test_langevin_matches_masked_branches_bitwise(shape):
 
 
 @pytest.mark.parametrize("case", ["default-2d", "dims-1", "partial-chunk", "gain-2.5"])
-def test_simulate_matches_reference_bitwise(case):
+def test_simulate_matches_reference_bitwise(case, monkeypatch):
     scanner, grid = {
         "default-2d": (ScannerConfig(), VoxelGrid((20, 20, 1), (1.0, 1.0, 1.0))),
         "dims-1": (ScannerConfig(drive_frequencies_khz=(15.625,),
@@ -464,6 +465,12 @@ def test_simulate_matches_reference_bitwise(case):
         "gain-2.5": (ScannerConfig(receiver_gain=2.5, samples_per_period=1024),
                      VoxelGrid((9, 9, 1), (2.0, 2.0, 1.0))),
     }[case]
-    system = simulate_system_matrix(scanner, grid)
-    assert system.data.flags.c_contiguous
-    assert system.data.tobytes() == _simulate_reference(scanner, grid).tobytes()
+    want = _simulate_reference(scanner, grid).tobytes()
+    # chunks of 1, 7, the default and 64 voxels: the chunk size changes no bit
+    n = scanner.samples_per_period
+    for budget in (n, 7 * n, model._CHUNK_SAMPLES, 64 * n):
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_CHUNK_SAMPLES", budget)
+            system = simulate_system_matrix(scanner, grid)
+        assert system.data.flags.c_contiguous
+        assert system.data.tobytes() == want

@@ -526,7 +526,7 @@ def test_reduce_scans_matches_full_array_composition(system_2d, grid_2d, q, base
     band = band_pass(129, system.period_ms, b1, b2)
     want, want_sel, measured = full_array_composition(calib, empties, spectrum, q, band,
                                                       tau, 40.0, whiten)
-    calib_band = calib[:, :, band]
+    calib_band = calib[:, :, band].transpose(1, 2, 0).copy()
     got, sel = reduce_scans(calib_band, empties, spectrum, q, band, tau, 40.0, whiten)
     if base_std == 0.0:
         assert (np.signbit(got.A) & (got.A == 0.0)).any()
@@ -536,8 +536,9 @@ def test_reduce_scans_matches_full_array_composition(system_2d, grid_2d, q, base
     assert len(sel.selected) == 2
     for s, w in zip(sel.selected, want_sel.selected):
         assert s.tobytes() == w.tobytes()
-    # the band now holds the measured matrix
-    assert calib_band.tobytes() == measured.transpose(2, 0, 1)[:, :, band].tobytes()
+    # A was built inside the band's buffer, from its first byte
+    assert np.shares_memory(got.A, calib_band)
+    assert got.A.__array_interface__["data"][0] == calib_band.__array_interface__["data"][0]
 
 
 def test_reduce_scans_validation(system_1d):
@@ -547,19 +548,20 @@ def test_reduce_scans_validation(system_1d):
     calib = draw_calibration_scans(system_1d, bg, 10.0, seed=2, scan_indices=calib_idx)
     spectrum = np.zeros((1, 129), dtype=np.complex128)
     band = np.arange(10, 20)
-    calib = calib[:, :, band]
+    calib = calib[:, :, band].transpose(1, 2, 0).copy()
     with pytest.raises(ValueError, match="tau=1e\\+30"):
         reduce_scans(calib.copy(), empties, spectrum, 5, band, 1e30, 10.0)
     for bad in (band[::2], band[::-1], np.arange(125, 135)):
         with pytest.raises(ValueError, match="consecutive"):
             reduce_scans(calib.copy(), empties, spectrum, 5, bad, 0.0, 10.0)
     with pytest.raises(ValueError, match="band's bins only"):
-        reduce_scans(calib[:, :, 1:].copy(), empties, spectrum, 5, band, 0.0, 10.0)
+        reduce_scans(calib[:, 1:].copy(), empties, spectrum, 5, band, 0.0, 10.0)
     for q in (-1, 0, 1):
         with pytest.raises(ValueError, match="scans_per_bracket"):
             reduce_scans(calib.copy(), empties, spectrum, q, band, 0.0, 10.0)
-    with pytest.raises(ValueError, match="complex128"):
-        reduce_scans(calib.astype(np.complex64), empties, spectrum, 5, band, 0.0, 10.0)
+    for bad in (calib.astype(np.complex64), calib.transpose(2, 0, 1).copy().transpose(1, 2, 0)):
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            reduce_scans(bad, empties, spectrum, 5, band, 0.0, 10.0)
     with pytest.raises(ValueError, match="concentration"):
         reduce_scans(calib.copy(), empties, spectrum, 5, band, 0.0, 0.0)
     with pytest.raises(ValueError, match="schedule"):
