@@ -293,9 +293,11 @@ def write_manifest(directory, entries: dict) -> None:
 def load_manifest(directory) -> dict:
     path = Path(directory) / MANIFEST_NAME
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise IntegrityError(f"{path}: malformed manifest: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise IntegrityError(f"{path}: malformed manifest: not a JSON object")
     files = raw.get("files")
     if not isinstance(files, dict):
         raise IntegrityError(f"{path}: manifest lacks a files table")

@@ -11,11 +11,11 @@ Row order is canonical throughout: coil-major, then selected frequency
 index, with the real row immediately before the imaginary row of each
 component.
 
-reduce_scans runs the whole chain, as the pipeline does. It takes only
-the band's run of bins of the calibration scans (the pipeline reads no
-other bins of them), corrects that band in place and builds the reduced
-matrix inside its buffer, and gives the bits of the steps composed on the
-full arrays.
+The step functions are the plain formulas on full arrays. reduce_scans
+runs the whole chain, as the pipeline does: it takes only the band's run of
+bins of the calibration scans (the pipeline reads no other bins of them),
+corrects that band in place and builds the reduced matrix inside its
+buffer, and gives the bits of the steps composed, in the same bin numbers.
 """
 
 from __future__ import annotations
@@ -42,11 +42,9 @@ __all__ = [
     "reduce_scans",
 ]
 
-# calibration scans per block of the SNR numerator; reduce_scans rounds it
-# down to whole brackets, at least one
+# calibration scans per block of reduce_scans' one pass, rounded down to
+# whole brackets, at least one
 _SCORE_BLOCK = 64
-# components per block of the copy into A: a (64, voxels) gather temporary
-_ASSEMBLE_BLOCK = 64
 
 
 def band_pass(freq_count: int, period_ms: float, b1_khz: float, b2_khz: float) -> np.ndarray:
@@ -97,10 +95,7 @@ def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: np.ndarray,
     background-corrected component. Denominator: mean magnitude of the
     empty-scan deviations from their own mean. A zero denominator yields
     +inf (a component with no background noise is perfectly reliable).
-
-    The numerator is summed _SCORE_BLOCK scans at a time, each scan added in
-    scan order as np.mean adds them, so the bits are np.mean's and no
-    full-size temporary is made; interp_bg may be a broadcast view.
+    np.mean adds the scans in scan order; interp_bg may be a broadcast view.
     """
     calib = np.asarray(calib_scans, dtype=np.complex128)
     interp_bg = np.asarray(interp_bg, dtype=np.complex128)
@@ -109,13 +104,7 @@ def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: np.ndarray,
     if interp_bg.shape != calib.shape:
         raise ValueError("interpolated backgrounds must match the calibration scans")
     band_indices = np.asarray(band_indices, dtype=np.int64)
-    num = np.zeros((calib.shape[1], band_indices.size))
-    for lo in range(0, calib.shape[0], _SCORE_BLOCK):
-        hi = lo + _SCORE_BLOCK
-        for row in np.abs(calib[lo:hi][:, :, band_indices]
-                          - interp_bg[lo:hi][:, :, band_indices]):
-            num += row
-    num /= calib.shape[0]
+    num = np.abs(calib[:, :, band_indices] - interp_bg[:, :, band_indices]).mean(axis=0)
     return _score_ratio(num, empty_scans, band_indices)
 
 
@@ -261,7 +250,9 @@ class ReducedSystem:
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.A.ndim != 2 or self.y.shape != (self.A.shape[0],):
             raise ValueError("A must be (n, m) with matching y")
-        if not (np.isfinite(self.A).all() and np.isfinite(self.y).all()):
+        # min and max carry any NaN or infinity through, with no boolean copy of A
+        if not all(np.isfinite(v.min(initial=0.0)) and np.isfinite(v.max(initial=0.0))
+                   for v in (self.A, self.y)):
             raise NumericalError("reduced system holds non-finite values")
         if self.row_index is not None:
             self.row_index = np.asarray(self.row_index, dtype=np.int64)
@@ -283,11 +274,11 @@ def assemble_reduced_system(system: np.ndarray, y_spectrum: np.ndarray,
     """Stack selected components into real row pairs and normalize.
 
     ``system`` is a (coils, freqs, voxels) complex array; ``y_spectrum`` the
-    background-subtracted measurement. The rows are copied in blocks of
-    _ASSEMBLE_BLOCK components, so the copy makes no temporary the size of
-    A. Optional whitening weights (one per row, as whitening_weights returns
-    them) multiply rows and data entries before the operator norm of the
-    stacked matrix is estimated and divided out of both A and y.
+    background-subtracted measurement. The selected components are gathered
+    into A in one step. Optional whitening weights (one per row, as
+    whitening_weights returns them) multiply rows and data entries before
+    the operator norm of the stacked matrix is estimated and divided out of
+    both A and y.
     """
     data = np.asarray(system, dtype=np.complex128)
     if data.ndim != 3:
@@ -300,11 +291,8 @@ def assemble_reduced_system(system: np.ndarray, y_spectrum: np.ndarray,
         raise ValueError("empty selection: no components retained")
     coil, freq = _components(selection)
     a = np.empty((n, data.shape[2]))
-    for lo in range(0, n // 2, _ASSEMBLE_BLOCK):
-        rows = slice(2 * lo, 2 * (lo + _ASSEMBLE_BLOCK))
-        block = (coil[lo:lo + _ASSEMBLE_BLOCK], freq[lo:lo + _ASSEMBLE_BLOCK])
-        a[rows][0::2] = data.real[block]
-        a[rows][1::2] = data.imag[block]
+    a[0::2] = data.real[coil, freq]
+    a[1::2] = data.imag[coil, freq]
     return _normalized_system(a, y_spectrum, coil, freq, weights)
 
 
@@ -352,9 +340,9 @@ def reduce_scans(calib_band: np.ndarray, empty_scans: np.ndarray, spectrum: np.n
     returns it. It is overwritten, and A is built inside it: the returned
     A is a view of the buffer's first bytes, so preprocess holds no second
     matrix. empty_scans (count, coils, freqs) and spectrum (coils, freqs)
-    span every bin. The row_index and the selection count bins from 0 of
-    the full spectra, as the steps above do. Raises ValueError when no
-    component reaches tau.
+    span every bin, and the scores, the selection, y, the weights and the
+    row_index use their bin numbers, as the steps above do. Raises
+    ValueError when no component reaches tau.
     """
     if calib_band.dtype != np.complex128 or not calib_band.flags.c_contiguous:
         raise ValueError("calib_band must be a C-contiguous complex128 array; "
@@ -385,23 +373,20 @@ def reduce_scans(calib_band: np.ndarray, empty_scans: np.ndarray, spectrum: np.n
             num += scan
         block /= concentration
     num /= m
-    local = np.arange(len(band))
-    selection = select_frequencies(_score_ratio(num, empties, local), tau, local)
+    selection = select_frequencies(_score_ratio(num, empty_scans, band), tau, band)
     if selection.row_count == 0:
         raise ValueError(f"no components reach tau={tau:g}, nothing to reconstruct from")
-    y = subtract_background(spectrum[:, bins], background_mean(empties))
-    weights = whitening_weights(empties, selection) if whiten else None
-    # component k lies in band row r = coil * len(band) + freq >= k; its row
-    # pair of A takes the bytes of band row k; one row of scratch makes the
-    # move safe where the two overlap
+    y = subtract_background(spectrum, background_mean(empty_scans))
+    weights = whitening_weights(empty_scans, selection) if whiten else None
+    # component k lies in band row r = coil * len(band) + freq - first >= k;
+    # its row pair of A takes the bytes of band row k; one row of scratch
+    # makes the move safe where the two overlap
     coil, freq = _components(selection)
     rows = calib_band.reshape(-1, m)
     a = calib_band.reshape(-1).view(np.float64)[:selection.row_count * m].reshape(-1, m)
     scratch = np.empty(m, dtype=np.complex128)
-    for k, r in enumerate(coil * len(band) + freq):
+    for k, r in enumerate(coil * len(band) + freq - first):
         scratch[:] = rows[r]
         a[2 * k] = scratch.real
         a[2 * k + 1] = scratch.imag
-    reduced = _normalized_system(a, y, coil, freq, weights)
-    reduced.row_index[:, 1] += first
-    return reduced, FrequencySelection([s + first for s in selection.selected])
+    return _normalized_system(a, y, coil, freq, weights), selection

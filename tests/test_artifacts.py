@@ -338,12 +338,11 @@ def test_writers_return_sha256_of_the_file(tmp_path):
 
 
 def test_load_manifest_rejects_garbage(tmp_path):
-    (tmp_path / MANIFEST_NAME).write_text("not json")
-    with pytest.raises(IntegrityError):
-        load_manifest(tmp_path)
-    (tmp_path / MANIFEST_NAME).write_text('{"files": "nope"}')
-    with pytest.raises(IntegrityError):
-        load_manifest(tmp_path)
+    for garbage in (b"not json", b'{"files": "nope"}', b"[]", b"null", b'"files"',
+                    b"\xff\xfe"):
+        (tmp_path / MANIFEST_NAME).write_bytes(garbage)
+        with pytest.raises(IntegrityError):
+            load_manifest(tmp_path)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -884,6 +884,13 @@ def test_damaged_reduced_system_exits_3(pipeline, tmp_path, capsys, damage, mess
     assert (run / "reconstruction.rrc").read_bytes() == before
 
 
+def test_manifest_that_is_not_an_object_exits_3(pipeline, tmp_path, capsys):
+    cfg, run = clone(pipeline, tmp_path)
+    (run / "manifest.json").write_text("[]")
+    assert main(["preprocess", "--config", str(cfg), "--out", str(run)]) == 3
+    assert "malformed manifest" in capsys.readouterr().err
+
+
 def test_config_rejects_brackets_of_one_scan(tmp_path, capsys):
     cfg = write_config(tmp_path, {"background.scans_per_bracket": "1"})
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
