@@ -17,7 +17,9 @@ all three: signal plus mean, then drift, then noise, added into a new
 block. calibration_scan_blocks yields those blocks in scan order, so a
 writer can store the calibration set (52 MB at 40x40 voxels) without ever
 holding it; the draw_* functions copy the blocks into the one array they
-return.
+return. The system is a SystemMatrix or a FieldResponse: the draws read it
+only through columns and apply, which give the same bits on both, so a
+FieldResponse draws every scan without the system matrix ever existing.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # load at import, not on the first draw
 
-from .model import Phantom, SystemMatrix
+from .model import FieldResponse, Phantom, SystemMatrix
 
 __all__ = [
     "BackgroundModel",
@@ -238,12 +240,14 @@ def draw_empty_scans(bg: BackgroundModel, count: int, seed: int,
     return _collect(_scan_blocks(mean, count, bg, schedule, seed, repetitions), count, bg)
 
 
-def calibration_scan_blocks(system: SystemMatrix, bg: BackgroundModel,
+def calibration_scan_blocks(system: SystemMatrix | FieldResponse, bg: BackgroundModel,
                             concentration: float, seed: int,
                             scan_indices, repetitions: int = 1):
     """Noisy delta-sample spectra, one scan per voxel, as a generator of new
     C-contiguous (n, coils, freqs) blocks of _BLOCK_SCANS scans in scan
-    order, so a writer can store them as they are drawn.
+    order, so a writer can store them as they are drawn. Each block takes
+    its voxels' columns from system.columns, so with a FieldResponse the
+    stream holds one block's columns at a time.
 
     Scan i measures a point sample of the given concentration in voxel i at
     global scan index scan_indices[i]: concentration * S[:, :, i] + mean +
@@ -261,7 +265,7 @@ def calibration_scan_blocks(system: SystemMatrix, bg: BackgroundModel,
         raise ValueError("background shape does not match the system matrix")
 
     def signal(lo, hi):
-        block = np.multiply(concentration, system.data[:, :, lo:hi].transpose(2, 0, 1),
+        block = np.multiply(concentration, system.columns(slice(lo, hi)).transpose(2, 0, 1),
                             order="C")
         block += bg.mean_spectrum
         return block
@@ -269,7 +273,7 @@ def calibration_scan_blocks(system: SystemMatrix, bg: BackgroundModel,
     return _scan_blocks(signal, system.voxel_count, bg, scan_indices, seed, repetitions)
 
 
-def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
+def draw_calibration_scans(system: SystemMatrix | FieldResponse, bg: BackgroundModel,
                            concentration: float, seed: int,
                            scan_indices, repetitions: int = 1) -> np.ndarray:
     """The blocks of calibration_scan_blocks in one C-contiguous (voxels,
@@ -279,7 +283,7 @@ def draw_calibration_scans(system: SystemMatrix, bg: BackgroundModel,
     return _collect(blocks, system.voxel_count, bg)
 
 
-def draw_phantom_measurement(system: SystemMatrix, phantom: Phantom,
+def draw_phantom_measurement(system: SystemMatrix | FieldResponse, phantom: Phantom,
                              bg: BackgroundModel, seed: int,
                              scan_index: int = 0, repetitions: int = 1) -> Measurement:
     """One noisy phantom measurement: S*x + mean + drift*scan_index + noise."""

@@ -39,7 +39,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -85,20 +84,22 @@ def cmd_simulate(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
 
     system_matrix.rrc holds the raw calibration scans (one delta sample per
     voxel, in scan order); the background-corrected matrix is derived by
-    preprocess. The clean forward operator is regenerated from the config
-    whenever needed, so it is not persisted. The empty scans and the
-    measurement are drawn first (each draw has its own seed, so the order
-    changes no bit); the calibration scans are then written as they are
-    drawn, so simulate holds the system matrix and never the calibration
-    set. The spectra are checked for non-finite values in artifact order,
-    calibration blocks first, all before any file is renamed into place.
+    preprocess. The clean forward operator is a model.FieldResponse, never
+    stored whole: the measurement takes the columns of the phantom's
+    nonzero voxels, and each calibration block the columns of its own
+    voxels. The empty scans and the measurement are drawn first (each draw
+    has its own seed, so the order changes no bit); the calibration scans
+    are then written as they are drawn, so simulate holds neither the
+    system matrix nor the calibration set. The spectra are checked for
+    non-finite values in artifact order, calibration blocks first, all
+    before any file is renamed into place.
     """
     run_dir.mkdir(parents=True, exist_ok=True)
     scanner = cfg.scanner
     grid = cfg.grid
     # an overflow is reported as NumericalError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        system = model.simulate_system_matrix(scanner, grid)
+        system = model.FieldResponse(scanner, grid)
         p = cfg.phantom
         phantom = model.make_phantom(p.kind, grid, p.concentration, p.subsamples)
         b = cfg.background
@@ -315,6 +316,9 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
     # or the CPUs
     jobs = min(sw.jobs, len(alphas), os.cpu_count() or 1)
     if jobs > 1:
+        # imported here: a stage that starts no pool does not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs, initializer=_sweep_worker_init,
                                  initargs=(reduced, stack, cfg)) as pool:
             results = list(pool.map(_sweep_worker_task, alphas))

@@ -16,6 +16,11 @@ voxel grid is centered on the scanner origin, so a VoxelGrid is its shape
 and spacing alone; ScannerConfig and VoxelGrid are also the config's
 scanner and grid sections, defaults included.
 
+The system matrix has two forms with the same bits: FieldResponse is the
+field loop itself, which computes any voxels' columns on demand and
+applies the matrix from the columns of an image's nonzero voxels, and
+SystemMatrix holds every column as data (simulate_system_matrix).
+
 Phantoms have one build path: make_phantom rasterizes the analytic support
 of a stock kind (delta, shape-cone, resolution-tubes) with
 rasterize_support, the rasterizer that metrics shifts for its references.
@@ -36,6 +41,7 @@ __all__ = [
     "ScannerConfig",
     "Phantom",
     "SystemMatrix",
+    "FieldResponse",
     "ConeSupport",
     "TubeSupport",
     "BoxSupport",
@@ -56,12 +62,13 @@ CORE_SATURATION_T = 0.6
 # this many points, handing support.contains _CONTAINS_POINTS per call.
 _LATTICE_POINTS = 1 << 22
 _CONTAINS_POINTS = 1 << 14
-# simulate_system_matrix samples a chunk of this many voxel samples at a
+# FieldResponse.columns samples a chunk of this many voxel samples at a
 # time, at least one voxel: 16 voxels at 2048 samples per period. A chunk
 # holds about ten arrays of its size at once (the field components, |B|,
 # the Langevin terms and the complex spectra), 256 kB each in float64, so
 # its scratch stays near 2.7 MB at any grid size. The chunk size does not
-# change a bit of the result.
+# change a bit of the result. FieldResponse.apply's row blocks hold this many
+# complex entries, 512 kB.
 _CHUNK_SAMPLES = 1 << 15
 
 
@@ -145,7 +152,7 @@ class ScannerConfig:
     harmonics of 1/period so the trajectory closes after one period; the
     default 2-D setting uses the 16:17 frequency ratio that yields a dense
     Lissajous figure. Per axis |B| stays below twice the drive amplitude
-    (simulate_system_matrix's reach check), so those bounds' squares must
+    (FieldResponse's reach check), so those bounds' squares must
     sum to a finite number.
     """
 
@@ -504,6 +511,11 @@ class SystemMatrix:
     def voxel_count(self) -> int:
         return self.data.shape[2]
 
+    def columns(self, voxels) -> np.ndarray:
+        """(coils, freqs, k) responses of the voxels a slice or an index
+        array selects: a view of data for a slice."""
+        return self.data[:, :, voxels]
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Noise-free spectra (coils, freqs) for a concentration image."""
         x = np.asarray(x, dtype=np.float64)
@@ -513,62 +525,115 @@ class SystemMatrix:
         return self.data @ flat
 
 
-def simulate_system_matrix(cfg: ScannerConfig, grid: VoxelGrid) -> SystemMatrix:
-    """Simulate the scanner response of every voxel over one drive period.
+class FieldResponse:
+    """The system matrix as its field loop: columns computed on demand,
+    never stored whole.
 
     For voxel position r the total field is B(t) = G*r + drive(t); the mean
     magnetization direction response L(beta*|B|) * B/|B| is sampled over one
     period, differentiated spectrally with respect to the phase t/period, and
-    its one-sided Fourier coefficients form the matrix rows. Deterministic:
-    no randomness enters here.
+    its one-sided Fourier coefficients form the voxel's column. Each voxel
+    is computed on its own, so any voxel subset gives the bits of those
+    columns of simulate_system_matrix. Deterministic: no randomness enters
+    here. The constructor raises ValueError for a grid that is thick on an
+    undriven axis or whose voxel centers lie beyond the field-free point.
+    """
 
-    Voxels are processed _CHUNK_SAMPLES // samples at a time, one contiguous
-    (voxels, samples) array per field component, with |B| as
-    sqrt(B_x*B_x + B_y*B_y): the sum np.linalg.norm forms over that axis.
+    def __init__(self, cfg: ScannerConfig, grid: VoxelGrid):
+        for k in range(cfg.dims, 3):
+            if grid.shape[k] != 1:
+                raise ValueError("grid must be a single voxel layer on undriven axes")
+        centers = grid.centers_mm()
+        fov = cfg.fov_half_extent_mm()
+        for a in range(cfg.dims):
+            # voxel centers must be reachable by the field-free point
+            reach = np.max(np.abs(centers[:, a]))
+            if reach > fov[a] + 1e-12:
+                raise ValueError(
+                    "grid has voxel centers at %.3f mm on axis %d but the "
+                    "field-free point only reaches %.3f mm" % (reach, a, fov[a])
+                )
+        self.coils = cfg.coils
+        self.freq_count = cfg.freq_count
+        self.voxel_count = grid.voxel_count
+        self._samples = n = cfg.samples_per_period
+        phase = np.arange(n, dtype=np.float64) / n
+        harmonics = [round(f * cfg.period_ms) for f in cfg.drive_frequencies_khz]
+        self._drive = [
+            amp * 1e-3 * np.sin(2.0 * np.pi * h * phase)
+            for amp, h in zip(cfg.drive_amplitudes_mt, harmonics)
+        ]  # per driven axis, (n,), tesla
+        # (voxels, dims), tesla
+        self._static = centers[:, : cfg.dims] * 1e-3 * np.asarray(cfg.gradient_t_per_m)
+        self._deriv = 1j * 2.0 * np.pi * np.arange(cfg.freq_count) * cfg.receiver_gain
+        self._beta = cfg.langevin_beta()
+
+    def columns(self, voxels) -> np.ndarray:
+        """New C-contiguous (coils, freqs, k) responses of the voxels a slice
+        or an index array selects.
+
+        Voxels are processed _CHUNK_SAMPLES // samples at a time, one
+        contiguous (voxels, samples) array per field component, with |B| as
+        sqrt(B_x*B_x + B_y*B_y): the sum np.linalg.norm forms over that axis.
+        """
+        static = self._static[voxels]
+        n = self._samples
+        k = static.shape[0]
+        data = np.empty((self.coils, self.freq_count, k), dtype=np.complex128)
+        chunk = max(1, _CHUNK_SAMPLES // n)
+        for start in range(0, k, chunk):
+            stop = min(start + chunk, k)
+            b = [static[start:stop, a, None] + d for a, d in enumerate(self._drive)]
+            norm = np.sqrt(sum(b_a * b_a for b_a in b))
+            ell = langevin(self._beta * norm)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                scale = np.where(norm > 0.0, ell / norm, 0.0)
+            for a, b_a in enumerate(b):
+                # mean magnetization direction response along axis a
+                coeffs = np.fft.rfft(scale * b_a)
+                coeffs /= n
+                coeffs *= self._deriv
+                data[a, :, start:stop] = coeffs.T
+        return data
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Noise-free spectra (coils, freqs) for a concentration image: the
+        bits of SystemMatrix.apply, from the columns of x's nonzero voxels.
+
+        A zero x[v] adds +-0 to sums that start at +0, and each row's
+        product does not depend on the other rows of the call, so the rows
+        are formed in blocks of _CHUNK_SAMPLES // voxels (at least 2): a
+        zero-filled (rows, voxels) scratch whose nonzero-x columns hold the
+        computed columns, times x. A block of one row would take numpy's
+        vector-dot path and other bits, so a one-row remainder joins the
+        last block. Holds the nonzero-x columns and the scratch.
+        """
+        flat = np.asarray(x, dtype=np.float64).ravel()
+        m = self.voxel_count
+        if flat.shape[0] != m:
+            raise ValueError("concentration vector does not match the voxel count")
+        support = np.flatnonzero(flat)
+        total = self.coils * self.freq_count
+        cols = self.columns(support).reshape(total, support.size)
+        rows = max(2, _CHUNK_SAMPLES // m)
+        bounds = list(range(0, total, rows)) + [total]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        scratch = np.zeros((rows + 1, m), dtype=np.complex128)
+        out = np.empty(total, dtype=np.complex128)
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = scratch[:hi - lo]
+            block[:, support] = cols[lo:hi]
+            out[lo:hi] = block @ flat
+        return out.reshape(self.coils, self.freq_count)
+
+
+def simulate_system_matrix(cfg: ScannerConfig, grid: VoxelGrid) -> SystemMatrix:
+    """Simulate the scanner response of every voxel over one drive period:
+    every column of FieldResponse(cfg, grid), stored.
+
     The returned data is C-contiguous (coils, freqs, voxels): apply's
     matrix product takes another BLAS kernel, and other bits, on a
-    transposed layout.
+    transposed layout. Raises ValueError as FieldResponse does.
     """
-    for k in range(cfg.dims, 3):
-        if grid.shape[k] != 1:
-            raise ValueError("grid must be a single voxel layer on undriven axes")
-    centers = grid.centers_mm()
-    fov = cfg.fov_half_extent_mm()
-    for a in range(cfg.dims):
-        # voxel centers must be reachable by the field-free point
-        reach = np.max(np.abs(centers[:, a]))
-        if reach > fov[a] + 1e-12:
-            raise ValueError(
-                "grid has voxel centers at %.3f mm on axis %d but the "
-                "field-free point only reaches %.3f mm" % (reach, a, fov[a])
-            )
-
-    n = cfg.samples_per_period
-    phase = np.arange(n, dtype=np.float64) / n
-    harmonics = [round(f * cfg.period_ms) for f in cfg.drive_frequencies_khz]
-    drive = [
-        amp * 1e-3 * np.sin(2.0 * np.pi * h * phase)
-        for amp, h in zip(cfg.drive_amplitudes_mt, harmonics)
-    ]  # per driven axis, (n,), tesla
-    static_all = centers[:, : cfg.dims] * 1e-3 * np.asarray(cfg.gradient_t_per_m)  # (m, dims)
-
-    beta = cfg.langevin_beta()
-    m = grid.voxel_count
-    freq_count = cfg.freq_count
-    deriv = 1j * 2.0 * np.pi * np.arange(freq_count) * cfg.receiver_gain
-    data = np.empty((cfg.dims, freq_count, m), dtype=np.complex128)
-    chunk = max(1, _CHUNK_SAMPLES // n)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        b = [static_all[start:stop, a, None] + d for a, d in enumerate(drive)]
-        norm = np.sqrt(sum(b_a * b_a for b_a in b))
-        ell = langevin(beta * norm)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(norm > 0.0, ell / norm, 0.0)
-        for a, b_a in enumerate(b):
-            # mean magnetization direction response along axis a
-            coeffs = np.fft.rfft(scale * b_a)
-            coeffs /= n
-            coeffs *= deriv
-            data[a, :, start:stop] = coeffs.T
-    return SystemMatrix(data, grid, cfg.period_ms)
+    return SystemMatrix(FieldResponse(cfg, grid).columns(slice(None)), grid, cfg.period_ms)

@@ -108,11 +108,19 @@ def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: np.ndarray,
     return _score_ratio(num, empty_scans, band_indices)
 
 
-def _score_ratio(num: np.ndarray, empty_scans: np.ndarray,
-                 band_indices: np.ndarray) -> np.ndarray:
-    """snr_scores from its numerator (coils, components)."""
-    mu = background_mean(empty_scans)
-    den = np.abs(empty_scans[:, :, band_indices] - mu[None, :, band_indices]).mean(axis=0)
+def _score_ratio(num: np.ndarray, empty_scans: np.ndarray, band) -> np.ndarray:
+    """snr_scores from its numerator (coils, components), the components'
+    bins selected by band, a slice or an index array. The deviations'
+    magnitudes are formed one scan at a time into one real array, so no
+    complex band-sized temporary is made. That array is laid out bins
+    first, as numpy lays out empty_scans[:, :, band_indices], so np.mean
+    adds the scans in the same order: in turn, or pairwise for one coil."""
+    mu = background_mean(empty_scans)[:, band]
+    count, (coils, bins) = empty_scans.shape[0], mu.shape
+    dev = np.empty((bins, count, coils)).transpose(1, 2, 0)
+    for scan, out in zip(empty_scans, dev):
+        np.abs(scan[:, band] - mu, out=out)
+    den = dev.mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
 
@@ -373,7 +381,7 @@ def reduce_scans(calib_band: np.ndarray, empty_scans: np.ndarray, spectrum: np.n
             num += scan
         block /= concentration
     num /= m
-    selection = select_frequencies(_score_ratio(num, empty_scans, band), tau, band)
+    selection = select_frequencies(_score_ratio(num, empty_scans, bins), tau, band)
     if selection.row_count == 0:
         raise ValueError(f"no components reach tau={tau:g}, nothing to reconstruct from")
     y = subtract_background(spectrum, background_mean(empty_scans))

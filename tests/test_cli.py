@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -610,6 +611,25 @@ def test_one_dimensional_scanner_runs_every_stage(tmp_path):
     assert read_json(run / "selection_report.json")["retained_per_coil"][0] > 0
 
 
+@pytest.mark.parametrize("shape, spacing, message", [
+    # centers at 15 mm on the one driven axis, whose drive reaches 12 mm
+    ("31,1,1", "1,1,1", "grid has voxel centers at 15.000 mm on axis 0 but the "
+                        "field-free point only reaches 12.000 mm"),
+    ("20,2,1", "1,1,1", "grid must be a single voxel layer on undriven axes"),
+], ids=["beyond-the-field-free-point", "thick-undriven-axis"])
+def test_simulate_rejects_a_grid_the_scanner_cannot_image(shape, spacing, message,
+                                                          tmp_path, capsys):
+    # simulate never builds the system matrix, so its scanner checks run on their own
+    cfg = write_config(tmp_path, {
+        "scanner.drive_frequencies_khz": "15.625",
+        "scanner.drive_amplitudes_mt": "12", "scanner.gradient_t_per_m": "1",
+        "grid.shape": shape, "grid.spacing_mm": spacing})
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(run.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "evaluate", "sweep"])
 def test_scanner_rejected_config_exits_2_in_every_stage(command, pipeline, tmp_path, capsys):
     _, run = clone(pipeline, tmp_path)
@@ -835,7 +855,8 @@ class RecordingPool:
 def test_sweep_starts_at_most_one_worker_per_weight(pipeline, tmp_path, monkeypatch,
                                                     jobs, max_exp, cpus, workers):
     calls = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    # cmd_sweep imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda **kw: RecordingPool(calls, **kw))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     cfg_dir = tmp_path / "cfg"
@@ -971,6 +992,26 @@ def test_pipeline_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "run" / "quality_summary.json").is_file()
+
+
+POOL_FREE_RUN = """
+import sys
+from robust_recon import cli
+assert cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing"))))
+"""
+
+
+def test_only_a_pooled_sweep_imports_the_process_pool(tmp_path):
+    # the pool's modules cost about 1 MB of resident memory in every stage
+    # that loaded them without starting a worker
+    cfg = write_config(tmp_path)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", POOL_FREE_RUN, str(cfg), str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_closed_stdout_exits_0_quietly(pipeline, tmp_path):

@@ -2,7 +2,8 @@
 
 tracemalloc sees numpy's buffers, so its peak is the most a stage holds at
 once. The calibration array (voxels, coils, freqs) sets the scale: simulate
-may hold the system matrix plus small blocks (it writes the calibration
+never holds the system matrix, only the columns of the phantom's nonzero
+voxels for the measurement and small blocks (it writes the calibration
 scans as they are drawn, and samples the fields in a bounded chunk),
 preprocess the calibration scans' band (559 of 1025 bins by default, read
 from the file in 64-scan chunks), inside which it builds the reduced
@@ -44,27 +45,40 @@ def peak_ratios(tmp_path, config_text):
 
 def test_simulate_and_preprocess_hold_no_full_size_temporary(tmp_path):
     # the default 20x20 pipeline: 400 voxels x 2 coils x 1025 bins. Measured
-    # 1.27x and 0.78x: the band is 0.55x, the read's 64-scan buffer 0.16x.
-    # 1.82x and 1.21x with 64-voxel field chunks and A beside the band; 2.19x
-    # and 1.86x with the whole calibration array in simulate and a full-size
-    # gather in the assembly of A, and 1.67x for preprocess when it read the
-    # whole calibration file
+    # 0.48x and 0.78x: the cone's 52 nonzero voxels are 0.13x, the band is
+    # 0.55x, the read's 64-scan buffer 0.16x. 1.27x for simulate when it held
+    # the system matrix; 1.82x and 1.21x with 64-voxel field chunks and A
+    # beside the band; 2.19x and 1.86x with the whole calibration array in
+    # simulate and a full-size gather in the assembly of A, and 1.67x for
+    # preprocess when it read the whole calibration file
     simulate, preprocess = peak_ratios(tmp_path, "")
-    assert simulate <= 1.4
+    assert simulate <= 0.55
     assert preprocess <= 0.85
 
 
+GRID_40 = "grid.shape = 40,40,1\ngrid.spacing_mm = 0.5,0.5,1.0\n"
+
+
 def test_simulate_streams_the_calibration_scans_at_40x40(tmp_path):
-    # 1600 voxels: the 52 MB calibration set. Measured 1.11x and 0.66x, the
-    # preprocess peak in the empty scans' band score; 0.67x with a boolean
+    # 1600 voxels: the 52 MB calibration set. Measured 0.21x and 0.64x: the
+    # cone's 138 nonzero voxels are 0.09x. 1.11x for simulate when it held
+    # the system matrix, and 0.66x for preprocess with three complex
+    # band-sized temporaries in the empty scans' score; 0.67x with a boolean
     # copy of A in the finite check; 1.21x and 1.20x with 64-voxel field
     # chunks and A beside the band; 2.09x and 1.85x when simulate held the
     # whole set before writing it, and 1.65x for preprocess when it read the
     # whole calibration file
-    simulate, preprocess = peak_ratios(
-        tmp_path, "grid.shape = 40,40,1\ngrid.spacing_mm = 0.5,0.5,1.0\n")
-    assert simulate <= 1.2
-    assert preprocess <= 0.70
+    simulate, preprocess = peak_ratios(tmp_path, GRID_40)
+    assert simulate <= 0.25
+    assert preprocess <= 0.68
+
+
+def test_simulate_holds_the_tubes_columns_only_at_40x40(tmp_path):
+    # the tubes phantom has 290 nonzero voxels of 1600, whose columns (0.18x)
+    # the measurement needs. Measured 0.31x and 0.64x
+    simulate, preprocess = peak_ratios(tmp_path, GRID_40 + "phantom.kind = resolution-tubes\n")
+    assert simulate <= 0.35
+    assert preprocess <= 0.68
 
 
 def test_whole_read_holds_one_copy(tmp_path):

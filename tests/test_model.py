@@ -7,6 +7,8 @@ from robust_recon import model
 from robust_recon.model import (
     BoxSupport,
     ConeSupport,
+    PHANTOM_KINDS,
+    FieldResponse,
     Phantom,
     ScannerConfig,
     SystemMatrix,
@@ -383,9 +385,11 @@ def test_system_matrix_validation(grid_2d):
         SystemMatrix(np.zeros((2, 5, 9), dtype=complex), grid_2d, 1.0)
 
 
-def test_system_matrix_apply_checks_length(system_1d):
+def test_system_matrix_apply_checks_length(system_1d, scanner_1d, grid_1d):
     with pytest.raises(ValueError):
         system_1d.apply(np.zeros(3))
+    with pytest.raises(ValueError, match="voxel count"):
+        FieldResponse(scanner_1d, grid_1d).apply(np.zeros(3))
 
 
 def _langevin_reference(xi):
@@ -474,3 +478,61 @@ def test_simulate_matches_reference_bitwise(case, monkeypatch):
             system = simulate_system_matrix(scanner, grid)
         assert system.data.flags.c_contiguous
         assert system.data.tobytes() == want
+
+
+ONE_AXIS = ScannerConfig(drive_frequencies_khz=(15.625,), drive_amplitudes_mt=(12.0,),
+                         gradient_t_per_m=(1.0,))
+FIELD_CASES = {
+    "20x20": (ScannerConfig(), VoxelGrid((20, 20, 1), (1.0, 1.0, 1.0))),
+    "40x40-0.5mm": (ScannerConfig(), VoxelGrid((40, 40, 1), (0.5, 0.5, 1.0))),
+    "23x17-anisotropic": (ScannerConfig(), VoxelGrid((23, 17, 1), (0.3, 0.7, 1.0))),
+    "64x64-256-samples": (ScannerConfig(samples_per_period=256),
+                          VoxelGrid((64, 64, 1), (0.3, 0.3, 1.0))),
+    "one-axis-30x1": (ONE_AXIS, VoxelGrid((30, 1, 1), (0.5, 1.0, 1.0))),
+    # 5 bins per coil: the 10 rows are one block
+    "8-samples": (ScannerConfig(samples_per_period=8, period_ms=1.0,
+                                drive_frequencies_khz=(1.0, 2.0)),
+                  VoxelGrid((5, 5, 1), (1.0, 1.0, 1.0))),
+    # 514 rows in blocks of 27: 19 blocks and one row over
+    "one-row-remainder": (ScannerConfig(samples_per_period=512),
+                          VoxelGrid((35, 34, 1), (0.5, 0.5, 1.0))),
+}
+
+
+def _images(grid, rng):
+    """The stock phantoms, a zero, a sparse and a dense random x."""
+    m = grid.voxel_count
+    out = {"zero": np.zeros(m), "sparse": rng.random(m) * (rng.random(m) < 0.1),
+           "dense": rng.random(m)}
+    for kind in PHANTOM_KINDS:
+        out[kind] = make_phantom(kind, grid, 50.0).flat()
+    return out
+
+
+@pytest.mark.parametrize("case", list(FIELD_CASES))
+def test_field_response_gives_the_system_matrix_bits(case):
+    scanner, grid = FIELD_CASES[case]
+    system = simulate_system_matrix(scanner, grid)
+    field = FieldResponse(scanner, grid)
+    assert (field.coils, field.freq_count, field.voxel_count) == system.data.shape
+    m = grid.voxel_count
+    rng = np.random.default_rng(3)
+    for voxels in (slice(0, m), slice(m // 3, m - 1), slice(m - 1, m),
+                   rng.choice(m, size=min(m, 37), replace=False), np.array([m - 1, 0])):
+        got = field.columns(voxels)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == system.data[:, :, voxels].tobytes()
+    for name, x in _images(grid, rng).items():
+        assert field.apply(x).tobytes() == system.apply(x).tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 8, 27, 64, 100, 171, 256, 2000])
+def test_field_response_apply_is_blocking_invariant(rows, monkeypatch):
+    # row blocks of many sizes, a one-row remainder included (514 rows in
+    # blocks of 3, 27 and 171), and a single block of every row
+    scanner, grid = FIELD_CASES["one-row-remainder"]
+    system = simulate_system_matrix(scanner, grid)
+    monkeypatch.setattr(model, "_CHUNK_SAMPLES", rows * grid.voxel_count)
+    field = FieldResponse(scanner, grid)
+    for name, x in _images(grid, np.random.default_rng(4)).items():
+        assert field.apply(x).tobytes() == system.apply(x).tobytes(), name

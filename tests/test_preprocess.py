@@ -169,6 +169,28 @@ def test_snr_scores_scan_subset():
     assert full[0, 0] > subset[0, 0]
 
 
+@pytest.mark.parametrize("coils", [1, 2])
+@pytest.mark.parametrize("empty_count", [2, 9, 23])
+@pytest.mark.parametrize("band", [np.arange(30, 90), np.array([3]), np.array([100, 7, 64, 65])],
+                         ids=["run", "one-bin", "scattered"])
+def test_snr_scores_match_the_whole_array_formula(coils, empty_count, band):
+    # the denominator is built one scan at a time; numpy's mean of the
+    # whole-array deviations adds the scans pairwise for one coil and in
+    # turn for two, and the scores keep those bits. Zero deviations in
+    # bin 64 give +inf.
+    rng = np.random.default_rng(coils * 100 + empty_count)
+    calib = rng.standard_normal((7, coils, 129)) + 1j * rng.standard_normal((7, coils, 129))
+    interp = rng.standard_normal(calib.shape) + 0j
+    empty = rng.standard_normal((empty_count, coils, 129)) * 1e3 + 1j
+    empty[:, :, 64] = 2.5
+    num = np.abs(calib[:, :, band] - interp[:, :, band]).mean(axis=0)
+    mu = background_mean(empty)
+    den = np.abs(empty[:, :, band] - mu[None, :, band]).mean(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
+    assert snr_scores(calib, interp, empty, band).tobytes() == want.tobytes()
+
+
 def test_snr_scores_validation():
     empty = scans_from_values([1.0, -1.0])
     with pytest.raises(ValueError):
