@@ -42,8 +42,7 @@ def main():
     print(f"  {scanner.freq_count} frequency bins, {grid.voxel_count} voxels,"
           f" {scanner.coils} coil")
     phantom = make_phantom("delta", grid, 50.0)
-    spectrum = system.data.reshape(scanner.coils, scanner.freq_count, -1) \
-        @ phantom.values.ravel()
+    spectrum = system.apply(phantom.values)
     mag = np.abs(spectrum[0])
     top = np.argsort(mag)[::-1][:5]
     drive_bin = round(15.625 * scanner.period_ms)
@@ -60,8 +59,7 @@ def main():
     values = phantom.values
     print(f"  cone phantom: {np.count_nonzero(values)} of {values.size} voxels"
           f" carry tracer, peak {values.max():.0f}, mean {values.mean():.1f}")
-    spectra = system.data.reshape(scanner.coils, scanner.freq_count, -1) \
-        @ values.ravel()
+    spectra = system.apply(values)
     for c in range(scanner.coils):
         mag = np.abs(spectra[c])
         print(f"  coil {c}: total energy {mag.sum():10.1f},"
@@ -71,8 +69,7 @@ def main():
     print("  so mixing products fill the spectrum between the harmonics")
 
     section("Linearity")
-    double = system.data.reshape(scanner.coils, scanner.freq_count, -1) \
-        @ (2.0 * values).ravel()
+    double = system.apply(2.0 * values)
     print("  doubling the tracer doubles every component:",
           bool(np.allclose(double, 2.0 * spectra)))
     print("  the map from concentration to spectrum is linear; everything")

@@ -28,7 +28,9 @@ one table, _COMMANDS; the override flags and the config keys they set are
 another, _FLAGS. Every CSV is written by _write_csv and every JSON file by
 artifacts.write_json. Wall-clock timing goes to a timing_*.json sidecar
 that is intentionally absent from the manifest: with a fixed seed,
-rerunning a stage must reproduce every hashed byte. A stage whose stdout
+rerunning a stage must reproduce every hashed byte. So main runs each
+stage with numpy's bundled OpenBLAS on one thread, whose products do not
+depend on the caller's thread count, and gives that count back after. A stage whose stdout
 is closed (robust-recon ... | head -1) still exits 0, with nothing on
 stderr.
 """
@@ -36,9 +38,11 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -292,7 +296,9 @@ def _sweep_worker_init(reduced: preprocess.ReducedSystem, stack: np.ndarray,
 
 
 def _sweep_worker_task(alpha: float):
-    return _sweep_task(*_worker_inputs, alpha)
+    # a worker started by spawn or forkserver has not inherited main's pin
+    with _one_blas_thread():
+        return _sweep_task(*_worker_inputs, alpha)
 
 
 def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
@@ -410,6 +416,44 @@ def _overrides(args: argparse.Namespace) -> dict:
     return {key: str(value) for key, value in values.items() if value is not None}
 
 
+def _openblas_threads():
+    """The get and set functions of the thread count of numpy's bundled
+    OpenBLAS, or None where no such library or function is found."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("lib*openblas*.so*"):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        # the symbol prefix and suffix depend on how the wheel built OpenBLAS
+        for stem in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, stem.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, then give
+    back the count it had. The thread count changes the bits of a matrix
+    product, and so every byte from preprocess on. Does nothing where
+    _openblas_threads finds nothing."""
+    functions = _openblas_threads()
+    if functions is None:
+        yield
+        return
+    get, put = functions
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
@@ -417,7 +461,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, _overrides(args))
         stage, record_name, _ = _COMMANDS[args.command]
-        record, digests = stage(cfg, run_dir)
+        with _one_blas_thread():
+            record, digests = stage(cfg, run_dir)
         if record_name is not None:
             digests[record_name] = artifacts.write_json(run_dir / record_name, record)
         manifest = run_dir / artifacts.MANIFEST_NAME

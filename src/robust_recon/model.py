@@ -358,13 +358,17 @@ def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
     Sample coordinates are separable per axis: center + offset - shift,
     computed in that order. So consecutive shifts share one lattice, the
     Cartesian product of the distinct per-axis coordinates, and one
-    membership test on it. Each image is then gathered from the lattice,
-    and every value is bitwise what testing that shift's sample points one
-    by one gives. A lattice holds at most _LATTICE_POINTS points unless one
-    shift alone needs more. A ShiftGrid that fits one lattice costs at most
-    as many points as testing its shifts one by one, and far fewer where
-    the step is a multiple of the subsample pitch; an unstructured shift
-    list, or a grid split across lattices, may cost more.
+    membership test on it. Each image counts its inside points axis by
+    axis, gathering each voxel's subsamples along that axis from the
+    lattice and summing them, and is concentration * (count /
+    subsamples**3). A count is an exact integer, so every value is bitwise
+    what testing that shift's sample points one by one gives.
+
+    A lattice holds at most _LATTICE_POINTS points unless one shift alone
+    needs more. A ShiftGrid that fits one lattice costs at most as many
+    points as testing its shifts one by one, and far fewer where the step
+    is a multiple of the subsample pitch; an unstructured shift list, or a
+    grid split across lattices, may cost more.
     """
     if support is None or not hasattr(support, "contains"):
         raise TypeError("support has no point-membership test")
@@ -374,22 +378,18 @@ def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
     if shifts.ndim != 2 or shifts.shape[1] != 3:
         raise ValueError("shifts must be a (k, 3) array in mm")
     samples = _sample_axes(grid, subsamples)
-    split = tuple(x for n in grid.shape for x in (n, subsamples))
+    dtype = np.min_scalar_type(subsamples**3)
     out = np.empty((len(shifts),) + grid.shape)
     for lo, hi in _shift_groups(samples, shifts):
         axes = [np.unique(x[None, :] - shifts[lo:hi, a, None], return_inverse=True)
                 for a, x in enumerate(samples)]
         lattice = _contains_product(support, [values for values, _ in axes])
-        rows = [inverse.reshape(hi - lo, -1) for _, inverse in axes]
-        # gather along the axis that shrinks the lattice most first
-        order = np.argsort([r.shape[1] / n for r, n in zip(rows, lattice.shape)])
+        rows = [inverse.reshape(hi - lo, -1, subsamples) for _, inverse in axes]
         for k in range(lo, hi):
-            inside = lattice
-            for a in order:
-                inside = inside.take(rows[a][k - lo], axis=a)
-            inside = inside.reshape(split).transpose(0, 2, 4, 1, 3, 5)
-            frac = inside.reshape(grid.voxel_count, subsamples**3).mean(axis=1)
-            out[k] = (concentration * frac).reshape(grid.shape)
+            count = lattice
+            for a in range(3):
+                count = count.take(rows[a][k - lo], axis=a).sum(axis=a + 1, dtype=dtype)
+            out[k] = concentration * (count / subsamples**3)
     return out
 
 

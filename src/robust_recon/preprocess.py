@@ -95,32 +95,28 @@ def snr_scores(calib_scans, interp_bg: np.ndarray, empty_scans: np.ndarray,
     background-corrected component. Denominator: mean magnitude of the
     empty-scan deviations from their own mean. A zero denominator yields
     +inf (a component with no background noise is perfectly reliable).
-    np.mean adds the scans in scan order; interp_bg may be a broadcast view.
+    Both means add the scans in turn, in scan order, then divide by the
+    count, whatever the array layout; interp_bg may be a broadcast view.
     """
     calib = np.asarray(calib_scans, dtype=np.complex128)
     interp_bg = np.asarray(interp_bg, dtype=np.complex128)
-    if calib.shape[0] == 0:
-        raise ValueError("empty calibration set")
+    if calib.shape[0] == 0 or len(empty_scans) == 0:
+        raise ValueError("empty calibration or empty-scan set")
     if interp_bg.shape != calib.shape:
         raise ValueError("interpolated backgrounds must match the calibration scans")
     band_indices = np.asarray(band_indices, dtype=np.int64)
-    num = np.abs(calib[:, :, band_indices] - interp_bg[:, :, band_indices]).mean(axis=0)
+    num = sum(np.abs(scan[:, band_indices] - bg[:, band_indices])
+              for scan, bg in zip(calib, interp_bg)) / calib.shape[0]
     return _score_ratio(num, empty_scans, band_indices)
 
 
 def _score_ratio(num: np.ndarray, empty_scans: np.ndarray, band) -> np.ndarray:
     """snr_scores from its numerator (coils, components), the components'
-    bins selected by band, a slice or an index array. The deviations'
-    magnitudes are formed one scan at a time into one real array, so no
-    complex band-sized temporary is made. That array is laid out bins
-    first, as numpy lays out empty_scans[:, :, band_indices], so np.mean
-    adds the scans in the same order: in turn, or pairwise for one coil."""
+    bins selected by band, a slice or an index array. The denominator adds
+    each empty scan's deviation magnitudes in turn, so no band-sized array
+    of every scan is made."""
     mu = background_mean(empty_scans)[:, band]
-    count, (coils, bins) = empty_scans.shape[0], mu.shape
-    dev = np.empty((bins, count, coils)).transpose(1, 2, 0)
-    for scan, out in zip(empty_scans, dev):
-        np.abs(scan[:, band] - mu, out=out)
-    den = dev.mean(axis=0)
+    den = sum(np.abs(scan[:, band] - mu) for scan in empty_scans) / empty_scans.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
 
@@ -340,7 +336,9 @@ def reduce_scans(calib_band: np.ndarray, empty_scans: np.ndarray, spectrum: np.n
                  whiten: bool = False) -> tuple[ReducedSystem, FrequencySelection]:
     """Raw scans to the reduced system and its selection: bit for bit the
     steps above composed on the full arrays (whitening_weights if whiten),
-    computed on the band's run of bins only (band as band_pass returns it).
+    on any number of coils, computed on the band's run of bins only (band
+    as band_pass returns it). Both SNR means add the scans in turn, as
+    snr_scores does.
 
     calib_band is the band of the calibration scans with the scan axis
     last, calib[:, :, band].transpose(1, 2, 0): a C-contiguous (coils,

@@ -972,7 +972,8 @@ def test_unknown_arguments_exit_2_via_parser(pipeline, tmp_path):
     assert info.value.code == 2
 
 
-SCIPY_FREE_RUN = """
+# simulate -> evaluate in one fresh interpreter; prints the scipy modules loaded
+PIPELINE_RUN = """
 import sys
 from robust_recon import cli
 cfg, run = sys.argv[1], sys.argv[2]
@@ -987,11 +988,28 @@ def test_pipeline_runs_without_scipy(tmp_path):
     cfg = write_config(tmp_path)
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(cfg), str(tmp_path / "run")],
+    done = subprocess.run([sys.executable, "-c", PIPELINE_RUN, str(cfg), str(tmp_path / "run")],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "run" / "quality_summary.json").is_file()
+
+
+def test_reruns_give_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    # the default config: unpinned, two OpenBLAS threads change every byte
+    # from reduced_A.rrc on, and l1-L takes another path
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text("")
+    src = Path(cli.__file__).resolve().parents[1]
+    manifests = []
+    for threads in ("1", "2"):
+        run = tmp_path / f"run-{threads}"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", PIPELINE_RUN, str(cfg), str(run)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        manifests.append((run / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 POOL_FREE_RUN = """

@@ -143,6 +143,18 @@ def test_reference_stack_matches_per_shift_oracle(shape, spacing, extent, step,
     assert stack[zero].tobytes() == phantom.values.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["shape-cone", "resolution-tubes"])
+def test_reference_stack_counts_more_points_than_a_byte_holds(kind):
+    # 7**3 = 343 sample points per voxel: the counts need 16 bits
+    grid = VoxelGrid((5, 4, 3), (0.9, 1.1, 0.8))
+    phantom = make_phantom(kind, grid, 50.0, subsamples=7)
+    sg = ShiftGrid((0.5, 0.5, 0.5), 0.5)
+    stack = reference_stack(phantom.support, grid, sg, 50.0, 7)
+    assert stack.tobytes() == per_shift_oracle(phantom.support, grid, sg, 50.0, 7).tobytes()
+    assert (stack == 50.0).any() and ((stack > 50.0 * 255 / 343) & (stack < 50.0)).any()
+    assert len({shift[2] for shift in sg.shifts()}) == 3
+
+
 def test_reference_stack_split_into_groups_matches_oracle(monkeypatch):
     grid = VoxelGrid((8, 8, 1), (0.5, 0.5, 1.0))
     phantom = make_phantom("resolution-tubes", grid, 50.0)

@@ -10,7 +10,7 @@ from robust_recon.acquisition import (
     draw_phantom_measurement,
 )
 from robust_recon.errors import NumericalError
-from robust_recon.model import SystemMatrix, make_phantom
+from robust_recon.model import SystemMatrix, VoxelGrid, make_phantom
 from robust_recon.preprocess import (
     ReducedSystem,
     assemble_reduced_system,
@@ -174,18 +174,23 @@ def test_snr_scores_scan_subset():
 @pytest.mark.parametrize("band", [np.arange(30, 90), np.array([3]), np.array([100, 7, 64, 65])],
                          ids=["run", "one-bin", "scattered"])
 def test_snr_scores_match_the_whole_array_formula(coils, empty_count, band):
-    # the denominator is built one scan at a time; numpy's mean of the
-    # whole-array deviations adds the scans pairwise for one coil and in
-    # turn for two, and the scores keep those bits. Zero deviations in
-    # bin 64 give +inf.
+    # both means add the scans in turn, in scan order, on one coil as on
+    # two, then divide by the count. Zero deviations in bin 64 give +inf.
     rng = np.random.default_rng(coils * 100 + empty_count)
     calib = rng.standard_normal((7, coils, 129)) + 1j * rng.standard_normal((7, coils, 129))
     interp = rng.standard_normal(calib.shape) + 0j
     empty = rng.standard_normal((empty_count, coils, 129)) * 1e3 + 1j
     empty[:, :, 64] = 2.5
-    num = np.abs(calib[:, :, band] - interp[:, :, band]).mean(axis=0)
+
+    def mean_in_turn(values):
+        total = values[0].copy()
+        for v in values[1:]:
+            total += v
+        return total / len(values)
+
+    num = mean_in_turn(np.abs(calib[:, :, band] - interp[:, :, band]))
     mu = background_mean(empty)
-    den = np.abs(empty[:, :, band] - mu[None, :, band]).mean(axis=0)
+    den = mean_in_turn(np.abs(empty[:, :, band] - mu[None, :, band]))
     with np.errstate(divide="ignore", invalid="ignore"):
         want = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
     assert snr_scores(calib, interp, empty, band).tobytes() == want.tobytes()
@@ -195,6 +200,8 @@ def test_snr_scores_validation():
     empty = scans_from_values([1.0, -1.0])
     with pytest.raises(ValueError):
         snr_scores(np.zeros((0, 1, 1)), np.zeros((0, 1, 1)), empty, np.array([0]))
+    with pytest.raises(ValueError, match="empty-scan set"):
+        snr_scores(np.zeros((2, 1, 1)), np.zeros((2, 1, 1)), empty[:0], np.array([0]))
     with pytest.raises(ValueError):
         snr_scores(np.zeros((2, 1, 1)), np.zeros((1, 1, 1)), empty, np.array([0]))
 
@@ -522,45 +529,73 @@ def full_array_composition(calib, empties, spectrum, q, band, tau, concentration
     return assemble_reduced_system(measured, y, selection, weights), selection, measured
 
 
+def composition_case(system, q, base_std):
+    """Empty scans, calibration scans and phantom spectrum drawn for system.
+
+    Voxels 0..7 give no signal and bins below 40 no mean: with base_std = 0
+    and a -0 drift their calibration scans are signed zeros, and so are
+    their entries in A."""
+    data = system.data.copy()
+    data[:, :, :8] = complex(-0.0, -0.0)
+    system = SystemMatrix(data, system.grid, system.period_ms)
+    mean = np.full((system.coils, 129), complex(-0.0, -0.0))
+    mean[:, 40:] = np.random.default_rng(37).standard_normal((system.coils, 89)) + 2.0j
+    drift = 0.3 - 0.1j if base_std else complex(-0.0, -0.0)
+    bg = BackgroundModel(mean, base_std**2, False, 1.0, drift)
+    calib_idx, empty_idx = acquisition_schedule(system.voxel_count, q)
+    empties = draw_empty_scans(bg, empty_idx.size, seed=11, schedule=empty_idx)
+    calib = draw_calibration_scans(system, bg, 40.0, seed=12, scan_indices=calib_idx)
+    spectrum = draw_phantom_measurement(system, make_phantom("shape-cone", system.grid, 50.0),
+                                        bg, seed=13, scan_index=int(empty_idx[-1]) + 1).spectrum
+    return calib, empties, spectrum
+
+
+def check_reduce_scans(calib, empties, spectrum, q, band, tau, whiten):
+    want, want_sel, measured = full_array_composition(calib, empties, spectrum, q, band,
+                                                      tau, 40.0, whiten)
+    calib_band = calib[:, :, band].transpose(1, 2, 0).copy()
+    got, sel = reduce_scans(calib_band, empties, spectrum, q, band, tau, 40.0, whiten)
+    assert got.A.tobytes() == want.A.tobytes() and got.y.tobytes() == want.y.tobytes()
+    assert got.row_index.tobytes() == want.row_index.tobytes()
+    assert got.scale == want.scale and got.whitened is whiten
+    assert len(sel.selected) == calib.shape[1]
+    for s, w in zip(sel.selected, want_sel.selected):
+        assert s.tobytes() == w.tobytes()
+    # A was built inside the band's buffer, from its first byte
+    assert np.shares_memory(got.A, calib_band)
+    assert got.A.__array_interface__["data"][0] == calib_band.__array_interface__["data"][0]
+    return got
+
+
 @pytest.mark.parametrize("q, base_std, b1, b2, tau, whiten", [
     (5, 1.0, 30.0, 90.0, 2.0, False),  # 64 voxels: the last bracket holds 4 scans
     (8, 0.0, 30.0, 90.0, 0.0, False),  # noise-free: signed zeros, infinite scores
     (8, 1.0, 30.0, 90.0, 1.0, True),
     (5, 1.0, 0.0, np.inf, 1.0, True),
 ])
-def test_reduce_scans_matches_full_array_composition(system_2d, grid_2d, q, base_std,
-                                                     b1, b2, tau, whiten):
-    # voxels 0..7 give no signal and bins below 40 no mean: with base_std = 0
-    # and a -0 drift their calibration scans are signed zeros, and so are
-    # their entries in A
-    data = system_2d.data.copy()
-    data[:, :, :8] = complex(-0.0, -0.0)
-    system = SystemMatrix(data, grid_2d, system_2d.period_ms)
-    mean = np.full((2, 129), complex(-0.0, -0.0))
-    mean[:, 40:] = np.random.default_rng(37).standard_normal((2, 89)) + 2.0j
-    drift = 0.3 - 0.1j if base_std else complex(-0.0, -0.0)
-    bg = BackgroundModel(mean, base_std**2, False, 1.0, drift)
-    calib_idx, empty_idx = acquisition_schedule(system.voxel_count, q)
-    empties = draw_empty_scans(bg, empty_idx.size, seed=11, schedule=empty_idx)
-    calib = draw_calibration_scans(system, bg, 40.0, seed=12, scan_indices=calib_idx)
-    spectrum = draw_phantom_measurement(system, make_phantom("shape-cone", grid_2d, 50.0),
-                                        bg, seed=13, scan_index=int(empty_idx[-1]) + 1).spectrum
-    band = band_pass(129, system.period_ms, b1, b2)
-    want, want_sel, measured = full_array_composition(calib, empties, spectrum, q, band,
-                                                      tau, 40.0, whiten)
-    calib_band = calib[:, :, band].transpose(1, 2, 0).copy()
-    got, sel = reduce_scans(calib_band, empties, spectrum, q, band, tau, 40.0, whiten)
+def test_reduce_scans_matches_full_array_composition(system_2d, q, base_std, b1, b2, tau,
+                                                     whiten):
+    calib, empties, spectrum = composition_case(system_2d, q, base_std)
+    band = band_pass(129, system_2d.period_ms, b1, b2)
+    got = check_reduce_scans(calib, empties, spectrum, q, band, tau, whiten)
     if base_std == 0.0:
         assert (np.signbit(got.A) & (got.A == 0.0)).any()
-    assert got.A.tobytes() == want.A.tobytes() and got.y.tobytes() == want.y.tobytes()
-    assert got.row_index.tobytes() == want.row_index.tobytes()
-    assert got.scale == want.scale and got.whitened is whiten
-    assert len(sel.selected) == 2
-    for s, w in zip(sel.selected, want_sel.selected):
-        assert s.tobytes() == w.tobytes()
-    # A was built inside the band's buffer, from its first byte
-    assert np.shares_memory(got.A, calib_band)
-    assert got.A.__array_interface__["data"][0] == calib_band.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("q, whiten", [(2, False), (3, True)])
+def test_reduce_scans_matches_full_array_composition_one_coil(system_1d, q, whiten):
+    # the columns of system_1d repeated 8 times give 40 calibration and 21
+    # or 15 empty scans: enough for numpy's mean over a one-coil band, whose
+    # scan axis lies innermost, to add pairwise. Setting tau to each score
+    # in turn keeps or drops that component on its last bit, so the
+    # selection shows any difference in how the scans are added.
+    grid = VoxelGrid((40, 1, 1), system_1d.grid.spacing_mm)
+    system = SystemMatrix(np.tile(system_1d.data, 8), grid, system_1d.period_ms)
+    calib, empties, spectrum = composition_case(system, q, 1.0)
+    band = band_pass(129, system.period_ms, 40.0, np.inf)
+    scores = snr_scores(calib, interp_backgrounds(empties, calib.shape[0], q), empties, band)
+    for tau in scores[0]:
+        check_reduce_scans(calib, empties, spectrum, q, band, tau, whiten)
 
 
 def test_reduce_scans_validation(system_1d):
