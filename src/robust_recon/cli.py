@@ -310,10 +310,11 @@ def cmd_sweep(cfg: PipelineConfig, run_dir: Path) -> tuple[dict, dict]:
     files the best weight per stopping point.
     """
     grid, support, shift_grid = _reference_setup(cfg)
-    reduced = _load_reduced(run_dir, grid.voxel_count)
+    # before A is read, so the stack's scratch never sits on top of it
     stack = metrics.reference_stack(support, grid, shift_grid,
                                     cfg.phantom.concentration,
                                     cfg.phantom.subsamples)
+    reduced = _load_reduced(run_dir, grid.voxel_count)
     sw = cfg.sweep
     sol = cfg.solver
     exps = list(range(sw.alpha_max_exp, sw.alpha_min_exp - 1, -1))

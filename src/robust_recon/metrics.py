@@ -5,8 +5,10 @@ ground-truth geometry without being any worse, so both quality numbers are
 taken as the maximum over a grid of reference shifts: the analytic support
 is rasterized at every shift and the metric evaluated against each
 candidate. The shifts share one membership test on a lattice of sample
-coordinates (model.rasterize_shifted); each reference is bitwise equal to
-rasterizing its shift on its own and, at zero shift, to the phantom.
+coordinates inside the support's bounding box, and exact per-axis counts
+turn it into every reference (model.rasterize_shifted); each
+reference is bitwise equal to rasterizing its shift on its own and, at zero
+shift, to the phantom.
 Scores are tabulated (images x shifts) by psnr_table and ssim_table; the
 best cell is the first maximum in row-major order (ties resolve to the
 first shift in lexicographic order), and a table holding a NaN raises
@@ -128,7 +130,15 @@ def reference_stack(support, grid: VoxelGrid, shift_grid: ShiftGrid,
                     concentration: float, subsamples: int = 4) -> np.ndarray:
     """Reference images for every shift: (count, nx, ny, nz), enumeration
     order, each bitwise equal to rasterize_reference at that shift.
-    Precompute once when scoring many reconstructions."""
+    Precompute once when scoring many reconstructions.
+
+    model.rasterize_shifted tests the sample coordinates inside the
+    support's bounding box once for all shifts, and counts each image's
+    inside points axis by axis: over z once per distinct z value, over y
+    once per (y, z) value pair and over x per shift. A grid whose step is
+    a multiple of the subsample pitch shares most of its lattice; at other
+    steps the shifts share none, so the cost is that of testing each shift
+    on its own."""
     return rasterize_shifted(support, grid, concentration, shift_grid.shifts(), subsamples)
 
 

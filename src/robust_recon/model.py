@@ -31,6 +31,7 @@ rasterize_support; custom values are a Phantom constructed directly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,10 +59,15 @@ MU0 = 4.0e-7 * np.pi
 BOLTZMANN = 1.380649e-23
 # Saturation induction of the particle core material (magnetite-like), tesla.
 CORE_SATURATION_T = 0.6
-# rasterize_shifted tests consecutive shifts on one sample lattice of at most
-# this many points, handing support.contains _CONTAINS_POINTS per call.
-_LATTICE_POINTS = 1 << 22
+# rasterize_shifted tests its sample lattice tile by tile, a tile holding at
+# most _LATTICE_POINTS points (512 kB in float64), and hands support.contains
+# _CONTAINS_POINTS points per call.
+_LATTICE_POINTS = 1 << 16
 _CONTAINS_POINTS = 1 << 14
+# A stock support's bounding box is padded by this many mm per mm of its
+# largest coordinate, counted as at least 1 mm: far above the rounding of
+# contains.
+_BOX_PAD = 1e-9
 # FieldResponse.columns samples a chunk of this many voxel samples at a
 # time, at least one voxel: 16 voxels at 2048 samples per period. A chunk
 # holds about ten arrays of its size at once (the field components, |B|,
@@ -256,6 +262,12 @@ class ConeSupport:
         rmax = self.tip_radius + s * np.tan(np.deg2rad(self.half_angle_deg))
         return (s >= 0.0) & (s <= self.height) & (rho <= rmax)
 
+    def bounds_mm(self) -> tuple[np.ndarray, np.ndarray]:
+        """Padded axis-aligned box (lo, hi) around the tip and base discs."""
+        base = self.tip_radius + self.height * np.tan(np.deg2rad(self.half_angle_deg))
+        return _padded_box([_disc_box(self.apex, self.axis, self.tip_radius),
+                            _disc_box(self.apex + self.height * self.axis, self.axis, base)])
+
 
 class TubeSupport:
     """Union of finite cylinders, each given as (start_mm, end_mm, radius_mm)."""
@@ -281,6 +293,14 @@ class TubeSupport:
             inside |= (s >= 0.0) & (s <= length) & (rho <= r)
         return inside
 
+    def bounds_mm(self) -> tuple[np.ndarray, np.ndarray]:
+        """Padded axis-aligned box (lo, hi) around every segment's end discs."""
+        discs = []
+        for p0, p1, r in self.segments:
+            u = (p1 - p0) / np.linalg.norm(p1 - p0)
+            discs += [_disc_box(p0, u, r), _disc_box(p1, u, r)]
+        return _padded_box(discs)
+
 
 class BoxSupport:
     """Axis-aligned box with full edge lengths ``size_mm`` around ``center_mm``."""
@@ -295,6 +315,25 @@ class BoxSupport:
         p = np.asarray(points, dtype=np.float64)
         return np.all(np.abs(p - self.center) <= self.size / 2.0, axis=1)
 
+    def bounds_mm(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box itself, padded: (lo, hi)."""
+        return _padded_box([(self.center - self.size / 2.0, self.center + self.size / 2.0)])
+
+
+def _disc_box(center, normal, radius) -> tuple[np.ndarray, np.ndarray]:
+    """Axis-aligned box (lo, hi) of a disc with unit normal ``normal``."""
+    reach = radius * np.sqrt(np.maximum(0.0, 1.0 - normal * normal))
+    return center - reach, center + reach
+
+
+def _padded_box(boxes) -> tuple[np.ndarray, np.ndarray]:
+    """The box around (lo, hi) boxes, padded by _BOX_PAD per mm of its largest
+    coordinate, so every point a support's contains accepts lies inside."""
+    lo = np.min([b[0] for b in boxes], axis=0)
+    hi = np.max([b[1] for b in boxes], axis=0)
+    pad = _BOX_PAD * max(1.0, np.abs(lo).max(), np.abs(hi).max())
+    return lo - pad, hi + pad
+
 
 def _sample_axes(grid: VoxelGrid, subsamples: int) -> list[np.ndarray]:
     """Per axis, voxel center plus stratified midpoint offset for every
@@ -306,24 +345,40 @@ def _sample_axes(grid: VoxelGrid, subsamples: int) -> list[np.ndarray]:
     return out
 
 
-def _shift_groups(samples, shifts):
-    """Split the shifts into consecutive runs (lo, hi) whose joint sample
-    lattice holds at most _LATTICE_POINTS points; a run has >= 1 shift."""
-    lo, seen = 0, None
-    for k, shift in enumerate(shifts):
-        coords = [set((x - d).tolist()) for x, d in zip(samples, shift)]
-        if seen is not None:
-            fresh = [c - s for c, s in zip(coords, seen)]
-            size = int(np.prod([len(s) + len(f) for s, f in zip(seen, fresh)]))
-            if size <= _LATTICE_POINTS:
-                for s, f in zip(seen, fresh):
-                    s |= f
-                continue
-            yield lo, k
-            lo = k
-        seen = coords
-    if seen is not None:
-        yield lo, len(shifts)
+class _AxisSamples:
+    """One axis of rasterize_shifted: its sample coordinates under each
+    distinct shift value, cut to the support's box [lo, hi], on a lattice
+    of the distinct coordinates that remain."""
+
+    def __init__(self, samples, shifts, lo, hi, subsamples):
+        values, self.index = np.unique(shifts, return_inverse=True)
+        self.subsamples = subsamples
+        # the samples ascend (a voxel's offsets span less than its pitch),
+        # so each value's coordinates ascend too, and those in the box run
+        # from sample first[value] on
+        coords, self.first = [], []
+        for value in values:
+            c = samples - value
+            s0, s1 = np.searchsorted(c, lo, "left"), np.searchsorted(c, hi, "right")
+            coords.append(c[s0:s1])
+            self.first.append(s0)
+        # sorted and deduplicated by hand: np.unique with no index array
+        # imports numpy.ma (1.1 MB) on its first call
+        lattice = np.sort(np.concatenate(coords))
+        self.lattice = lattice[np.diff(lattice, prepend=-np.inf) > 0]
+        self.rows = [np.searchsorted(self.lattice, c) for c in coords]
+
+    def segments(self, value: int, r0: int, r1: int):
+        """Value's samples on lattice rows r0..r1-1, voxel by voxel: their
+        rows (less r0), where each voxel's run of them starts, and the
+        voxels' slice; None where no sample falls there."""
+        rows = self.rows[value]
+        p0, p1 = np.searchsorted(rows, (r0, r1))
+        if p0 == p1:
+            return None
+        voxels = (self.first[value] + np.arange(p0, p1)) // self.subsamples
+        starts = np.flatnonzero(np.diff(voxels, prepend=-1))
+        return rows[p0:p1] - r0, starts, slice(voxels[0], voxels[-1] + 1)
 
 
 def _contains_product(support, axes) -> np.ndarray:
@@ -347,6 +402,45 @@ def _contains_product(support, axes) -> np.ndarray:
     return inside
 
 
+def _add_counts(support, axes, groups, out) -> None:
+    """Add each shift's inside-point counts on the lattice of ``axes`` to
+    out, one tile of the lattice at a time. ``groups`` maps a z value to
+    its y values, a y value to its x values, and an x value to the
+    indices of the shifts with that value triple."""
+    sizes = [ax.lattice.size for ax in axes]
+    if 0 in sizes:
+        return
+    bz = min(sizes[2], _LATTICE_POINTS)
+    by = min(sizes[1], max(1, _LATTICE_POINTS // bz))
+    bx = max(1, _LATTICE_POINTS // (by * bz))
+    for corner in itertools.product(*(range(0, n, b) for n, b in zip(sizes, (bx, by, bz)))):
+        spans = [(r0, min(r0 + b, n)) for r0, b, n in zip(corner, (bx, by, bz), sizes)]
+        inside = _contains_product(support, [ax.lattice[r0:r1]
+                                             for ax, (r0, r1) in zip(axes, spans)])
+        if not inside.any():
+            continue
+        tile = inside.astype(np.float64)
+        sx, sy, sz = ([ax.segments(j, *span) for j in range(len(ax.rows))]
+                      for ax, span in zip(axes, spans))
+        for jz, y_values in groups.items():
+            if sz[jz] is None:
+                continue
+            rows, starts, vz = sz[jz]
+            tz = np.add.reduceat(tile.take(rows, axis=2), starts, axis=2)
+            for jy, x_values in y_values.items():
+                if sy[jy] is None:
+                    continue
+                rows, starts, vy = sy[jy]
+                tyz = np.add.reduceat(tz.take(rows, axis=1), starts, axis=1)
+                for jx, ks in x_values.items():
+                    if sx[jx] is None:
+                        continue
+                    rows, starts, vx = sx[jx]
+                    count = np.add.reduceat(tyz.take(rows, axis=0), starts, axis=0)
+                    for k in ks:
+                        out[k, vx, vy, vz] += count
+
+
 def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
                       shifts_mm, subsamples: int = 4) -> np.ndarray:
     """Rasterize a geometric support onto the grid once per shift.
@@ -356,19 +450,26 @@ def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
     lies inside the support. Returns (k, nx, ny, nz).
 
     Sample coordinates are separable per axis: center + offset - shift,
-    computed in that order. So consecutive shifts share one lattice, the
-    Cartesian product of the distinct per-axis coordinates, and one
-    membership test on it. Each image counts its inside points axis by
-    axis, gathering each voxel's subsamples along that axis from the
-    lattice and summing them, and is concentration * (count /
-    subsamples**3). A count is an exact integer, so every value is bitwise
-    what testing that shift's sample points one by one gives.
+    computed in that order, so each axis has one coordinate array per
+    distinct shift value. Coordinates outside the support's bounds_mm()
+    box, which must hold every point its contains accepts, are dropped (a
+    support without bounds_mm has an infinite box). The distinct
+    coordinates left form one lattice per axis, and the membership test
+    runs once on their Cartesian product, tile by tile. Per axis and shift
+    value, each voxel's samples sit on a run of lattice coordinates, so
+    summing a tile's inside points over those runs (np.add.reduceat) is
+    its product with the 0/1 matrix from lattice coordinates to voxels.
+    The sums run over z once per distinct z value, then over y once per
+    (y, z) value pair, then over x per shift, in float64, and are added to
+    the shift's image. Every partial sum is an integer far below 2**53, so
+    the counts are exact in any order, and concentration * (count /
+    subsamples**3) is bitwise what testing each sample point gives.
 
-    A lattice holds at most _LATTICE_POINTS points unless one shift alone
-    needs more. A ShiftGrid that fits one lattice costs at most as many
-    points as testing its shifts one by one, and far fewer where the step
-    is a multiple of the subsample pitch; an unstructured shift list, or a
-    grid split across lattices, may cost more.
+    The shared lattice costs at most as many membership tests as testing
+    each distinct shift on its own, and far fewer for a ShiftGrid whose
+    step is a multiple of the subsample pitch. Where a shift list would
+    make it cost more (an unstructured list), each distinct shift gets a
+    lattice of its own instead.
     """
     if support is None or not hasattr(support, "contains"):
         raise TypeError("support has no point-membership test")
@@ -377,19 +478,33 @@ def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
     shifts = np.asarray(shifts_mm, dtype=np.float64)
     if shifts.ndim != 2 or shifts.shape[1] != 3:
         raise ValueError("shifts must be a (k, 3) array in mm")
+    if not np.isfinite(shifts).all():
+        raise ValueError("shifts must be finite")
+    out = np.zeros((len(shifts),) + grid.shape)
+    if not len(shifts):
+        return out
+    bounds = getattr(support, "bounds_mm", None)
+    lo, hi = bounds() if bounds is not None else (np.full(3, -np.inf), np.full(3, np.inf))
     samples = _sample_axes(grid, subsamples)
-    dtype = np.min_scalar_type(subsamples**3)
-    out = np.empty((len(shifts),) + grid.shape)
-    for lo, hi in _shift_groups(samples, shifts):
-        axes = [np.unique(x[None, :] - shifts[lo:hi, a, None], return_inverse=True)
-                for a, x in enumerate(samples)]
-        lattice = _contains_product(support, [values for values, _ in axes])
-        rows = [inverse.reshape(hi - lo, -1, subsamples) for _, inverse in axes]
-        for k in range(lo, hi):
-            count = lattice
-            for a in range(3):
-                count = count.take(rows[a][k - lo], axis=a).sum(axis=a + 1, dtype=dtype)
-            out[k] = concentration * (count / subsamples**3)
+    axes = [_AxisSamples(x, shifts[:, a], lo[a], hi[a], subsamples)
+            for a, x in enumerate(samples)]
+    triples = {}
+    for k, triple in enumerate(zip(*(ax.index.tolist() for ax in axes))):
+        triples.setdefault(triple, []).append(k)
+    sizes = [[rows.size for rows in ax.rows] for ax in axes]
+    one_by_one = sum(math.prod(n[j] for n, j in zip(sizes, triple)) for triple in triples)
+    if math.prod(ax.lattice.size for ax in axes) <= one_by_one:
+        groups = {}
+        for (x, y, z), ks in triples.items():
+            groups.setdefault(z, {}).setdefault(y, {})[x] = ks
+        _add_counts(support, axes, groups, out)
+    else:
+        for ks in triples.values():
+            own = [_AxisSamples(x, shifts[ks[:1], a], lo[a], hi[a], subsamples)
+                   for a, x in enumerate(samples)]
+            _add_counts(support, own, {0: {0: {0: ks}}}, out)
+    out /= subsamples**3
+    out *= concentration
     return out
 
 

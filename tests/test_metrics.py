@@ -17,7 +17,14 @@ from robust_recon.metrics import (
     ssim_max,
     ssim_table,
 )
-from robust_recon.model import BoxSupport, VoxelGrid, make_phantom
+from robust_recon.model import (
+    BoxSupport,
+    ConeSupport,
+    TubeSupport,
+    VoxelGrid,
+    make_phantom,
+    rasterize_shifted,
+)
 
 
 def test_shift_grid_counts():
@@ -113,12 +120,17 @@ class CountingSupport:
 def per_shift_oracle(support, grid, shift_grid, concentration, subsamples):
     """Every voxel's stratified sample points minus the shift, tested
     point by point, one shift at a time."""
+    return shift_list_oracle(support, grid, shift_grid.shifts(), concentration, subsamples)
+
+
+def shift_list_oracle(support, grid, shifts, concentration, subsamples):
+    """per_shift_oracle for a (k, 3) list of shifts."""
     s = subsamples
     per_axis = [((np.arange(s) + 0.5) / s - 0.5) * h for h in grid.spacing_mm]
     offsets = np.stack([o.ravel() for o in np.meshgrid(*per_axis, indexing="ij")], axis=1)
     points = (grid.centers_mm()[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
     out = []
-    for shift in shift_grid.shifts():
+    for shift in shifts:
         inside = support.contains(points - shift).reshape(grid.voxel_count, s**3)
         out.append((concentration * inside.mean(axis=1)).reshape(grid.shape))
     return np.stack(out)
@@ -162,15 +174,125 @@ def test_reference_stack_split_into_groups_matches_oracle(monkeypatch):
     oracle = per_shift_oracle(phantom.support, grid, sg, 50.0, 4)
     whole = CountingSupport(phantom.support)
     assert reference_stack(whole, grid, sg, 50.0).tobytes() == oracle.tobytes()
-    # a lattice budget below two shifts' points and small contains blocks
+    # a tile budget below one shift's points and small contains blocks
     monkeypatch.setattr(model, "_LATTICE_POINTS", 1500)
     monkeypatch.setattr(model, "_CONTAINS_POINTS", 700)
     split = CountingSupport(phantom.support)
     assert reference_stack(split, grid, sg, 50.0).tobytes() == oracle.tobytes()
     assert max(split.calls) <= 700
-    # one shift's lattice is 32 * 32 * 4 = 4096 points, so each of the 81
-    # shifts gets its own lattice
-    assert sum(split.calls) == sg.count * 4096 > sum(whole.calls)
+    # CountingSupport has no bounds_mm, so nothing is cut: the shared lattice
+    # is 48 * 48 * 4 points, and the tiles test each of them once, against
+    # 4096 points for each of the 81 shifts on its own
+    assert sum(split.calls) == sum(whole.calls) == 48 * 48 * 4 < sg.count * 4096
+    assert len(split.calls) > len(whole.calls) == 1
+
+
+# an 8 x 8 grid at 1 mm with 4 subsamples puts its samples at 0.125 + k/4
+# mm, and a ShiftGrid step of 0.25 mm keeps every lattice coordinate there
+EDGE_GRID = VoxelGrid((8, 8, 1), (1.0, 1.0, 1.0))
+EDGE_SHIFTS = ShiftGrid((1.0, 0.5, 0.0), 0.25)
+
+
+@pytest.mark.parametrize("support", [
+    # apex on the sample (0.125, -0.375, 0.125), the box's low corner in x
+    # and y: the tilted cone opens at under 37 degrees from its axis
+    ConeSupport((0.125, -0.375, 0.125), (0.6, 0.8, 0.0), 0.0, 30.0, 2.5),
+    # ends on the lattice coordinates x = -1.625 and 1.375, on y = 0.125
+    TubeSupport([((-1.625, 0.125, 0.125), (1.375, 0.125, 0.125), 0.5)]),
+    # every face on a plane of samples
+    BoxSupport((0.125, -0.375, 0.125), (1.5, 2.0, 0.5)),
+], ids=["tilted-cone", "tube", "box"])
+def test_reference_stack_with_box_edges_on_samples_matches_oracle(support):
+    lo, hi = support.bounds_mm()
+    edges = np.concatenate([lo, hi])
+    on_sample = np.abs((edges - 0.125) / 0.25 - np.round((edges - 0.125) / 0.25)) < 1e-6
+    assert on_sample.any()
+    stack = reference_stack(support, EDGE_GRID, EDGE_SHIFTS, 50.0, 4)
+    oracle = per_shift_oracle(support, EDGE_GRID, EDGE_SHIFTS, 50.0, 4)
+    assert stack.tobytes() == oracle.tobytes()
+    assert (stack > 0.0).any()
+
+
+def random_supports(rng, count):
+    """Cones, tubes and boxes of random placement, direction and size."""
+    supports = []
+    for _ in range(count):
+        supports.append(ConeSupport(rng.uniform(-2, 2, 3), rng.normal(size=3),
+                                    rng.uniform(0, 1), rng.uniform(1, 60), rng.uniform(0.5, 3)))
+        supports.append(TubeSupport([(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3),
+                                      rng.uniform(0.1, 1)) for _ in range(2)]))
+        supports.append(BoxSupport(rng.uniform(-2, 2, 3), rng.uniform(0.1, 3, 3)))
+    return supports
+
+
+def test_reference_stack_of_random_supports_matches_oracle():
+    # random cones, tubes and boxes at a non-dyadic spacing and step
+    rng = np.random.default_rng(3)
+    grid = VoxelGrid((7, 6, 3), (0.7, 0.9, 1.1))
+    sg = ShiftGrid((0.6, 0.3, 0.3), 0.3)
+    for support in random_supports(rng, 4):
+        stack = reference_stack(support, grid, sg, 50.0, 3)
+        assert stack.tobytes() == per_shift_oracle(support, grid, sg, 50.0, 3).tobytes()
+
+
+def test_support_bounds_hold_every_inside_point():
+    rng = np.random.default_rng(7)
+    for support in random_supports(rng, 20):
+        lo, hi = support.bounds_mm()
+        points = rng.uniform(lo - 1.0, hi + 1.0, (20000, 3))
+        inside = points[support.contains(points)]
+        assert inside.size and (inside >= lo).all() and (inside <= hi).all()
+
+
+@pytest.mark.parametrize("subsamples", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("kind", ["shape-cone", "resolution-tubes", "delta"])
+def test_reference_stack_at_every_subsample_count_matches_oracle(subsamples, kind):
+    grid = VoxelGrid((6, 5, 2), (0.9, 0.8, 1.0))
+    support = make_phantom(kind, grid, 50.0, subsamples=subsamples).support
+    sg = ShiftGrid((0.6, 0.3, 0.0), 0.3)
+    stack = reference_stack(support, grid, sg, 50.0, subsamples)
+    assert stack.tobytes() == per_shift_oracle(support, grid, sg, 50.0, subsamples).tobytes()
+
+
+def random_shift_list(rng, count, values=None):
+    """Shifts in [-1, 1] mm; drawn from ``values`` per axis when given, so
+    values repeat, and with -0.0, 0.0 and a repeated shift mixed in."""
+    if values is None:
+        shifts = rng.uniform(-1.0, 1.0, (count, 3))
+    else:
+        shifts = rng.choice(values, (count, 3))
+    shifts[0] = (-0.0, 0.0, -0.0)
+    shifts[1] = (0.0, -0.0, 0.0)
+    shifts[2, 0] = -0.0
+    shifts[3] = shifts[4]
+    return shifts
+
+
+@pytest.mark.parametrize("values", [None, (-0.7, -0.0, 0.0, 0.35, 0.6)],
+                         ids=["unstructured", "repeated-values"])
+@pytest.mark.parametrize("kind", ["shape-cone", "resolution-tubes", "delta"])
+def test_rasterize_shifted_on_random_shift_lists_matches_oracle(values, kind):
+    rng = np.random.default_rng(5)
+    grid = VoxelGrid((7, 6, 2), (0.8, 0.9, 1.0))
+    support = make_phantom(kind, grid, 50.0, subsamples=3).support
+    shifts = random_shift_list(rng, 12, values)
+    stack = rasterize_shifted(support, grid, 50.0, shifts, 3)
+    assert stack.tobytes() == shift_list_oracle(support, grid, shifts, 50.0, 3).tobytes()
+
+
+def test_unstructured_shift_list_tests_no_more_points_than_shift_by_shift():
+    # twelve shifts with distinct values on every axis share no coordinate,
+    # so each gets a lattice of its own, 21 * 18 * 6 points
+    rng = np.random.default_rng(6)
+    grid = VoxelGrid((7, 6, 2), (0.8, 0.9, 1.0))
+    shifts = random_shift_list(rng, 12)
+    support = make_phantom("resolution-tubes", grid, 50.0).support
+    counting = CountingSupport(support)
+    stack = rasterize_shifted(counting, grid, 50.0, shifts, 3)
+    assert stack.tobytes() == shift_list_oracle(support, grid, shifts, 50.0, 3).tobytes()
+    # the first two shifts are one (0.0 and -0.0 are the same value), as are
+    # shifts 3 and 4
+    assert sum(counting.calls) == 10 * 21 * 18 * 6
 
 
 def test_psnr_identical_images_is_inf():

@@ -242,6 +242,33 @@ def test_rasterize_shifted_shapes_and_validation():
         rasterize_shifted(None, grid, 50.0, [(0.0, 0.0, 0.0)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rasterize_shifted_rejects_non_finite_shifts(bad):
+    # such a shift used to give an all-zero reference image
+    grid = VoxelGrid((3, 2, 1), (1.0, 1.0, 1.0))
+    covering = BoxSupport((0.0, 0.0, 0.0), (10.0, 10.0, 10.0))
+    for axis in range(3):
+        shifts = np.zeros((2, 3))
+        shifts[1, axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rasterize_shifted(covering, grid, 50.0, shifts)
+
+
+def test_support_bounds_are_the_analytic_boxes_padded():
+    box = BoxSupport((1.0, -2.0, 0.5), (2.0, 1.0, 3.0))
+    lo, hi = box.bounds_mm()
+    assert np.allclose(lo, [0.0, -2.5, -1.0], rtol=0, atol=3e-9) and np.all(lo < [0.0, -2.5, -1.0])
+    assert np.allclose(hi, [2.0, -1.5, 2.0], rtol=0, atol=3e-9) and np.all(hi > [2.0, -1.5, 2.0])
+    # a cone along +x: its tip at x = 0, its base disc of radius 1 + 4 tan 45 = 5
+    lo, hi = ConeSupport((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), 1.0, 45.0, 4.0).bounds_mm()
+    assert np.allclose(lo, [0.0, -5.0, -5.0], rtol=0, atol=1e-8)
+    assert np.allclose(hi, [4.0, 5.0, 5.0], rtol=0, atol=1e-8)
+    # a tube along y of radius 0.5
+    lo, hi = TubeSupport([((1.0, -1.0, 0.0), (1.0, 3.0, 0.0), 0.5)]).bounds_mm()
+    assert np.allclose(lo, [0.5, -1.0, -0.5], rtol=0, atol=1e-8)
+    assert np.allclose(hi, [1.5, 3.0, 0.5], rtol=0, atol=1e-8)
+
+
 def test_axis_centers_match_centers():
     grid = VoxelGrid((4, 3, 2), (0.3, 0.7, 1.1))
     centers = grid.centers_mm().reshape(grid.shape + (3,))
