@@ -30,12 +30,12 @@ rasterize_support; custom values are a Phantom constructed directly.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.fft  # load at import, not on the first transform
+
+from .lattice import add_counts
 
 __all__ = [
     "VoxelGrid",
@@ -59,11 +59,6 @@ MU0 = 4.0e-7 * np.pi
 BOLTZMANN = 1.380649e-23
 # Saturation induction of the particle core material (magnetite-like), tesla.
 CORE_SATURATION_T = 0.6
-# rasterize_shifted tests its sample lattice tile by tile, a tile holding at
-# most _LATTICE_POINTS points (512 kB in float64), and hands support.contains
-# _CONTAINS_POINTS points per call.
-_LATTICE_POINTS = 1 << 16
-_CONTAINS_POINTS = 1 << 14
 # A stock support's bounding box is padded by this many mm per mm of its
 # largest coordinate, counted as at least 1 mm: far above the rounding of
 # contains.
@@ -345,102 +340,6 @@ def _sample_axes(grid: VoxelGrid, subsamples: int) -> list[np.ndarray]:
     return out
 
 
-class _AxisSamples:
-    """One axis of rasterize_shifted: its sample coordinates under each
-    distinct shift value, cut to the support's box [lo, hi], on a lattice
-    of the distinct coordinates that remain."""
-
-    def __init__(self, samples, shifts, lo, hi, subsamples):
-        values, self.index = np.unique(shifts, return_inverse=True)
-        self.subsamples = subsamples
-        # the samples ascend (a voxel's offsets span less than its pitch),
-        # so each value's coordinates ascend too, and those in the box run
-        # from sample first[value] on
-        coords, self.first = [], []
-        for value in values:
-            c = samples - value
-            s0, s1 = np.searchsorted(c, lo, "left"), np.searchsorted(c, hi, "right")
-            coords.append(c[s0:s1])
-            self.first.append(s0)
-        # sorted and deduplicated by hand: np.unique with no index array
-        # imports numpy.ma (1.1 MB) on its first call
-        lattice = np.sort(np.concatenate(coords))
-        self.lattice = lattice[np.diff(lattice, prepend=-np.inf) > 0]
-        self.rows = [np.searchsorted(self.lattice, c) for c in coords]
-
-    def segments(self, value: int, r0: int, r1: int):
-        """Value's samples on lattice rows r0..r1-1, voxel by voxel: their
-        rows (less r0), where each voxel's run of them starts, and the
-        voxels' slice; None where no sample falls there."""
-        rows = self.rows[value]
-        p0, p1 = np.searchsorted(rows, (r0, r1))
-        if p0 == p1:
-            return None
-        voxels = (self.first[value] + np.arange(p0, p1)) // self.subsamples
-        starts = np.flatnonzero(np.diff(voxels, prepend=-1))
-        return rows[p0:p1] - r0, starts, slice(voxels[0], voxels[-1] + 1)
-
-
-def _contains_product(support, axes) -> np.ndarray:
-    """support.contains on the Cartesian product of three coordinate
-    arrays, in blocks of at most _CONTAINS_POINTS points: a boolean
-    (len x, len y, len z) lattice."""
-    shape = tuple(len(x) for x in axes)
-    bz = min(shape[2], _CONTAINS_POINTS)
-    by = min(shape[1], max(1, _CONTAINS_POINTS // bz))
-    bx = max(1, _CONTAINS_POINTS // (by * bz))
-    inside = np.empty(shape, dtype=bool)
-    for x0, y0, z0 in itertools.product(*(range(0, n, b) for n, b in
-                                          zip(shape, (bx, by, bz)))):
-        block = (slice(x0, x0 + bx), slice(y0, y0 + by), slice(z0, z0 + bz))
-        x, y, z = (c[b] for c, b in zip(axes, block))
-        points = np.empty((len(x), len(y), len(z), 3))
-        points[..., 0] = x[:, None, None]
-        points[..., 1] = y[None, :, None]
-        points[..., 2] = z[None, None, :]
-        inside[block] = support.contains(points.reshape(-1, 3)).reshape(points.shape[:3])
-    return inside
-
-
-def _add_counts(support, axes, groups, out) -> None:
-    """Add each shift's inside-point counts on the lattice of ``axes`` to
-    out, one tile of the lattice at a time. ``groups`` maps a z value to
-    its y values, a y value to its x values, and an x value to the
-    indices of the shifts with that value triple."""
-    sizes = [ax.lattice.size for ax in axes]
-    if 0 in sizes:
-        return
-    bz = min(sizes[2], _LATTICE_POINTS)
-    by = min(sizes[1], max(1, _LATTICE_POINTS // bz))
-    bx = max(1, _LATTICE_POINTS // (by * bz))
-    for corner in itertools.product(*(range(0, n, b) for n, b in zip(sizes, (bx, by, bz)))):
-        spans = [(r0, min(r0 + b, n)) for r0, b, n in zip(corner, (bx, by, bz), sizes)]
-        inside = _contains_product(support, [ax.lattice[r0:r1]
-                                             for ax, (r0, r1) in zip(axes, spans)])
-        if not inside.any():
-            continue
-        tile = inside.astype(np.float64)
-        sx, sy, sz = ([ax.segments(j, *span) for j in range(len(ax.rows))]
-                      for ax, span in zip(axes, spans))
-        for jz, y_values in groups.items():
-            if sz[jz] is None:
-                continue
-            rows, starts, vz = sz[jz]
-            tz = np.add.reduceat(tile.take(rows, axis=2), starts, axis=2)
-            for jy, x_values in y_values.items():
-                if sy[jy] is None:
-                    continue
-                rows, starts, vy = sy[jy]
-                tyz = np.add.reduceat(tz.take(rows, axis=1), starts, axis=1)
-                for jx, ks in x_values.items():
-                    if sx[jx] is None:
-                        continue
-                    rows, starts, vx = sx[jx]
-                    count = np.add.reduceat(tyz.take(rows, axis=0), starts, axis=0)
-                    for k in ks:
-                        out[k, vx, vy, vz] += count
-
-
 def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
                       shifts_mm, subsamples: int = 4) -> np.ndarray:
     """Rasterize a geometric support onto the grid once per shift.
@@ -455,7 +354,8 @@ def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
     box, which must hold every point its contains accepts, are dropped (a
     support without bounds_mm has an infinite box). The distinct
     coordinates left form one lattice per axis, and the membership test
-    runs once on their Cartesian product, tile by tile. Per axis and shift
+    runs once on their Cartesian product, tile by tile (lattice.add_counts).
+    Per axis and shift
     value, each voxel's samples sit on a run of lattice coordinates, so
     summing a tile's inside points over those runs (np.add.reduceat) is
     its product with the 0/1 matrix from lattice coordinates to voxels.
@@ -465,11 +365,10 @@ def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
     the counts are exact in any order, and concentration * (count /
     subsamples**3) is bitwise what testing each sample point gives.
 
-    The shared lattice costs at most as many membership tests as testing
-    each distinct shift on its own, and far fewer for a ShiftGrid whose
-    step is a multiple of the subsample pitch. Where a shift list would
-    make it cost more (an unstructured list), each distinct shift gets a
-    lattice of its own instead.
+    For a ShiftGrid the shared lattice costs at most as many membership
+    tests as testing its shifts one by one, and far fewer where the step is
+    a multiple of the subsample pitch; an unstructured shift list may cost
+    more.
     """
     if support is None or not hasattr(support, "contains"):
         raise TypeError("support has no point-membership test")
@@ -485,24 +384,7 @@ def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
         return out
     bounds = getattr(support, "bounds_mm", None)
     lo, hi = bounds() if bounds is not None else (np.full(3, -np.inf), np.full(3, np.inf))
-    samples = _sample_axes(grid, subsamples)
-    axes = [_AxisSamples(x, shifts[:, a], lo[a], hi[a], subsamples)
-            for a, x in enumerate(samples)]
-    triples = {}
-    for k, triple in enumerate(zip(*(ax.index.tolist() for ax in axes))):
-        triples.setdefault(triple, []).append(k)
-    sizes = [[rows.size for rows in ax.rows] for ax in axes]
-    one_by_one = sum(math.prod(n[j] for n, j in zip(sizes, triple)) for triple in triples)
-    if math.prod(ax.lattice.size for ax in axes) <= one_by_one:
-        groups = {}
-        for (x, y, z), ks in triples.items():
-            groups.setdefault(z, {}).setdefault(y, {})[x] = ks
-        _add_counts(support, axes, groups, out)
-    else:
-        for ks in triples.values():
-            own = [_AxisSamples(x, shifts[ks[:1], a], lo[a], hi[a], subsamples)
-                   for a, x in enumerate(samples)]
-            _add_counts(support, own, {0: {0: {0: ks}}}, out)
+    add_counts(support, _sample_axes(grid, subsamples), shifts, lo, hi, subsamples, out)
     out /= subsamples**3
     out *= concentration
     return out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 
-from robust_recon import metrics, model
+from robust_recon import lattice, metrics, model
 from robust_recon.errors import NumericalError
 from robust_recon.metrics import (
     ShiftGrid,
@@ -175,8 +175,8 @@ def test_reference_stack_split_into_groups_matches_oracle(monkeypatch):
     whole = CountingSupport(phantom.support)
     assert reference_stack(whole, grid, sg, 50.0).tobytes() == oracle.tobytes()
     # a tile budget below one shift's points and small contains blocks
-    monkeypatch.setattr(model, "_LATTICE_POINTS", 1500)
-    monkeypatch.setattr(model, "_CONTAINS_POINTS", 700)
+    monkeypatch.setattr(lattice, "_LATTICE_POINTS", 1500)
+    monkeypatch.setattr(lattice, "_CONTAINS_POINTS", 700)
     split = CountingSupport(phantom.support)
     assert reference_stack(split, grid, sg, 50.0).tobytes() == oracle.tobytes()
     assert max(split.calls) <= 700
@@ -278,21 +278,6 @@ def test_rasterize_shifted_on_random_shift_lists_matches_oracle(values, kind):
     shifts = random_shift_list(rng, 12, values)
     stack = rasterize_shifted(support, grid, 50.0, shifts, 3)
     assert stack.tobytes() == shift_list_oracle(support, grid, shifts, 50.0, 3).tobytes()
-
-
-def test_unstructured_shift_list_tests_no_more_points_than_shift_by_shift():
-    # twelve shifts with distinct values on every axis share no coordinate,
-    # so each gets a lattice of its own, 21 * 18 * 6 points
-    rng = np.random.default_rng(6)
-    grid = VoxelGrid((7, 6, 2), (0.8, 0.9, 1.0))
-    shifts = random_shift_list(rng, 12)
-    support = make_phantom("resolution-tubes", grid, 50.0).support
-    counting = CountingSupport(support)
-    stack = rasterize_shifted(counting, grid, 50.0, shifts, 3)
-    assert stack.tobytes() == shift_list_oracle(support, grid, shifts, 50.0, 3).tobytes()
-    # the first two shifts are one (0.0 and -0.0 are the same value), as are
-    # shifts 3 and 4
-    assert sum(counting.calls) == 10 * 21 * 18 * 6
 
 
 def test_psnr_identical_images_is_inf():
