@@ -1,11 +1,12 @@
 """Exact inside-point counts of a support on shifted sample lattices.
 
 The counting half of model.rasterize_shifted, which describes the method:
-per axis, the sample coordinates under each distinct shift value are cut
-to the support's box and merged into one lattice; the membership test runs
-once on the lattices' Cartesian product, tile by tile, and each tile's
-inside points are summed over each voxel's run of lattice coordinates,
-axis by axis, into every shift's image.
+per axis, the sample coordinates under each of the axis's shift values are
+cut to the support's box and merged into one lattice; the membership test
+runs once on the lattices' Cartesian product, tile by tile, and each
+tile's inside points are summed over each voxel's run of lattice
+coordinates, axis by axis, into the image of every product of shift
+values.
 """
 
 from __future__ import annotations
@@ -24,16 +25,15 @@ _CONTAINS_POINTS = 1 << 14
 
 
 class _AxisSamples:
-    """One axis: its sample coordinates under each distinct shift value,
+    """One axis: its sample coordinates under each of its shift values,
     cut to the support's box [lo, hi], on a lattice of the distinct
     coordinates that remain."""
 
-    def __init__(self, samples, shifts, lo, hi, subsamples):
-        values, self.index = np.unique(shifts, return_inverse=True)
+    def __init__(self, samples, values, lo, hi, subsamples):
         self.subsamples = subsamples
         # the samples ascend (a voxel's offsets span less than its pitch),
         # so each value's coordinates ascend too, and those in the box run
-        # from sample first[value] on
+        # from sample first[j] on for the j-th value
         coords, self.first = [], []
         for value in values:
             c = samples - value
@@ -46,15 +46,15 @@ class _AxisSamples:
         self.lattice = lattice[np.diff(lattice, prepend=-np.inf) > 0]
         self.rows = [np.searchsorted(self.lattice, c) for c in coords]
 
-    def segments(self, value: int, r0: int, r1: int):
-        """Value's samples on lattice rows r0..r1-1, voxel by voxel: their
-        rows (less r0), where each voxel's run of them starts, and the
-        voxels' slice; None where no sample falls there."""
-        rows = self.rows[value]
+    def segments(self, j: int, r0: int, r1: int):
+        """The j-th value's samples on lattice rows r0..r1-1, voxel by
+        voxel: their rows (less r0), where each voxel's run of them starts,
+        and the voxels' slice; None where no sample falls there."""
+        rows = self.rows[j]
         p0, p1 = np.searchsorted(rows, (r0, r1))
         if p0 == p1:
             return None
-        voxels = (self.first[value] + np.arange(p0, p1)) // self.subsamples
+        voxels = (self.first[j] + np.arange(p0, p1)) // self.subsamples
         starts = np.flatnonzero(np.diff(voxels, prepend=-1))
         return rows[p0:p1] - r0, starts, slice(voxels[0], voxels[-1] + 1)
 
@@ -85,21 +85,16 @@ def _contains_product(support, axes) -> np.ndarray:
 
 
 def add_counts(support, samples, shifts, lo, hi, subsamples: int, out) -> None:
-    """Add to out[k] the count of each voxel's samples p (``samples``: per
-    axis, voxel-major coordinates in mm, ``subsamples`` per voxel) for
-    which p - shifts[k] lies inside the support. Only points inside the box
-    [lo, hi] are tested, so it must hold every point contains accepts. Every
-    count is an exact integer in float64."""
-    axes = [_AxisSamples(x, shifts[:, a], lo[a], hi[a], subsamples)
-            for a, x in enumerate(samples)]
+    """Add to out[i, j, k] the count of each voxel's samples p (``samples``:
+    per axis, voxel-major coordinates in mm, ``subsamples`` per voxel) for
+    which p - (shifts[0][i], shifts[1][j], shifts[2][k]) lies inside the
+    support; out is (len x, len y, len z, nx, ny, nz). Only points inside
+    the box [lo, hi] are tested, so it must hold every point contains
+    accepts. Every count is an exact integer in float64."""
+    axes = [_AxisSamples(*args, subsamples) for args in zip(samples, shifts, lo, hi)]
     sizes = [ax.lattice.size for ax in axes]
     if 0 in sizes:
         return
-    # a z value to its y values, a y value to its x values, and an x value
-    # to the shifts with that value triple
-    groups = {}
-    for k, (x, y, z) in enumerate(zip(*(ax.index.tolist() for ax in axes))):
-        groups.setdefault(z, {}).setdefault(y, {}).setdefault(x, []).append(k)
     for span in _tiles(sizes, _LATTICE_POINTS):
         inside = _contains_product(support, [ax.lattice[t] for ax, t in zip(axes, span)])
         if not inside.any():
@@ -107,20 +102,19 @@ def add_counts(support, samples, shifts, lo, hi, subsamples: int, out) -> None:
         tile = inside.astype(np.float64)
         sx, sy, sz = ([ax.segments(j, t.start, t.stop) for j in range(len(ax.rows))]
                       for ax, t in zip(axes, span))
-        for jz, y_values in groups.items():
-            if sz[jz] is None:
+        for k, z in enumerate(sz):
+            if z is None:
                 continue
-            rows, starts, vz = sz[jz]
+            rows, starts, vz = z
             tz = np.add.reduceat(tile.take(rows, axis=2), starts, axis=2)
-            for jy, x_values in y_values.items():
-                if sy[jy] is None:
+            for j, y in enumerate(sy):
+                if y is None:
                     continue
-                rows, starts, vy = sy[jy]
+                rows, starts, vy = y
                 tyz = np.add.reduceat(tz.take(rows, axis=1), starts, axis=1)
-                for jx, ks in x_values.items():
-                    if sx[jx] is None:
+                for i, x in enumerate(sx):
+                    if x is None:
                         continue
-                    rows, starts, vx = sx[jx]
-                    count = np.add.reduceat(tyz.take(rows, axis=0), starts, axis=0)
-                    for k in ks:
-                        out[k, vx, vy, vz] += count
+                    rows, starts, vx = x
+                    out[i, j, k, vx, vy, vz] += np.add.reduceat(tyz.take(rows, axis=0),
+                                                                starts, axis=0)

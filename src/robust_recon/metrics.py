@@ -4,11 +4,11 @@ A reconstruction may be displaced by a fraction of the grid against the
 ground-truth geometry without being any worse, so both quality numbers are
 taken as the maximum over a grid of reference shifts: the analytic support
 is rasterized at every shift and the metric evaluated against each
-candidate. The shifts share one membership test on a lattice of sample
-coordinates inside the support's bounding box, and exact per-axis counts
-turn it into every reference (model.rasterize_shifted); each
-reference is bitwise equal to rasterizing its shift on its own and, at zero
-shift, to the phantom.
+candidate. The grid's per-axis shift values share one membership test on
+a lattice of sample coordinates inside the support's bounding box, and
+exact per-axis counts turn it into every reference
+(model.rasterize_shifted); each reference is bitwise equal to rasterizing
+its shift on its own and, at zero shift, to the phantom.
 Scores are tabulated (images x shifts) by psnr_table and ssim_table; the
 best cell is the first maximum in row-major order (ties resolve to the
 first shift in lexicographic order), and a table holding a NaN raises
@@ -94,6 +94,11 @@ class ShiftGrid:
         k = int(round(self.extent_mm[axis] / self.step_mm))
         return np.arange(-k, k + 1, dtype=np.float64) * self.step_mm
 
+    def axes(self) -> list[np.ndarray]:
+        """The shift values of each axis, x, y, z; the shifts are their
+        Cartesian product."""
+        return [self.axis_values(a) for a in range(3)]
+
     @property
     def count(self) -> int:
         n = 1
@@ -103,8 +108,7 @@ class ShiftGrid:
 
     def shifts(self) -> np.ndarray:
         """All shifts as an (count, 3) array in enumeration order."""
-        ax = [self.axis_values(a) for a in range(3)]
-        gx, gy, gz = np.meshgrid(*ax, indexing="ij")
+        gx, gy, gz = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
 
@@ -122,7 +126,8 @@ def rasterize_reference(support, shift_mm, grid: VoxelGrid, concentration: float
                         subsamples: int = 4) -> ReferenceImage:
     """Rasterize the shifted support; shares the phantom rasterizer so the
     reference at zero shift equals the generating phantom exactly."""
-    values = rasterize_shifted(support, grid, concentration, [shift_mm], subsamples)[0]
+    values = rasterize_shifted(support, grid, concentration, [[s] for s in shift_mm],
+                               subsamples)[0]
     return ReferenceImage(grid, values, tuple(float(s) for s in shift_mm), concentration)
 
 
@@ -130,16 +135,10 @@ def reference_stack(support, grid: VoxelGrid, shift_grid: ShiftGrid,
                     concentration: float, subsamples: int = 4) -> np.ndarray:
     """Reference images for every shift: (count, nx, ny, nz), enumeration
     order, each bitwise equal to rasterize_reference at that shift.
-    Precompute once when scoring many reconstructions.
-
-    model.rasterize_shifted tests the sample coordinates inside the
-    support's bounding box once for all shifts, and counts each image's
-    inside points axis by axis: over z once per distinct z value, over y
-    once per (y, z) value pair and over x per shift. A grid whose step is
-    a multiple of the subsample pitch shares most of its lattice; at other
-    steps the shifts share none, so the cost is that of testing each shift
-    on its own."""
-    return rasterize_shifted(support, grid, concentration, shift_grid.shifts(), subsamples)
+    Precompute once when scoring many reconstructions; the grid's
+    per-axis values go to model.rasterize_shifted, which describes the
+    method and its cost."""
+    return rasterize_shifted(support, grid, concentration, shift_grid.axes(), subsamples)
 
 
 def _batch(images, stack) -> tuple[np.ndarray, np.ndarray]:

@@ -23,9 +23,12 @@ SystemMatrix holds every column as data (simulate_system_matrix).
 
 Phantoms have one build path: make_phantom rasterizes the analytic support
 of a stock kind (delta, shape-cone, resolution-tubes) with
-rasterize_support, the rasterizer that metrics shifts for its references.
-A custom geometry is a ConeSupport, TubeSupport or BoxSupport passed to
-rasterize_support; custom values are a Phantom constructed directly.
+rasterize_support, the unshifted case of rasterize_shifted, which metrics
+gives per-axis shift values for its references and which rasterizes their
+Cartesian product. A support needs contains(points) and bounds_mm(), a
+box holding every point it contains. A custom geometry is a ConeSupport,
+TubeSupport or BoxSupport passed to rasterize_support; custom values are a
+Phantom constructed directly.
 """
 
 from __future__ import annotations
@@ -341,53 +344,51 @@ def _sample_axes(grid: VoxelGrid, subsamples: int) -> list[np.ndarray]:
 
 
 def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
-                      shifts_mm, subsamples: int = 4) -> np.ndarray:
-    """Rasterize a geometric support onto the grid once per shift.
+                      shift_axes, subsamples: int = 4) -> np.ndarray:
+    """Rasterize a geometric support onto the grid once per shift of a
+    Cartesian product of per-axis shift values.
 
+    ``shift_axes`` holds three 1-D arrays of shift values in mm (x, y, z);
+    the shifts are their product, x slowest, as in ShiftGrid.shifts().
     Image k, voxel v gets concentration times the fraction of the voxel's
-    subsamples**3 stratified sample points p for which p - shifts_mm[k]
-    lies inside the support. Returns (k, nx, ny, nz).
+    subsamples**3 stratified sample points p for which p - shift k lies
+    inside the support. Returns (Kx * Ky * Kz, nx, ny, nz). The support
+    needs contains(points) and bounds_mm(), a box (lo, hi) that holds every
+    point contains accepts.
 
     Sample coordinates are separable per axis: center + offset - shift,
     computed in that order, so each axis has one coordinate array per
-    distinct shift value. Coordinates outside the support's bounds_mm()
-    box, which must hold every point its contains accepts, are dropped (a
-    support without bounds_mm has an infinite box). The distinct
-    coordinates left form one lattice per axis, and the membership test
-    runs once on their Cartesian product, tile by tile (lattice.add_counts).
-    Per axis and shift
-    value, each voxel's samples sit on a run of lattice coordinates, so
-    summing a tile's inside points over those runs (np.add.reduceat) is
-    its product with the 0/1 matrix from lattice coordinates to voxels.
-    The sums run over z once per distinct z value, then over y once per
-    (y, z) value pair, then over x per shift, in float64, and are added to
-    the shift's image. Every partial sum is an integer far below 2**53, so
-    the counts are exact in any order, and concentration * (count /
-    subsamples**3) is bitwise what testing each sample point gives.
-
-    For a ShiftGrid the shared lattice costs at most as many membership
-    tests as testing its shifts one by one, and far fewer where the step is
-    a multiple of the subsample pitch; an unstructured shift list may cost
-    more.
+    shift value. Coordinates outside the support's box are dropped, the
+    distinct coordinates left form one lattice per axis, and the
+    membership test runs once on their Cartesian product, tile by tile
+    (lattice.add_counts). Per axis and shift value, each voxel's samples
+    sit on a run of lattice coordinates, so summing a tile's inside points
+    over those runs (np.add.reduceat) is its product with the 0/1 matrix
+    from lattice coordinates to voxels. The sums run over z once per z
+    value, then over y once per (y, z) value pair, then over x per shift,
+    in float64, and are added to the shift's image. Every partial sum is an
+    integer far below 2**53, so the counts are exact in any order, and
+    concentration * (count / subsamples**3) is bitwise what testing each
+    sample point gives. The lattice costs at most as many membership tests
+    as testing the shifts one by one, and far fewer where the shift values
+    are multiples of the subsample pitch.
     """
-    if support is None or not hasattr(support, "contains"):
-        raise TypeError("support has no point-membership test")
+    if not (hasattr(support, "contains") and hasattr(support, "bounds_mm")):
+        raise TypeError("support needs a point-membership test and a bounding box")
     if subsamples < 1:
         raise ValueError("subsamples must be >= 1")
-    shifts = np.asarray(shifts_mm, dtype=np.float64)
-    if shifts.ndim != 2 or shifts.shape[1] != 3:
-        raise ValueError("shifts must be a (k, 3) array in mm")
-    if not np.isfinite(shifts).all():
+    axes = [np.asarray(values, dtype=np.float64) for values in shift_axes]
+    if len(axes) != 3 or any(values.ndim != 1 for values in axes):
+        raise ValueError("shift_axes must be three 1-D arrays of shifts in mm")
+    if not all(np.isfinite(values).all() for values in axes):
         raise ValueError("shifts must be finite")
-    out = np.zeros((len(shifts),) + grid.shape)
-    if not len(shifts):
-        return out
-    bounds = getattr(support, "bounds_mm", None)
-    lo, hi = bounds() if bounds is not None else (np.full(3, -np.inf), np.full(3, np.inf))
-    add_counts(support, _sample_axes(grid, subsamples), shifts, lo, hi, subsamples, out)
+    lo, hi = support.bounds_mm()
+    out = np.zeros(tuple(len(values) for values in axes) + grid.shape)
+    if out.size:
+        add_counts(support, _sample_axes(grid, subsamples), axes, lo, hi, subsamples, out)
     out /= subsamples**3
     out *= concentration
-    return out
+    return out.reshape((-1,) + grid.shape)
 
 
 def rasterize_support(support, grid: VoxelGrid, concentration: float,
@@ -398,7 +399,7 @@ def rasterize_support(support, grid: VoxelGrid, concentration: float,
     Phantom generation and reference rasterization share rasterize_shifted,
     so a zero-shift reference equals the phantom bit for bit.
     """
-    return rasterize_shifted(support, grid, concentration, [(0.0, 0.0, 0.0)], subsamples)[0]
+    return rasterize_shifted(support, grid, concentration, [[0.0]] * 3, subsamples)[0]
 
 
 @dataclass

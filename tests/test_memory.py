@@ -8,28 +8,45 @@ voxels for the measurement and small blocks (it writes the calibration
 scans as they are drawn, and samples the fields in a bounded chunk),
 preprocess the calibration scans' band (559 of 1025 bins by default, read
 from the file in 64-scan chunks), inside which it builds the reduced
-matrix. A whole artifact read holds the returned array alone.
+matrix. A whole artifact read holds the returned array alone. Each stage
+runs in a fresh interpreter, so its peak includes what it imports on its
+first call whatever earlier tests imported.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import robust_recon
 from robust_recon.artifacts import KIND_MATRIX, read_verified, write_artifact, write_manifest
-from robust_recon.cli import main
 from robust_recon.config import load_config
 from robust_recon.metrics import ShiftGrid
 from robust_recon.model import VoxelGrid, phantom_support, rasterize_shifted
 from robust_recon.preprocess import ReducedSystem
 
 
+# one CLI command under tracemalloc; prints its traced peak in bytes
+TRACED_RUN = """
+import sys
+import tracemalloc
+from robust_recon.cli import main
+tracemalloc.start()
+assert main(sys.argv[1:]) == 0
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 def traced_peak(argv) -> int:
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    src = Path(robust_recon.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", TRACED_RUN, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.splitlines()[-1])
 
 
 def peak_ratios(tmp_path, config_text):
@@ -48,7 +65,7 @@ def peak_ratios(tmp_path, config_text):
 
 def test_simulate_and_preprocess_hold_no_full_size_temporary(tmp_path):
     # the default 20x20 pipeline: 400 voxels x 2 coils x 1025 bins. Measured
-    # 0.48x and 0.78x: the cone's 52 nonzero voxels are 0.13x, the band is
+    # 0.48x and 0.79x: the cone's 52 nonzero voxels are 0.13x, the band is
     # 0.55x, the read's 64-scan buffer 0.16x. 1.27x for simulate when it held
     # the system matrix; 1.82x and 1.21x with 64-voxel field chunks and A
     # beside the band; 2.19x and 1.86x with the whole calibration array in
@@ -63,7 +80,7 @@ GRID_40 = "grid.shape = 40,40,1\ngrid.spacing_mm = 0.5,0.5,1.0\n"
 
 
 def test_simulate_streams_the_calibration_scans_at_40x40(tmp_path):
-    # 1600 voxels: the 52 MB calibration set. Measured 0.21x and 0.64x: the
+    # 1600 voxels: the 52 MB calibration set. Measured 0.21x and 0.65x: the
     # cone's 138 nonzero voxels are 0.09x. 1.11x for simulate when it held
     # the system matrix, and 0.66x for preprocess with three complex
     # band-sized temporaries in the empty scans' score; 0.67x with a boolean
@@ -78,7 +95,7 @@ def test_simulate_streams_the_calibration_scans_at_40x40(tmp_path):
 
 def test_simulate_holds_the_tubes_columns_only_at_40x40(tmp_path):
     # the tubes phantom has 290 nonzero voxels of 1600, whose columns (0.18x)
-    # the measurement needs. Measured 0.31x and 0.64x
+    # the measurement needs. Measured 0.31x and 0.65x
     simulate, preprocess = peak_ratios(tmp_path, GRID_40 + "phantom.kind = resolution-tubes\n")
     assert simulate <= 0.35
     assert preprocess <= 0.68
@@ -123,7 +140,7 @@ def test_reference_stack_scratch_stays_small_at_a_non_dyadic_spacing():
     support = phantom_support("resolution-tubes", grid)
     tracemalloc.start()
     try:
-        stack = rasterize_shifted(support, grid, 50.0, ShiftGrid((3.0, 3.0, 0.0), 0.5).shifts())
+        stack = rasterize_shifted(support, grid, 50.0, ShiftGrid((3.0, 3.0, 0.0), 0.5).axes())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

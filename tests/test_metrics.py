@@ -106,7 +106,8 @@ def test_reference_stack_matches_loop():
 
 
 class CountingSupport:
-    """Wraps a support and records how many points each contains call saw."""
+    """Wraps a support and records how many points each contains call saw;
+    its box is infinite, so every lattice point is tested."""
 
     def __init__(self, support):
         self.support = support
@@ -115,6 +116,9 @@ class CountingSupport:
     def contains(self, points):
         self.calls.append(len(points))
         return self.support.contains(points)
+
+    def bounds_mm(self):
+        return np.full(3, -np.inf), np.full(3, np.inf)
 
 
 def per_shift_oracle(support, grid, shift_grid, concentration, subsamples):
@@ -180,7 +184,7 @@ def test_reference_stack_split_into_groups_matches_oracle(monkeypatch):
     split = CountingSupport(phantom.support)
     assert reference_stack(split, grid, sg, 50.0).tobytes() == oracle.tobytes()
     assert max(split.calls) <= 700
-    # CountingSupport has no bounds_mm, so nothing is cut: the shared lattice
+    # CountingSupport's box is infinite, so nothing is cut: the shared lattice
     # is 48 * 48 * 4 points, and the tiles test each of them once, against
     # 4096 points for each of the 81 shifts on its own
     assert sum(split.calls) == sum(whole.calls) == 48 * 48 * 4 < sg.count * 4096
@@ -254,30 +258,30 @@ def test_reference_stack_at_every_subsample_count_matches_oracle(subsamples, kin
     assert stack.tobytes() == per_shift_oracle(support, grid, sg, 50.0, subsamples).tobytes()
 
 
-def random_shift_list(rng, count, values=None):
-    """Shifts in [-1, 1] mm; drawn from ``values`` per axis when given, so
-    values repeat, and with -0.0, 0.0 and a repeated shift mixed in."""
+def random_shift_axes(rng, count, values=None):
+    """Per axis, ``count`` shift values in [-1, 1] mm; drawn from ``values``
+    when given, so values repeat, and with -0.0 and 0.0 on every axis."""
     if values is None:
-        shifts = rng.uniform(-1.0, 1.0, (count, 3))
+        axes = rng.uniform(-1.0, 1.0, (3, count))
     else:
-        shifts = rng.choice(values, (count, 3))
-    shifts[0] = (-0.0, 0.0, -0.0)
-    shifts[1] = (0.0, -0.0, 0.0)
-    shifts[2, 0] = -0.0
-    shifts[3] = shifts[4]
-    return shifts
+        axes = rng.choice(values, (3, count))
+    axes[:, 0] = (-0.0, 0.0, -0.0)
+    axes[:, 1] = (0.0, -0.0, 0.0)
+    return list(axes)
 
 
 @pytest.mark.parametrize("values", [None, (-0.7, -0.0, 0.0, 0.35, 0.6)],
                          ids=["unstructured", "repeated-values"])
 @pytest.mark.parametrize("kind", ["shape-cone", "resolution-tubes", "delta"])
 def test_rasterize_shifted_on_random_shift_lists_matches_oracle(values, kind):
+    # random per-axis shift values against the oracle on their product
     rng = np.random.default_rng(5)
     grid = VoxelGrid((7, 6, 2), (0.8, 0.9, 1.0))
     support = make_phantom(kind, grid, 50.0, subsamples=3).support
-    shifts = random_shift_list(rng, 12, values)
-    stack = rasterize_shifted(support, grid, 50.0, shifts, 3)
-    assert stack.tobytes() == shift_list_oracle(support, grid, shifts, 50.0, 3).tobytes()
+    axes = random_shift_axes(rng, 5, values)
+    stack = rasterize_shifted(support, grid, 50.0, axes, 3)
+    product = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    assert stack.tobytes() == shift_list_oracle(support, grid, product, 50.0, 3).tobytes()
 
 
 def test_psnr_identical_images_is_inf():

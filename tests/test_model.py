@@ -231,15 +231,25 @@ def test_rasterize_support_requires_membership_test():
 def test_rasterize_shifted_shapes_and_validation():
     grid = VoxelGrid((3, 2, 1), (1.0, 1.0, 1.0))
     box = BoxSupport((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-    stack = rasterize_shifted(box, grid, 50.0, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+    stack = rasterize_shifted(box, grid, 50.0, [(0.0, 1.0), [0.0], [0.0]])
     assert stack.shape == (2, 3, 2, 1)
     assert np.array_equal(stack[0], rasterize_support(box, grid, 50.0))
-    assert np.array_equal(stack[1], rasterize_shifted(box, grid, 50.0, [(1.0, 0.0, 0.0)])[0])
-    assert rasterize_shifted(box, grid, 50.0, np.zeros((0, 3))).shape == (0, 3, 2, 1)
-    with pytest.raises(ValueError):
-        rasterize_shifted(box, grid, 50.0, (0.0, 0.0, 0.0))
-    with pytest.raises(TypeError):
-        rasterize_shifted(None, grid, 50.0, [(0.0, 0.0, 0.0)])
+    assert np.array_equal(stack[1], rasterize_shifted(box, grid, 50.0, [[1.0], [0.0], [0.0]])[0])
+    for axis in range(3):
+        axes = [[0.0], [0.0], [0.0]]
+        axes[axis] = []
+        assert rasterize_shifted(box, grid, 50.0, axes).shape == (0, 3, 2, 1)
+    for bad in [(0.0, 0.0, 0.0), [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], np.zeros((4, 3)),
+                [[0.0], [0.0]]]:
+        with pytest.raises(ValueError):
+            rasterize_shifted(box, grid, 50.0, bad)
+
+    class NoBox:
+        contains = box.contains
+
+    for support in [None, NoBox()]:
+        with pytest.raises(TypeError):
+            rasterize_shifted(support, grid, 50.0, [[0.0], [0.0], [0.0]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -248,10 +258,10 @@ def test_rasterize_shifted_rejects_non_finite_shifts(bad):
     grid = VoxelGrid((3, 2, 1), (1.0, 1.0, 1.0))
     covering = BoxSupport((0.0, 0.0, 0.0), (10.0, 10.0, 10.0))
     for axis in range(3):
-        shifts = np.zeros((2, 3))
-        shifts[1, axis] = bad
+        axes = [[0.0], [0.0], [0.0]]
+        axes[axis] = [0.0, bad]
         with pytest.raises(ValueError, match="finite"):
-            rasterize_shifted(covering, grid, 50.0, shifts)
+            rasterize_shifted(covering, grid, 50.0, axes)
 
 
 def test_support_bounds_are_the_analytic_boxes_padded():
