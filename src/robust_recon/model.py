@@ -350,6 +350,8 @@ def rasterize_shifted(support, grid: VoxelGrid, concentration: float,
 
     ``shift_axes`` holds three 1-D arrays of shift values in mm (x, y, z);
     the shifts are their product, x slowest, as in ShiftGrid.shifts().
+    It is always read per axis: a (3, k) array is k values on each axis
+    and gives k**3 images, never k listed shift triples.
     Image k, voxel v gets concentration times the fraction of the voxel's
     subsamples**3 stratified sample points p for which p - shift k lies
     inside the support. Returns (Kx * Ky * Kz, nx, ny, nz). The support

@@ -29,7 +29,9 @@ from robust_recon.model import VoxelGrid, phantom_support, rasterize_shifted
 from robust_recon.preprocess import ReducedSystem
 
 
-# one CLI command under tracemalloc; prints its traced peak in bytes
+# one CLI command under tracemalloc; prints its traced peak in bytes. The
+# child runs with -W error::RuntimeWarning, as pytest runs the suite, so a
+# stray numpy warning in a stage still fails the test
 TRACED_RUN = """
 import sys
 import tracemalloc
@@ -43,8 +45,8 @@ print(tracemalloc.get_traced_memory()[1])
 def traced_peak(argv) -> int:
     src = Path(robust_recon.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", TRACED_RUN, *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", TRACED_RUN, *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return int(done.stdout.splitlines()[-1])
 

@@ -239,6 +239,9 @@ def test_rasterize_shifted_shapes_and_validation():
         axes = [[0.0], [0.0], [0.0]]
         axes[axis] = []
         assert rasterize_shifted(box, grid, 50.0, axes).shape == (0, 3, 2, 1)
+    # a (3, k) array is k values per axis, not k shift triples: no error, k**3 images
+    triples = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    assert rasterize_shifted(box, grid, 50.0, triples).shape == (27, 3, 2, 1)
     for bad in [(0.0, 0.0, 0.0), [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], np.zeros((4, 3)),
                 [[0.0], [0.0]]]:
         with pytest.raises(ValueError):
