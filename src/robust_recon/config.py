@@ -12,19 +12,19 @@ validated by the object it configures: ScannerConfig, VoxelGrid, and the
 metrics.ShiftGrid and solvers.SolverConfig that the metrics and solver
 sections build, whose ValueError becomes ConfigError("<section>:
 <message>"), e.g. "scanner: drive amplitudes must be nonnegative".
-The background, metrics and sweep sections compute the derived values
-their stages will use (the noise variance, the SSIM constants, the
-regularization weights) and reject a value whose derived value is not
-finite, as ScannerConfig does with its Langevin beta, e.g. "sweep:
-alpha_max_exp gives a non-finite weight 2^alpha_max_exp".
 validate_config then rejects NaN and +-inf in every float key and float
 tuple as ConfigError("<section>.<key>: must be finite"), except
-preprocess.b2_khz = inf (an open band), and checks the rest (solver method,
-alpha, and epsilon with its square; the phantom, background, preprocess,
-metrics scoring and sweep keys, and a bound of 2^24 sample points on voxels
-x phantom.subsamples^3) as ConfigError("<section>.<key>: <precondition>"); the
-same bound on shifts x voxels, the reference stack that evaluate and sweep
-build, is ConfigError("metrics: ...").
+preprocess.b2_khz = inf (an open band), and checks the rest as
+ConfigError("<section>.<key>: <precondition>"): solver method and alpha;
+solver.epsilon and metrics.psnr_peak, each positive with a finite nonzero
+square; the phantom, background, preprocess, metrics scoring and sweep
+keys, including the derived values their stages use, which must be finite
+(the noise variance base_std^2, the SSIM constant (0.03 dynamic_range)^2,
+the sweep weights 2^alpha_max_exp and 2^alpha_min_exp, the smallest also
+nonzero), e.g. "sweep.alpha_max_exp: alpha_max_exp gives a non-finite
+weight 2^alpha_max_exp"; and a bound of 2^24 sample points on voxels x
+phantom.subsamples^3. The same bound on shifts x voxels, the reference
+stack that evaluate and sweep build, is ConfigError("metrics: ...").
 """
 
 from __future__ import annotations
@@ -53,15 +53,6 @@ class PhantomSection:
     subsamples: int = 4
 
 
-def _finite(derive) -> bool:
-    """Whether derive() gives a finite number; an ArithmeticError counts as
-    not finite (Python's float ** and / raise where numpy gives inf)."""
-    try:
-        return math.isfinite(derive())
-    except ArithmeticError:
-        return False
-
-
 @dataclass
 class BackgroundSection:
     base_std: float = 1.0
@@ -76,11 +67,6 @@ class BackgroundSection:
     calibration_repetitions: int = 1
     measurement_repetitions: int = 1
     scans_per_bracket: int = 19
-
-    def __post_init__(self):
-        # acquisition.make_background squares it into the noise variance
-        if not _finite(lambda: self.base_std ** 2):
-            raise ValueError("base_std squared, the noise variance, must be finite")
 
 
 @dataclass
@@ -112,11 +98,6 @@ class MetricsSection:
     shift_extent_mm: tuple = (3.0, 3.0, 0.0)
     shift_step_mm: float = 0.5
 
-    def __post_init__(self):
-        # metrics.ssim_table's larger stabilizing constant
-        if not _finite(lambda: (0.03 * self.dynamic_range) ** 2):
-            raise ValueError("dynamic_range gives a non-finite SSIM constant (0.03 L)^2")
-
 
 @dataclass
 class SweepSection:
@@ -124,15 +105,6 @@ class SweepSection:
     alpha_min_exp: int = -20
     max_sweeps: int = 200
     jobs: int = 1
-
-    def __post_init__(self):
-        # cmd_sweep's regularization weights 2^e, largest and smallest
-        for name in ("alpha_max_exp", "alpha_min_exp"):
-            if not _finite(lambda: 2.0 ** getattr(self, name)):
-                raise ValueError(f"{name} gives a non-finite weight 2^{name}")
-        # below about 2^-1074 the smallest weight underflows to 0
-        if not 2.0 ** self.alpha_min_exp > 0:
-            raise ValueError("alpha_min_exp gives a zero weight 2^alpha_min_exp")
 
 
 @dataclass
@@ -237,6 +209,15 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> None:
     validate_config(cfg)
 
 
+def _finite(derive) -> bool:
+    """Whether derive() gives a finite number; an ArithmeticError counts as
+    not finite (Python's float ** and / raise where numpy gives inf)."""
+    try:
+        return math.isfinite(derive())
+    except ArithmeticError:
+        return False
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
@@ -267,6 +248,9 @@ def validate_config(cfg: PipelineConfig) -> None:
 
     b = cfg.background
     _require(b.base_std >= 0, "background.base_std: must be nonnegative")
+    # acquisition.make_background squares it into the noise variance
+    _require(_finite(lambda: b.base_std ** 2),
+             "background.base_std: base_std squared, the noise variance, must be finite")
     _require(b.mean_peak >= 0, "background.mean_peak: must be nonnegative")
     _require(0 <= b.mean_decay < 1, "background.mean_decay: must be in [0, 1)")
     _require(0 <= b.outlier_fraction <= 1,
@@ -297,13 +281,17 @@ def validate_config(cfg: PipelineConfig) -> None:
              f"solver.method: must be one of {', '.join(METHODS)}")
     _require(sol.alpha > 0, "solver.alpha: must be positive")
     # solvers.Objective squares it; a square of 0 makes a zero residual 0/0
-    _require(sol.epsilon > 0 and _finite(lambda: sol.epsilon * sol.epsilon)
-             and sol.epsilon * sol.epsilon > 0,
+    _require(sol.epsilon > 0 and 0 < sol.epsilon * sol.epsilon < math.inf,
              "solver.epsilon: must be positive, with a finite nonzero square")
 
     m = cfg.metrics
-    _require(m.psnr_peak > 0, "metrics.psnr_peak: must be positive")
+    # metrics.psnr_table divides its square by the mean squared error
+    _require(m.psnr_peak > 0 and 0 < m.psnr_peak * m.psnr_peak < math.inf,
+             "metrics.psnr_peak: must be positive, with a finite nonzero square")
     _require(m.dynamic_range > 0, "metrics.dynamic_range: must be positive")
+    # metrics.ssim_table's larger stabilizing constant
+    _require(_finite(lambda: (0.03 * m.dynamic_range) ** 2),
+             "metrics.dynamic_range: dynamic_range gives a non-finite SSIM constant (0.03 L)^2")
     _require(voxels * p.subsamples**3 <= _MAX_SAMPLE_POINTS,
              f"phantom.subsamples: {voxels} voxels x {p.subsamples}^3 samples exceed "
              f"the limit of {_MAX_SAMPLE_POINTS} sample points")
@@ -313,6 +301,13 @@ def validate_config(cfg: PipelineConfig) -> None:
              f"{_MAX_SAMPLE_POINTS} sample points")
 
     sw = cfg.sweep
+    # cmd_sweep's regularization weights 2^e, largest and smallest
+    for key in ("alpha_max_exp", "alpha_min_exp"):
+        _require(_finite(lambda: 2.0 ** getattr(sw, key)),
+                 f"sweep.{key}: {key} gives a non-finite weight 2^{key}")
+    # below about 2^-1074 the smallest weight underflows to 0
+    _require(2.0 ** sw.alpha_min_exp > 0,
+             "sweep.alpha_min_exp: alpha_min_exp gives a zero weight 2^alpha_min_exp")
     _require(sw.alpha_max_exp >= sw.alpha_min_exp,
              "sweep.alpha_max_exp: must be >= sweep.alpha_min_exp")
     _require(sw.max_sweeps >= 1, "sweep.max_sweeps: must be at least 1")

@@ -13,7 +13,8 @@ two share the residual and the penalty and differ in the data term only.
 
 Two solvers: a bound-constrained limited-memory quasi-Newton method
 (Cauchy point for the active set, two-loop recursion on the free variables,
-strong Wolfe line search truncated at the feasible box), and a regularized
+strong Wolfe line search truncated at the feasible box, one loop that
+expands the step and then narrows the bracket it finds), and a regularized
 Kaczmarz sweep over the rows of the augmented system [A, sqrt(alpha) I]
 with an optional nonnegativity projection after each sweep. solve runs a
 reconstruction method of the METHODS table by name.
@@ -186,75 +187,68 @@ def _checked_eval(fun, x):
     return f, g
 
 
-def _zoom(fun, x, d, f0, slope0, lo, hi, best, evals):
-    """Strong Wolfe zoom between bracketing steps lo and hi.
-
-    lo/hi are (a, f, g, slope) tuples; lo satisfies the sufficient-decrease
-    condition. Returns (a, f, g, evals, ok).
-    """
-    while evals < LINE_SEARCH_MAX_EVALS:
-        a_lo, f_lo, g_lo, s_lo = lo
-        a_hi, f_hi = hi[0], hi[1]
-        span = a_hi - a_lo
-        denom = f_hi - f_lo - s_lo * span
-        if denom != 0.0:
-            a = a_lo - 0.5 * s_lo * span * span / denom
-        else:
-            a = a_lo + 0.5 * span
-        left, right = min(a_lo, a_hi), max(a_lo, a_hi)
-        if not np.isfinite(a) or a <= left or a >= right:
-            a = 0.5 * (left + right)
-        else:
-            margin = 1e-3 * (right - left)
-            a = min(max(a, left + margin), right - margin)
-        if right - left <= 1e-14 * max(1.0, right):
-            break  # interval exhausted
-        f_a, g_a = _checked_eval(fun, x + a * d)
-        evals += 1
-        slope_a = float(g_a @ d)
-        if f_a < best[1]:
-            best = (a, f_a, g_a)
-        if f_a > f0 + WOLFE_C1 * a * slope0 or f_a >= f_lo:
-            hi = (a, f_a, g_a, slope_a)
-        else:
-            if abs(slope_a) <= -WOLFE_C2 * slope0:
-                return a, f_a, g_a, evals, True
-            if slope_a * span >= 0.0:
-                hi = lo
-            lo = (a, f_a, g_a, slope_a)
-    # Budget or interval exhausted: settle for sufficient decrease alone.
-    a_lo, f_lo, g_lo, _ = lo
-    if a_lo > 0.0 and f_lo <= f0 + WOLFE_C1 * a_lo * slope0:
-        return a_lo, f_lo, g_lo, evals, True
-    return best[0], best[1], best[2], evals, False
-
-
 def _wolfe_search(fun, x, d, f0, g0, slope0, amax):
     """Strong Wolfe line search on phi(a) = f(x + a d), a in (0, amax].
 
-    A step that reaches the box boundary is accepted on sufficient decrease
-    alone. Returns (a, f, g, evals, ok); ok=False after the trial budget.
+    One loop (Nocedal and Wright, Numerical Optimization, Algorithms 3.5
+    and 3.6) carries the bracket as (a, f, g, slope) tuples: lo, the lowest
+    trial that meets sufficient decrease (at first the start a = 0), and
+    hi, None while the step still expands. Each pass evaluates one trial.
+    A trial that fails sufficient decrease, or is no lower than lo, becomes
+    hi; one that meets the curvature condition is returned; any other
+    becomes lo. Then, while expanding, the step doubles, and a step at amax
+    (the box face) is accepted on sufficient decrease alone; once
+    bracketed, the next step is a safeguarded quadratic interpolation from
+    lo. When the budget or the bracketed interval runs out, a bracket's lo
+    is accepted on sufficient decrease alone unless it is the start;
+    otherwise the best trial is returned with ok=False. Returns
+    (a, f, g, evals, ok).
     """
     best = (0.0, f0, g0)
-    prev = (0.0, f0, g0, slope0)
+    lo, hi = (0.0, f0, g0, slope0), None
+    span = 1.0  # hi[0] - lo[0]; while expanding, hi lies toward larger steps
     a = min(1.0, amax)
     evals = 0
     while evals < LINE_SEARCH_MAX_EVALS:
+        if hi is not None:
+            a_lo, f_lo, _, s_lo = lo
+            span = hi[0] - a_lo
+            denom = hi[1] - f_lo - s_lo * span
+            if denom != 0.0:
+                a = a_lo - 0.5 * s_lo * span * span / denom
+            else:
+                a = a_lo + 0.5 * span
+            left, right = min(a_lo, hi[0]), max(a_lo, hi[0])
+            if not np.isfinite(a) or a <= left or a >= right:
+                a = 0.5 * (left + right)
+            else:
+                margin = 1e-3 * (right - left)
+                a = min(max(a, left + margin), right - margin)
+            if right - left <= 1e-14 * max(1.0, right):
+                break  # interval exhausted
         f_a, g_a = _checked_eval(fun, x + a * d)
         evals += 1
         slope_a = float(g_a @ d)
         if f_a < best[1]:
             best = (a, f_a, g_a)
-        if f_a > f0 + WOLFE_C1 * a * slope0 or (evals > 1 and f_a >= prev[1]):
-            return _zoom(fun, x, d, f0, slope0, prev, (a, f_a, g_a, slope_a), best, evals)
-        if abs(slope_a) <= -WOLFE_C2 * slope0:
+        # the first trial is never compared with f0: when f0 + c1*a*slope0
+        # rounds to f0, a trial level with f0 still gets the curvature test
+        if f_a > f0 + WOLFE_C1 * a * slope0 or (evals > 1 and f_a >= lo[1]):
+            hi = (a, f_a, g_a, slope_a)
+        elif abs(slope_a) <= -WOLFE_C2 * slope0:
             return a, f_a, g_a, evals, True
-        if slope_a >= 0.0:
-            return _zoom(fun, x, d, f0, slope0, (a, f_a, g_a, slope_a), prev, best, evals)
-        if a >= amax:
-            return a, f_a, g_a, evals, True  # pinned at the box face
-        prev = (a, f_a, g_a, slope_a)
-        a = min(2.0 * a, amax)
+        else:
+            # a slope rising toward hi puts a minimizer behind the trial
+            if slope_a * span >= 0.0:
+                hi = lo
+            lo = (a, f_a, g_a, slope_a)
+        if hi is None:
+            if a >= amax:
+                return a, f_a, g_a, evals, True  # pinned at the box face
+            a = min(2.0 * a, amax)
+    a_lo, f_lo, g_lo, _ = lo
+    if hi is not None and a_lo > 0.0 and f_lo <= f0 + WOLFE_C1 * a_lo * slope0:
+        return a_lo, f_lo, g_lo, evals, True
     return best[0], best[1], best[2], evals, False
 
 
@@ -272,8 +266,11 @@ def lbfgsb(objective, cfg: SolverConfig | None = None,
     variables exactly on their bounds. The first iterate is scaled by
     1/||g0||. Terminates when the sup norm of
     the projected gradient reaches cfg.pgtol, on the iteration budget, or
-    when a line search fails after 40 trials (best iterate returned with
-    converged=False).
+    when a line search fails (best iterate returned with converged=False).
+    The search is one loop that doubles the step until it brackets a
+    minimizer, then interpolates inside the bracket. It fails when its 40
+    trials all expand without a bracket, or when the bracketed interval or
+    the budget runs out while its lower end is still the start point.
 
     ``objective`` is an Objective or any callable x -> (value, gradient);
     callables require x0.

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -542,18 +543,22 @@ def test_arithmetic_error_in_a_stage_exits_4(pipeline, tmp_path, capsys, monkeyp
     ("phantom.subsamples", "2000", "phantom.subsamples", "16777216 sample points"),
     # finite values whose derived quantities overflow in the stage that uses them
     ("scanner.particle_diameter_nm", "1e308", "scanner", "non-finite Langevin beta"),
-    ("background.base_std", "1e308", "background", "noise variance, must be finite"),
+    ("background.base_std", "1e308", "background.base_std", "noise variance, must be finite"),
     ("scanner.temperature_k", "1e-308", "scanner", "non-finite Langevin beta"),
     # |B|^2 would overflow to inf and zero the magnetization without a message
     ("scanner.drive_amplitudes_mt", "1e308,1e308", "scanner",
      "drive amplitudes give a non-finite squared field norm"),
-    ("metrics.dynamic_range", "1e308", "metrics", "non-finite SSIM constant"),
-    ("sweep.alpha_max_exp", "2000", "sweep", "non-finite weight 2^alpha_max_exp"),
-    ("sweep.alpha_min_exp", "-1075", "sweep", "zero weight 2^alpha_min_exp"),
-    ("sweep.alpha_min_exp", "1100", "sweep", "non-finite weight 2^alpha_min_exp"),
+    ("metrics.dynamic_range", "1e308", "metrics.dynamic_range", "non-finite SSIM constant"),
+    ("sweep.alpha_max_exp", "2000", "sweep.alpha_max_exp", "non-finite weight 2^alpha_max_exp"),
+    ("sweep.alpha_min_exp", "-1075", "sweep.alpha_min_exp", "zero weight 2^alpha_min_exp"),
+    ("sweep.alpha_min_exp", "1100", "sweep.alpha_min_exp", "non-finite weight 2^alpha_min_exp"),
     # the smoothed l1 term squares it: 1e-300 underflows to 0, 1e308 overflows
     ("solver.epsilon", "1e-300", "solver.epsilon", "with a finite nonzero square"),
     ("solver.epsilon", "1e308", "solver.epsilon", "with a finite nonzero square"),
+    # PSNR divides its square by the MSE: 1e308 overflows, 1e-300 and 5e-324 underflow
+    ("metrics.psnr_peak", "1e308", "metrics.psnr_peak", "with a finite nonzero square"),
+    ("metrics.psnr_peak", "1e-300", "metrics.psnr_peak", "with a finite nonzero square"),
+    ("metrics.psnr_peak", "5e-324", "metrics.psnr_peak", "with a finite nonzero square"),
 ])
 def test_config_value_bound_exits_2_at_load(key, value, named, message, tmp_path, capsys):
     # values whose derived quantities overflow or whose rasterization would
@@ -1073,11 +1078,26 @@ def _fuzz_keys():
                 yield f"{section.name}.{f.name}", type(entries[0]), len(entries)
 
 
+def assert_outputs_finite(run, context):
+    """Every *.json in run parses without NaN or Infinity and every numeric
+    *.csv cell is finite."""
+    for path in sorted(run.glob("*.json")):
+        json.loads(path.read_text(),
+                   parse_constant=lambda name: pytest.fail(f"{context} {path.name}: {name}"))
+    for path in sorted(run.glob("*.csv")):
+        for cell in (cell for row in csv.reader(path.read_text().splitlines()) for cell in row):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a label
+            assert math.isfinite(value), (*context, path.name, cell)
+
+
 @pytest.mark.parametrize("key, elem, length", list(_fuzz_keys()))
 def test_config_fuzz_exits_0_2_or_4(key, elem, length, tmp_path, capsys):
     # simulate -> sweep up to the first nonzero exit: an extreme value is a
     # config error (2) or a numerical failure (4), never a traceback or a
-    # warning
+    # warning, and what each stage that exits 0 writes is finite
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for value in FUZZ_VALUES[elem]:
@@ -1091,4 +1111,5 @@ def test_config_fuzz_exits_0_2_or_4(key, elem, length, tmp_path, capsys):
                 assert not re.match(r"error: \w+: \w+Error: ", err), (value, command, err)
                 if code:
                     break
+                assert_outputs_finite(tmp_path / value, (value, command))
     assert not caught, [str(w.message) for w in caught]

@@ -8,6 +8,7 @@ from robust_recon.solvers import (
     SolverConfig,
     SolverResult,
     _cauchy_point,
+    _wolfe_search,
     kaczmarz_reg,
     lbfgsb,
     smoothed_l1_norm,
@@ -233,6 +234,59 @@ def test_lbfgsb_line_search_failure_reports_not_converged():
 
     result = lbfgsb(runaway, SolverConfig(max_iterations=3), x0=np.ones(3))
     assert not result.converged
+
+
+def wolfe_search_1d(phi, amax=np.inf, slope0=None):
+    """_wolfe_search along d = 1 from x = 0 on phi(a) -> (value, derivative);
+    returns (a, evals, ok) and the trial steps in order."""
+    trials = []
+
+    def fun(x):
+        trials.append(float(x[0]))
+        f, g = phi(float(x[0]))
+        return f, np.array([g])
+
+    f0, g0 = phi(0.0)
+    a, _, _, evals, ok = _wolfe_search(fun, np.zeros(1), np.ones(1), f0, np.array([g0]),
+                                       g0 if slope0 is None else slope0, amax)
+    return (a, evals, ok), trials
+
+
+def test_wolfe_search_accepts_a_unit_step_meeting_both_conditions():
+    assert wolfe_search_1d(lambda a: ((a - 1.0) ** 2, 2.0 * (a - 1.0)))[0] == (1.0, 1, True)
+
+
+def test_wolfe_search_expands_then_stops_pinned_at_amax():
+    exit_, trials = wolfe_search_1d(lambda a: (-a, -1.0), amax=3.0)
+    assert (exit_, trials) == ((3.0, 3, True), [1.0, 2.0, 3.0])
+
+
+def test_wolfe_search_fails_with_the_best_step_when_expansion_spends_the_budget():
+    exit_, trials = wolfe_search_1d(lambda a: (-a, -1.0))
+    assert exit_ == (2.0**39, 40, False)
+    assert trials == [2.0**k for k in range(40)]
+
+
+def test_wolfe_search_accepts_lo_on_sufficient_decrease_when_the_budget_runs_out():
+    # the slope is -1 on both sides of the step at 0.3, so no trial meets the
+    # curvature condition and the bracket closes on the step from below
+    exit_, trials = wolfe_search_1d(lambda a: (-a if a < 0.3 else 1.0, -1.0))
+    assert exit_ == (0.2986532570071857, 40, True)
+    assert trials[:3] == [1.0, 0.25, 0.390625]
+
+
+def test_wolfe_search_fails_early_when_the_bracket_shrinks_onto_the_start():
+    # every positive step is worse than the start, so lo stays at a = 0 and
+    # the interval is exhausted before the budget
+    exit_, trials = wolfe_search_1d(lambda a: (0.0 if a == 0.0 else 1.0, -1.0))
+    assert exit_ == (0.0, 8, False)
+    assert trials[:3] == [1.0, 0.25, 0.025]
+
+
+def test_wolfe_search_tests_a_first_trial_level_with_f0_for_curvature():
+    # f0 + c1*a*slope0 rounds to f0 = 1e16, so a first trial equal to f0
+    # passes sufficient decrease and must not be bracketed against a = 0
+    assert wolfe_search_1d(lambda a: (1e16, 0.0), slope0=-1.0)[0] == (1.0, 1, True)
 
 
 def test_lbfgsb_rejects_non_finite_objective():
